@@ -26,7 +26,7 @@ for rho in (1e-5, 1e-4, 1e-2, 1.0, float('inf')):
         print(f"{'none':>8} {M:>4} {0.0:>11.3e} {mise(est, truth):>11.3e}")
         continue
     M = optimal_cutoff_adaptive_form(n, rho, 2.0, 1)
-    sigma = float(sigma_for_cutoff(n, rho, M, 1))
+    sigma = sigma_for_cutoff(n, rho, M, 1)
     est = fit(data, M, rho, np.random.default_rng(2))
     print(f"{rho:>8g} {M:>4} {sigma:>11.3e} {mise(est, truth):>11.3e}")
 

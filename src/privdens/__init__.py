@@ -46,7 +46,6 @@ from .densities import (
 )
 from .estimator import (
     ProjectionEstimate,
-    RateQuery,
     fit,
     optimal_cutoff_adaptive_form,
     optimal_cutoff_thm,
@@ -64,7 +63,6 @@ from .experiments import (
 from .fourier import (
     CoefficientGrid,
     empirical_coefficients,
-    eval_basis,
     evaluate,
     l2_distance_sq,
     multi_indices,
@@ -72,11 +70,8 @@ from .fourier import (
 )
 from .privacy import (
     BudgetLedger,
-    NoiseScale,
-    PrivacyBudget,
     add_noise,
     coefficient_sensitivity,
-    compose,
     derived_rng,
     gaussian_sigma,
     sigma_for_cutoff,
@@ -89,24 +84,19 @@ __all__ = [
     # fourier
     "CoefficientGrid",
     "multi_indices",
-    "eval_basis",
     "empirical_coefficients",
     "project",
     "evaluate",
     "l2_distance_sq",
     # privacy
-    "PrivacyBudget",
-    "NoiseScale",
     "BudgetLedger",
     "coefficient_sensitivity",
     "gaussian_sigma",
     "sigma_for_cutoff",
     "add_noise",
-    "compose",
     "derived_rng",
     # estimator
     "ProjectionEstimate",
-    "RateQuery",
     "fit",
     "optimal_cutoff_thm",
     "optimal_cutoff_adaptive_form",

@@ -26,16 +26,17 @@ Penalized estimated bias
     each comparison discounted by a variance penalty Lambda^(1); selection
     minimizes estimated bias plus Lambda^(2). Ties break to the smallest M.
 
-Both selectors return the chosen estimate together with a SelectionTrace
-holding every number the decision consumed, so the choice can be replayed
-and audited offline.
+Both rules release their candidates through _release_candidates, so every
+call is private and needs a seeded generator. Both return the chosen
+estimate together with a SelectionTrace holding every number the decision
+consumed, so the choice can be replayed and audited offline.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +46,13 @@ from .estimator import (
     optimal_cutoff_adaptive_form,
     theoretical_rate,
 )
-from .fourier import CoefficientGrid, as_points, empirical_coefficients, project
+from .fourier import (
+    CoefficientGrid,
+    as_points,
+    empirical_coefficients,
+    multi_indices,
+    project,
+)
 
 __all__ = [
     "BetaGrid",
@@ -146,7 +153,7 @@ class SelectionTrace:
     d: int
     rho: float
     rho_per_candidate: float
-    rho_spent: float | None
+    rho_spent: float
     constants: dict
     cutoffs: list[int]
     sigmas: list[float]
@@ -204,6 +211,28 @@ class SelectionTrace:
         }
 
 
+def _release_candidates(master, cutoffs, n, d, rho_prime, rng, label):
+    """Candidate m is project(master, cutoffs[m]) plus Gaussian noise at
+    sigma_for_cutoff(n, rho_prime, M, d), draws consumed in candidate order,
+    charged rho_prime to a fresh ledger as label.format(m=m, cutoff=M).
+    Returns the noisy grids, the sigmas, the ledger and the candidates as
+    estimates, each carrying its own share."""
+    if rng is None:
+        raise ValueError("a seeded rng is required for a private selection")
+    ledger = privacy.BudgetLedger()
+    grids: list[CoefficientGrid] = []
+    sigmas: list[float] = []
+    for m, cutoff in enumerate(cutoffs):
+        sigma = privacy.sigma_for_cutoff(n, rho_prime, cutoff, d)
+        grids.append(privacy.add_noise(project(master, cutoff), sigma, rng))
+        sigmas.append(sigma)
+        ledger.charge(label.format(m=m, cutoff=cutoff), rho_prime)
+    estimates = [
+        ProjectionEstimate(g, n, sigma=s, rho_spent=rho_prime) for g, s in zip(grids, sigmas)
+    ]
+    return grids, sigmas, ledger, estimates
+
+
 def _padded_candidate_matrix(grids: list[CoefficientGrid], cutoff: int) -> np.ndarray:
     rows = [project(g, cutoff).values for g in grids]
     return np.vstack(rows)
@@ -233,8 +262,6 @@ def lepskii_select(
     rho,
     cfg: PenaltyConfig | None = None,
     rng: np.random.Generator | None = None,
-    *,
-    disable_noise: bool = False,
 ) -> tuple[ProjectionEstimate, SelectionTrace]:
     """Adaptive cut-off selection by the Lepskii rule.
 
@@ -244,10 +271,7 @@ def lepskii_select(
     threshold of every candidate l >= m, once the expected noise energy of
     both candidates is subtracted from their squared distance. The trace
     stores the raw distances; replay() derives the offsets from the stored
-    sigmas and cut-offs.
-
-    disable_noise=True is a diagnostic mode: no noise, no budget spent, no
-    privacy. rng may then be omitted.
+    sigmas and cut-offs. rng is required.
     """
     cfg = cfg or PenaltyConfig()
     pts = as_points(data)
@@ -267,31 +291,17 @@ def lepskii_select(
                 "eps > 1/2: the grid-risk series bound is unproven there",
                 stacklevel=2,
             )
-    if not disable_noise and rng is None:
-        raise ValueError("a seeded rng is required unless disable_noise=True")
 
     ln = math.log(n)
     grid = build_beta_grid(n, cfg.eps)
-    k = grid.k_n
     rho_prime = rho_v * cfg.eps / (ln * ln)
     cutoffs = [
         optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in grid.betas
     ]
     master = empirical_coefficients(pts, max(cutoffs))
-
-    ledger = privacy.BudgetLedger()
-    cand_grids: list[CoefficientGrid] = []
-    sigmas: list[float] = []
-    for m, cutoff in enumerate(cutoffs):
-        base = project(master, cutoff)
-        if disable_noise:
-            cand_grids.append(base)
-            sigmas.append(0.0)
-            continue
-        sigma = float(privacy.sigma_for_cutoff(n, rho_prime, cutoff, d))
-        cand_grids.append(privacy.add_noise(base, sigma, rng))
-        sigmas.append(sigma)
-        ledger.charge(f"lepskii candidate {m} (M={cutoff})", rho_prime)
+    cand_grids, sigmas, ledger, estimates = _release_candidates(
+        master, cutoffs, n, d, rho_prime, rng, "lepskii candidate {m} (M={cutoff})"
+    )
 
     a_mat = _padded_candidate_matrix(cand_grids, max(cutoffs))
     distances = _pairwise_sq_distances(a_mat)
@@ -307,17 +317,11 @@ def lepskii_select(
     # offset is nonnegative), so the search cannot fall off the end.
     selected = accepted.index(True)
 
-    # Report the exact composition k * rho' rather than the float sum of the
+    # Report the exact composition k_n * rho' rather than the float sum of the
     # ledger entries; the two agree to rounding and the former is the figure
     # the budget accounting promises.
-    spent = None if disable_noise else k * rho_prime
-    estimates = [
-        ProjectionEstimate(g, n, sigma=s, rho_spent=None if disable_noise else rho_prime)
-        for g, s in zip(cand_grids, sigmas)
-    ]
-    chosen = ProjectionEstimate(
-        cand_grids[selected], n, sigma=sigmas[selected], rho_spent=spent
-    )
+    spent = grid.k_n * rho_prime
+    chosen = replace(estimates[selected], rho_spent=spent)
     trace = SelectionTrace(
         method="lepskii",
         n=n,
@@ -331,7 +335,6 @@ def lepskii_select(
             "a": cfg.a,
             "eps": cfg.eps,
             "L": cfg.L,
-            "noise_disabled": disable_noise,
         },
         cutoffs=list(cutoffs),
         sigmas=sigmas,
@@ -383,8 +386,6 @@ def penalized_bias_select(
     rho,
     grid: list[int] | None = None,
     rng: np.random.Generator | None = None,
-    *,
-    disable_noise: bool = False,
 ) -> tuple[ProjectionEstimate, SelectionTrace]:
     """Adaptive cut-off selection by penalized estimated bias.
 
@@ -395,6 +396,7 @@ def penalized_bias_select(
         B^2(M) = max_{M'} ( ||proj_{M'}(f_hat_M) - f_hat_{M'}||^2 - Lambda^(1)(M') )
 
     and the winner minimizes B^2(M) + Lambda^(2)(M), ties to the smallest M.
+    Noise draws are consumed in grid order; rng is required.
     """
     pts = as_points(data)
     n, d = pts.shape
@@ -406,35 +408,17 @@ def penalized_bias_select(
         raise ValueError("cut-off grid must be nonempty")
     if grid[0] < 0:
         raise ValueError("cut-offs must be >= 0")
-    if not disable_noise and rng is None:
-        raise ValueError("a seeded rng is required unless disable_noise=True")
 
     g = len(grid)
     rho_prime = rho_v / g
     master = empirical_coefficients(pts, max(grid))
-
-    ledger = privacy.BudgetLedger()
-    cand_grids: list[CoefficientGrid] = []
-    sigmas: list[float] = []
-    for cutoff in grid:
-        base = project(master, cutoff)
-        if disable_noise:
-            cand_grids.append(base)
-            sigmas.append(0.0)
-            continue
-        sigma = float(privacy.sigma_for_cutoff(n, rho_prime, cutoff, d))
-        cand_grids.append(privacy.add_noise(base, sigma, rng))
-        sigmas.append(sigma)
-        ledger.charge(f"penalized-bias candidate M={cutoff}", rho_prime)
+    cand_grids, sigmas, ledger, estimates = _release_candidates(
+        master, grid, n, d, rho_prime, rng, "penalized-bias candidate M={cutoff}"
+    )
 
     cutoff_max = max(grid)
     a_mat = _padded_candidate_matrix(cand_grids, cutoff_max)
-    normmax = np.abs(
-        np.stack(
-            np.meshgrid(*([np.arange(-cutoff_max, cutoff_max + 1)] * d), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, d)
-    ).max(axis=1)
+    normmax = np.abs(multi_indices(cutoff_max, d)).max(axis=1)
     masks = np.array([normmax <= m for m in grid])  # (g, K) restriction masks
 
     proj_dist = np.empty((g, g))
@@ -448,24 +432,17 @@ def penalized_bias_select(
     criterion = bias_sq + lam2
     selected = int(np.argmin(criterion))  # argmin takes the first (smallest M) on ties
 
-    # g equal shares of rho/g compose to exactly rho; report that figure
+    # g equal shares of rho/g add up to exactly rho; report that figure
     # (the ledger keeps the per-candidate entries for audit).
-    spent = None if disable_noise else rho_v
-    estimates = [
-        ProjectionEstimate(gd, n, sigma=s, rho_spent=None if disable_noise else rho_prime)
-        for gd, s in zip(cand_grids, sigmas)
-    ]
-    chosen = ProjectionEstimate(
-        cand_grids[selected], n, sigma=sigmas[selected], rho_spent=spent
-    )
+    chosen = replace(estimates[selected], rho_spent=rho_v)
     trace = SelectionTrace(
         method="penalized-bias",
         n=n,
         d=d,
         rho=rho_v,
         rho_per_candidate=rho_prime,
-        rho_spent=spent,
-        constants={"noise_disabled": disable_noise},
+        rho_spent=rho_v,
+        constants={},
         cutoffs=list(grid),
         sigmas=sigmas,
         proj_distances=proj_dist,
@@ -485,16 +462,10 @@ def risk_series_sum(n, rho, eps: float, d: int) -> float:
     """sum_{l=0}^{k_n} r_{n,rho'_n}(beta_l) over the grid plus its beta = 0
     endpoint (where the rate is 1)."""
     rho_v = privacy.as_rho(rho)
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    grid = build_beta_grid(n, eps)
     ln = math.log(n)
-    k_n = max(1, int(math.floor((ln * ln / eps) * (1.0 + 1e-12))))
     rho_prime = rho_v * eps / (ln * ln)
-    total = 0.0
-    for l in range(k_n + 1):
-        beta = (k_n - l) * eps / ln
-        total += theoretical_rate(n, rho_prime, beta, d) if beta > 0 else 1.0
-    return total
+    return sum(theoretical_rate(n, rho_prime, beta, d) for beta in grid.betas) + 1.0
 
 
 def risk_series_bound(n: int, rho, eps: float, d: int) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -123,7 +122,7 @@ def _cmd_fit(args) -> int:
             cutoff = estimator.optimal_cutoff_adaptive_form(n, args.rho, args.beta, d)
         else:
             # no privacy: only the sampling branch of the tuned cut-off
-            cutoff = int(math.floor(float(n) ** (1.0 / (2.0 * args.beta + d)) * (1.0 + 1e-12)))
+            cutoff = estimator._floor_pow(float(n), 1.0 / (2.0 * args.beta + d))
     else:
         raise UsageError("choose a cut-off: --M, --beta, or --adaptive")
 
@@ -183,6 +182,8 @@ def _cmd_generate_density(args) -> int:
 def _cmd_experiment(args) -> int:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     sweep_docs = doc["sweeps"] if isinstance(doc, dict) and "sweeps" in doc else {"sweep": doc}
+    if not isinstance(sweep_docs, dict):
+        raise ValueError("'sweeps' must be an object that maps sweep names to configs")
     configs = {}
     problems = []
     for name, sweep in sweep_docs.items():

@@ -47,7 +47,6 @@ __all__ = [
     "exact_bias",
     "PackingDensity",
     "make_packing_density",
-    "HolderSpec",
     "holder_tail_constant",
     "rejection_sample",
     "ClippedDensity",
@@ -446,16 +445,6 @@ def holder_tail_constant(s: float) -> float:
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     return 2.0 ** (2.0 * s) * 3.0 ** (-s) / (1.0 - 2.0 ** (-2.0 * s))
-
-
-@dataclass(frozen=True)
-class HolderSpec:
-    s: float
-    c_s: float
-
-    @classmethod
-    def from_exponent(cls, s: float) -> "HolderSpec":
-        return cls(s=float(s), c_s=holder_tail_constant(s))
 
 
 # ---------------------------------------------------------------------------

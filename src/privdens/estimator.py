@@ -28,7 +28,6 @@ from .fourier import CoefficientGrid, as_points, empirical_coefficients
 
 __all__ = [
     "ProjectionEstimate",
-    "RateQuery",
     "optimal_cutoff_thm",
     "optimal_cutoff_adaptive_form",
     "fit",
@@ -137,26 +136,6 @@ class ProjectionEstimate:
         return cls(grid, n, sigma, None if rho is None else float(rho))
 
 
-@dataclass(frozen=True)
-class RateQuery:
-    """Arguments of the minimax rate r_{n,rho}(beta)."""
-
-    n: int
-    rho: float
-    beta: float
-    d: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.rho <= 0 or self.beta <= 0 or self.d < 1:
-            raise ValueError("RateQuery fields must all be positive")
-
-    def rate(self) -> float:
-        return theoretical_rate(self.n, self.rho, self.beta, self.d)
-
-    def regime(self) -> str:
-        return rate_regime(self.n, self.rho, self.beta, self.d)
-
-
 def theoretical_rate(n: int, rho, beta: float, d: int) -> float:
     """r_{n,rho}(beta) = max{ n^(-2b/(2b+d)), (n sqrt(rho))^(-2b/(b+d)) }.
 
@@ -205,6 +184,6 @@ def fit(
     rho = privacy.as_rho(budget)
     if rng is None:
         raise ValueError("a seeded rng is required for a private fit")
-    sigma = float(privacy.sigma_for_cutoff(n, rho, cutoff, d))
+    sigma = privacy.sigma_for_cutoff(n, rho, cutoff, d)
     noisy = privacy.add_noise(grid, sigma, rng, symmetrize=symmetrize)
     return ProjectionEstimate(noisy, n, sigma=sigma, rho_spent=rho)

@@ -1,7 +1,8 @@
 """Monte-Carlo harness: MISE, rate-slope regression, adaptivity comparisons.
 
 A sweep is described by one ExperimentConfig (parsed from a JSON document
-with strict key checking; every violation is reported, not just the first).
+with strict key and type checking; every violation is reported, not just
+the first).
 Each (n, rho) cell runs R replicates of sample -> fit -> MISE with a
 generator derived from (seed, cell index, replicate), so any subset of the
 sweep can be reproduced in isolation and the CSV is byte-identical across
@@ -60,6 +61,14 @@ _CONSTANT_KEYS = {"mode", "C", "a", "eps", "L"}
 CSV_HEADER = "n,rho,beta_nominal,d,mode,replicate,selected_M,rho_spent,mise,wall_ms"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """One sweep: a truth density, lists of n and rho, and an estimator mode.
@@ -102,7 +111,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Parse and validate a config document, reporting every violation."""
+        """Parse and validate a config document, reporting every violation.
+        Values must have their JSON type (a bool is not a number); nothing
+        is coerced."""
         problems = []
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
@@ -113,29 +124,45 @@ class ExperimentConfig:
             if key not in doc:
                 problems.append(f"missing required key {key!r}")
 
-        def as_list(value):
-            return value if isinstance(value, list) else [value]
+        def typed(key, ok, kind, nullable=False):
+            # doc[key] if it has the right JSON type, else None
+            value = doc.get(key)
+            if key not in doc or (value is None and nullable):
+                return None
+            if not ok(value):
+                problems.append(f"{key!r} must be {kind}, got {value!r}")
+                return None
+            return value
 
-        ns = [int(v) for v in as_list(doc.get("n", []))]
-        rhos = [float(v) for v in as_list(doc.get("rho", []))]
-        if not ns and "n" in doc:
-            problems.append("'n' must be a number or nonempty list")
+        def typed_list(key, ok, kind):
+            # doc[key] as a list, a scalar standing for a list of one
+            value = doc.get(key, [])
+            items = value if isinstance(value, list) else [value]
+            if not all(ok(v) for v in items):
+                problems.append(f"every {key} must be {kind}, got {value!r}")
+                return []
+            if not items and key in doc:
+                problems.append(f"{key!r} must be {kind} or a nonempty list")
+            return items
+
+        ns = typed_list("n", _is_int, "an integer")
         if any(v < 3 for v in ns):
             problems.append("every n must be >= 3")
-        if not rhos and "rho" in doc:
-            problems.append("'rho' must be a number or nonempty list")
+        rhos = [float(v) for v in typed_list("rho", _is_number, "a number")]
         if any(not v > 0 for v in rhos):
             problems.append("every rho must be > 0")
         mode = doc.get("mode", "oracle")
         if mode not in _MODES:
             problems.append(f"mode must be one of {_MODES}, got {mode!r}")
-        replicates = int(doc.get("replicates", 1))
-        if replicates < 1:
+        replicates = typed("replicates", _is_int, "an integer")
+        if replicates is not None and replicates < 1:
             problems.append("replicates must be >= 1")
-        beta = doc.get("beta")
-        if mode == "oracle" and beta is None:
+        seed = typed("seed", _is_int, "an integer")
+        d = typed("d", _is_int, "an integer")
+        beta = typed("beta", _is_number, "a number", nullable=True)
+        if mode == "oracle" and doc.get("beta") is None:
             problems.append("oracle mode requires 'beta'")
-        if beta is not None and not float(beta) > 0:
+        if beta is not None and not beta > 0:
             problems.append("beta must be > 0")
         cutoff_form = doc.get("cutoff_form", "adaptive")
         if cutoff_form not in _CUTOFF_FORMS:
@@ -147,24 +174,28 @@ class ExperimentConfig:
             for key in constants:
                 if key not in _CONSTANT_KEYS:
                     problems.append(f"unknown constants key {key!r}")
-        grid = doc.get("grid")
-        if grid is not None:
-            if not isinstance(grid, list) or not grid:
-                problems.append("'grid' must be a nonempty list of cut-offs")
-            elif any(int(m) < 0 for m in grid):
-                problems.append("grid cut-offs must be >= 0")
-        d = int(doc.get("d", 1))
+        grid = typed(
+            "grid",
+            lambda v: isinstance(v, list) and v and all(_is_int(m) for m in v),
+            "a nonempty list of integer cut-offs",
+            nullable=True,
+        )
+        if grid is not None and any(m < 0 for m in grid):
+            problems.append("grid cut-offs must be >= 0")
         truth = None
         if "density" in doc:
             try:
                 truth = densities.density_from_json_dict(doc["density"])
             except (ValueError, TypeError) as exc:
                 problems.append(f"bad density spec: {exc}")
-        if truth is not None and truth.dim != d:
+        if truth is not None and d is not None and truth.dim != d:
             problems.append(f"density dimension {truth.dim} does not match d = {d}")
-        time_limit = doc.get("time_limit_s")
-        if time_limit is not None and not float(time_limit) > 0:
+        time_limit = typed("time_limit_s", _is_number, "a number", nullable=True)
+        if time_limit is not None and not time_limit > 0:
             problems.append("time_limit_s must be > 0 when given")
+        timings = typed(
+            "deterministic_timings", lambda v: isinstance(v, bool), "true or false"
+        )
 
         if problems:
             raise ValueError(
@@ -176,13 +207,13 @@ class ExperimentConfig:
             rhos=rhos,
             mode=mode,
             replicates=replicates,
-            seed=int(doc["seed"]),
+            seed=seed,
             d=d,
             beta=None if beta is None else float(beta),
             cutoff_form=cutoff_form,
             constants=dict(constants),
-            grid=None if grid is None else [int(m) for m in grid],
-            deterministic_timings=bool(doc.get("deterministic_timings", True)),
+            grid=None if grid is None else list(grid),
+            deterministic_timings=True if timings is None else timings,
             time_limit_s=None if time_limit is None else float(time_limit),
         )
 
@@ -291,42 +322,34 @@ def _oracle_cutoff(cfg: ExperimentConfig, n: int, rho: float) -> int:
     return form(n, rho, cfg.beta, cfg.d)
 
 
-def _beta_nominal(cfg: ExperimentConfig, truth) -> float:
-    if cfg.beta is not None:
-        return cfg.beta
-    return float(getattr(truth, "beta", math.nan))
-
-
-def _run_one(cfg, truth, n, rho, rng):
-    """One replicate: sample, fit per cfg.mode, return (estimate, M, spent)."""
-    data = rejection_sample(truth, n, rng)
-    if cfg.mode == "oracle":
-        cutoff = _oracle_cutoff(cfg, n, rho)
-        est = fit(data, cutoff, rho, rng)
-        return est, cutoff, rho
-    if cfg.mode == "lepskii":
+def _run_one(cfg, mode, data, rho, rng):
+    """Fit one replicate's data per mode; returns (estimate, M, spent, trace),
+    with trace None for an oracle fit."""
+    if mode == "oracle":
+        cutoff = _oracle_cutoff(cfg, len(data), rho)
+        return fit(data, cutoff, rho, rng), cutoff, rho, None
+    if mode == "lepskii":
         est, trace = adaptive.lepskii_select(data, rho, cfg.penalty_config(), rng)
-        return est, trace.selected_cutoff, trace.rho_spent
-    est, trace = adaptive.penalized_bias_select(data, rho, cfg.grid, rng)
-    return est, trace.selected_cutoff, trace.rho_spent
+    else:
+        est, trace = adaptive.penalized_bias_select(data, rho, cfg.grid, rng)
+    return est, trace.selected_cutoff, trace.rho_spent, trace
 
 
-def run_rate_experiment(cfg: ExperimentConfig) -> RateResult:
-    """Sweep all (n, rho) cells, R replicates each, and fit the rate slope.
+def _sweep(cfg: ExperimentConfig, truth, compare: bool = False):
+    """The cell and replicate loop of both experiments.
 
-    The slope regressor is log n when rho is a single value, and
-    log(n sqrt(rho)) when n is a single value; with one cell the slope is
-    reported as None. A cell whose cumulative wall time exceeds
-    time_limit_s stops early and appends one flagged record
-    (replicate = -1, mise = NaN) instead of its remaining replicates.
+    Replicate rep of cell c samples and fits per cfg.mode with one generator,
+    derived_rng(seed, c, rep). compare adds an oracle fit of the same sample
+    with derived_rng(seed, c, rep, 1) and scores every selection candidate.
+    Each fit gives one record. A cell running over time_limit_s ends with
+    one flagged record (replicate -1, mise NaN). Returns the records and,
+    per cell with a completed replicate, (n, rho, its records, its candidate
+    MISEs by cut-off).
     """
-    truth = densities.density_from_json_dict(cfg.density)
-    beta_nom = _beta_nominal(cfg, truth)
-    cells = [(n, rho) for n in cfg.ns for rho in cfg.rhos]
-    records = []
-    cell_means = []
-    for cell_idx, (n, rho) in enumerate(cells):
-        mises = []
+    beta_nom = cfg.beta if cfg.beta is not None else float(getattr(truth, "beta", math.nan))
+    records, cells = [], []
+    for cell_idx, (n, rho) in enumerate((n, rho) for n in cfg.ns for rho in cfg.rhos):
+        cell_records, candidate_mises = [], {}
         cell_start = time.perf_counter()
         for rep in range(cfg.replicates):
             if (
@@ -334,24 +357,43 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateResult:
                 and time.perf_counter() - cell_start > cfg.time_limit_s
             ):
                 records.append(
-                    ExperimentRecord(
-                        n, rho, beta_nom, cfg.d, cfg.mode, -1, -1, 0.0, float("nan"), 0.0
-                    )
+                    ExperimentRecord(n, rho, beta_nom, cfg.d, cfg.mode, -1, -1, 0.0, math.nan, 0.0)
                 )
                 break
             rng = privacy.derived_rng(cfg.seed, cell_idx, rep)
+            fits = [(cfg.mode, rng)]
+            if compare:
+                fits.append(("oracle", privacy.derived_rng(cfg.seed, cell_idx, rep, 1)))
             t0 = time.perf_counter()
-            est, cutoff, spent = _run_one(cfg, truth, n, rho, rng)
-            err = mise(est, truth)
-            wall = 0.0 if cfg.deterministic_timings else (time.perf_counter() - t0) * 1e3
-            records.append(
-                ExperimentRecord(
-                    n, rho, beta_nom, cfg.d, cfg.mode, rep, cutoff, spent, err, wall
-                )
-            )
-            mises.append(err)
-        if mises:
-            cell_means.append((n, rho, float(np.mean(mises))))
+            data = rejection_sample(truth, n, rng)
+            for mode, fit_rng in fits:
+                est, cutoff, spent, trace = _run_one(cfg, mode, data, rho, fit_rng)
+                err = mise(est, truth)
+                wall = 0.0 if cfg.deterministic_timings else (time.perf_counter() - t0) * 1e3
+                rec = ExperimentRecord(n, rho, beta_nom, cfg.d, mode, rep, cutoff, spent, err, wall)
+                records.append(rec)
+                cell_records.append(rec)
+                if compare and trace is not None:
+                    for m_val, cand in zip(trace.cutoffs, trace.candidates):
+                        candidate_mises.setdefault(m_val, []).append(mise(cand, truth))
+                t0 = time.perf_counter()
+        if cell_records:
+            cells.append((n, rho, cell_records, candidate_mises))
+    return records, cells
+
+
+def run_rate_experiment(cfg: ExperimentConfig) -> RateResult:
+    """Sweep all (n, rho) cells, R replicates each, and fit the rate slope.
+
+    The slope regressor is log n when rho is a single value, and
+    log(n sqrt(rho)) when n is a single value; with one cell the slope is
+    reported as None.
+    """
+    truth = densities.density_from_json_dict(cfg.density)
+    records, cells = _sweep(cfg, truth)
+    cell_means = [
+        (n, rho, float(np.mean([r.mise for r in recs]))) for n, rho, recs, _ in cells
+    ]
 
     slope = None
     if len(cell_means) >= 2:
@@ -375,9 +417,8 @@ def run_adaptivity_experiment(cfg: ExperimentConfig) -> AdaptivityResult:
 
     Per replicate two records are written: one for the adaptive rule
     (mode as configured) and one for the oracle fit at the same total
-    budget (mode "oracle"). Sampling and the adaptive fit share one derived
-    generator; the oracle fit uses its own derived stream so its noise does
-    not depend on how many draws the adaptive rule consumed.
+    budget (mode "oracle"), on the same sample. A cell with no completed
+    replicate gets no summary.
 
     The per-cell summary carries median MISEs, their ratio, the selected
     cut-offs, and the median MISE of every fixed-M candidate at the split
@@ -394,46 +435,12 @@ def run_adaptivity_experiment(cfg: ExperimentConfig) -> AdaptivityResult:
     if cfg.beta is None:
         raise ValueError("adaptivity experiments need 'beta' for the oracle comparison")
     truth = densities.density_from_json_dict(cfg.density)
-    beta_nom = _beta_nominal(cfg, truth)
-    cells = [(n, rho) for n in cfg.ns for rho in cfg.rhos]
-    records = []
+    records, cells = _sweep(cfg, truth, compare=True)
     summaries = []
-    for cell_idx, (n, rho) in enumerate(cells):
-        adaptive_mises = []
-        oracle_mises = []
-        selected = []
-        candidate_mises: dict[int, list] = {}
-        for rep in range(cfg.replicates):
-            rng = privacy.derived_rng(cfg.seed, cell_idx, rep)
-            data = rejection_sample(truth, n, rng)
-            if cfg.mode == "lepskii":
-                est, trace = adaptive.lepskii_select(data, rho, cfg.penalty_config(), rng)
-            else:
-                est, trace = adaptive.penalized_bias_select(data, rho, cfg.grid, rng)
-            err = mise(est, truth)
-            records.append(
-                ExperimentRecord(
-                    n, rho, beta_nom, cfg.d, cfg.mode, rep,
-                    trace.selected_cutoff, trace.rho_spent, err, 0.0,
-                )
-            )
-            adaptive_mises.append(err)
-            selected.append(trace.selected_cutoff)
-            for m_val, cand in zip(trace.cutoffs, trace.candidates):
-                candidate_mises.setdefault(m_val, []).append(mise(cand, truth))
-
-            oracle_rng = privacy.derived_rng(cfg.seed, cell_idx, rep, 1)
-            oracle_cut = _oracle_cutoff(cfg, n, rho)
-            oracle_est = fit(data, oracle_cut, rho, oracle_rng)
-            oracle_err = mise(oracle_est, truth)
-            records.append(
-                ExperimentRecord(
-                    n, rho, beta_nom, cfg.d, "oracle", rep,
-                    oracle_cut, rho, oracle_err, 0.0,
-                )
-            )
-            oracle_mises.append(oracle_err)
-
+    for n, rho, recs, candidate_mises in cells:
+        adaptive_mises = [r.mise for r in recs if r.mode == cfg.mode]
+        oracle_mises = [r.mise for r in recs if r.mode == "oracle"]
+        selected = [r.selected_M for r in recs if r.mode == cfg.mode]
         cell = {
             "n": n,
             "rho": rho,

@@ -27,14 +27,12 @@ __all__ = [
     "CoefficientGrid",
     "as_points",
     "multi_indices",
-    "eval_basis",
     "empirical_coefficients",
     "project",
     "l2_distance_sq",
     "norm_sq",
     "evaluate",
     "evaluate_complex",
-    "imaginary_residual",
     "hermitian_defect",
 ]
 
@@ -130,21 +128,6 @@ class CoefficientGrid:
     def indices(self) -> np.ndarray:
         return multi_indices(self.cutoff, self.dim)
 
-    def index_of(self, k) -> int:
-        """Flat position of multi-index k."""
-        k = np.asarray(k, dtype=int).reshape(self.dim)
-        if np.any(np.abs(k) > self.cutoff):
-            raise ValueError(f"index {k.tolist()} outside cutoff {self.cutoff}")
-        width = 2 * self.cutoff + 1
-        flat = 0
-        for ki in k:
-            flat = flat * width + (int(ki) + self.cutoff)
-        return flat
-
-    def norm_max_per_index(self) -> np.ndarray:
-        """||k||_inf for every stored multi-index, in storage order."""
-        return np.abs(self.indices()).max(axis=1)
-
     def copy(self) -> "CoefficientGrid":
         return CoefficientGrid(self.dim, self.cutoff, self.values.copy())
 
@@ -179,34 +162,6 @@ class CoefficientGrid:
     @classmethod
     def from_json(cls, text: str) -> "CoefficientGrid":
         return cls.from_json_dict(json.loads(text))
-
-
-def eval_basis(k, x):
-    """Evaluate phi_k(x) = exp(i 2 pi <k, x>) for one frequency k.
-
-    Parameters
-    ----------
-    k : sequence of int
-        One multi-index of length d.
-    x : array_like
-        A point of length d, or an (N, d) batch.
-
-    Returns
-    -------
-    complex or ndarray
-        phi_k at each point; modulus 1 up to rounding.
-    """
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 1:
-        raise ValueError("k must be a single multi-index")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != k.shape[0]:
-        raise ValueError(f"dimension mismatch: k has {k.shape[0]}, x has {x.shape[1]}")
-    out = np.exp(2j * np.pi * (x @ k))
-    return out[0] if single else out
 
 
 def empirical_coefficients(data, cutoff: int) -> CoefficientGrid:
@@ -297,16 +252,10 @@ def evaluate(grid: CoefficientGrid, x):
     For a Hermitian-symmetric grid this is the exact (real) function value.
     Noisy grids are genuinely complex valued; taking the real part is the
     rendering convention here (post-processing, so privacy is unaffected),
-    and `imaginary_residual` reports what it discards.
+    and the imaginary part of `evaluate_complex` is what it discards.
     """
     out = evaluate_complex(grid, x)
     return np.real(out) if isinstance(out, np.ndarray) else out.real
-
-
-def imaginary_residual(grid: CoefficientGrid, x):
-    """|Im sum_k theta_k phi_k(x)|, the part evaluate() discards."""
-    out = evaluate_complex(grid, x)
-    return np.abs(np.imag(out)) if isinstance(out, np.ndarray) else abs(out.imag)
 
 
 def hermitian_defect(grid: CoefficientGrid) -> float:

@@ -14,9 +14,13 @@ is rho-zCDP, which gives the closed form
 
     sigma_M = 2 sqrt((2M+1)^d) / (n sqrt(rho)).
 
-Both routes are implemented separately (coefficient_sensitivity composed with
+Both routes are implemented separately (coefficient_sensitivity passed to
 gaussian_sigma, and sigma_for_cutoff) and the test suite checks they agree to
 a couple of ulp; do not collapse one into the other.
+
+Budgets and scales are plain floats, rejected unless finite (and a budget
+positive, a scale nonnegative). zCDP parameters add under composition, so a
+BudgetLedger's total is the sum of its charges.
 
 RNG contract
 ------------
@@ -31,62 +35,24 @@ never shared across replicates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fourier import CoefficientGrid
 
 __all__ = [
-    "PrivacyBudget",
-    "NoiseScale",
     "BudgetLedger",
     "coefficient_sensitivity",
     "gaussian_sigma",
     "sigma_for_cutoff",
     "add_noise",
-    "compose",
     "derived_rng",
     "as_rho",
 ]
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """A zCDP budget rho > 0."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-
-    def split(self, parts: int) -> list["PrivacyBudget"]:
-        """Split into `parts` equal shares whose composition is this budget."""
-        if parts < 1:
-            raise ValueError("parts must be >= 1")
-        return [PrivacyBudget(self.rho / parts) for _ in range(parts)]
-
-    def __float__(self) -> float:
-        return self.rho
-
-
-@dataclass(frozen=True)
-class NoiseScale:
-    """Per-coordinate Gaussian standard deviation, sigma >= 0."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-
-    def __float__(self) -> float:
-        return self.sigma
-
-
 def as_rho(budget) -> float:
-    """Coerce a PrivacyBudget or bare float to a validated rho value."""
+    """A zCDP budget as a float, rejected unless positive and finite."""
     rho = float(budget)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be positive and finite, got {rho}")
@@ -107,16 +73,16 @@ def coefficient_sensitivity(n: int, cutoff: int, dim: int) -> float:
     return (2.0 / n) * math.sqrt(2.0 * (2 * cutoff + 1) ** dim)
 
 
-def gaussian_sigma(sensitivity, budget) -> NoiseScale:
+def gaussian_sigma(sensitivity, budget) -> float:
     """Gaussian-mechanism scale Delta_2 / sqrt(2 rho) for a rho-zCDP release."""
     sens = float(sensitivity)
-    if sens < 0:
-        raise ValueError("sensitivity must be >= 0")
+    if not (math.isfinite(sens) and sens >= 0):
+        raise ValueError(f"sensitivity must be nonnegative and finite, got {sens}")
     rho = as_rho(budget)
-    return NoiseScale(sens / math.sqrt(2.0 * rho))
+    return sens / math.sqrt(2.0 * rho)
 
 
-def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> NoiseScale:
+def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> float:
     """Closed-form noise scale 2 sqrt((2M+1)^d) / (n sqrt(rho)).
 
     Algebraically identical to
@@ -128,7 +94,7 @@ def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> NoiseScale:
     if cutoff < 0 or dim < 1:
         raise ValueError("need cutoff >= 0 and dim >= 1")
     rho = as_rho(budget)
-    return NoiseScale(2.0 * math.sqrt((2 * cutoff + 1) ** dim) / (n * math.sqrt(rho)))
+    return 2.0 * math.sqrt((2 * cutoff + 1) ** dim) / (n * math.sqrt(rho))
 
 
 def add_noise(
@@ -150,21 +116,13 @@ def add_noise(
     coefficients as independently noised, k = 0 and conjugate pairs included.
     """
     s = float(sigma)
-    if s < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"sigma must be nonnegative and finite, got {s}")
     draws = rng.standard_normal((grid.size, 2))
     noisy = grid.values + s * (draws[:, 0] + 1j * draws[:, 1])
     if symmetrize:
         noisy = 0.5 * (noisy + np.conj(noisy[::-1]))
     return CoefficientGrid(grid.dim, grid.cutoff, noisy)
-
-
-def compose(budgets) -> PrivacyBudget:
-    """Adaptive composition: zCDP parameters add."""
-    budgets = list(budgets)
-    if not budgets:
-        raise ValueError("cannot compose an empty list of budgets")
-    return PrivacyBudget(sum(as_rho(b) for b in budgets))
 
 
 def derived_rng(seed: int, *indices: int) -> np.random.Generator:

@@ -159,14 +159,16 @@ def test_dyadic_grid_tiny_n():
 
 
 def test_lepskii_all_candidates_identical_selects_first():
-    # Noise disabled and all cut-offs clamped to the same M: every pairwise
-    # distance is 0, so m_hat = 0 (the largest beta).
+    # All cut-offs clamp to the same M. Were the candidates identical, every
+    # pairwise distance would be 0 and the rule, replayed on the trace,
+    # must give m_hat = 0 (the largest beta).
     rng = np.random.default_rng(21)
     data = rng.random((10, 1))
-    est, trace = lepskii_select(data, 1e-8, PenaltyConfig(), disable_noise=True)
+    est, trace = lepskii_select(data, 1e-8, PenaltyConfig(), rng)
     assert len(set(trace.cutoffs)) == 1
-    assert trace.selected_index == 0
     assert est.cutoff == trace.cutoffs[0]
+    trace.distances = np.zeros_like(trace.distances)
+    assert trace.replay() == 0
 
 
 def test_lepskii_singleton_grid():
@@ -283,12 +285,12 @@ def test_penalized_singleton_grid():
 
 def test_penalized_tie_break_smallest():
     # Data on the lattice j/N has empirical coefficients exactly delta_{k0}
-    # for all |k| < N, so with noise disabled every candidate projects to
-    # the same function; the criterion then decreases with Lambda2 and the
-    # smallest M wins.
+    # for all |k| < N, and at rho = 1e30 the noise (sigma ~ 1e-16) leaves
+    # every candidate projecting to the same function; the criterion then
+    # grows with Lambda2 and the smallest M wins.
     N = 64
     data = (np.arange(N) / N).reshape(-1, 1)
-    est, trace = penalized_bias_select(data, 1.0, [1, 2, 4, 8], disable_noise=True)
+    est, trace = penalized_bias_select(data, 1e30, [1, 2, 4, 8], np.random.default_rng(0))
     assert np.allclose(trace.bias_sq, trace.bias_sq[0], atol=1e-12)
     assert trace.selected_index == 0
     assert est.cutoff == 1

@@ -225,6 +225,14 @@ def test_experiment_unknown_key_rejected(tmp_path, capsys):
     assert "zap" in err
 
 
+def test_experiment_sweeps_list_rejected(tmp_path, capsys):
+    # 'sweeps' maps names to configs; a list is an error, not a traceback
+    doc = {"sweeps": [{"density": {"kind": "uniform", "d": 1}}]}
+    cfg_path = _write(tmp_path / "cfg.json", json.dumps(doc))
+    assert main(["experiment", cfg_path, "--out-dir", str(tmp_path / "r")]) == 1
+    assert "'sweeps' must be an object" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # rate-table and print-config
 # ---------------------------------------------------------------------------

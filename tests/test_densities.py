@@ -16,7 +16,6 @@ import pytest
 from privdens import densities as dens
 from privdens.densities import (
     ClippedDensity,
-    HolderSpec,
     PackingDensity,
     TrigDensity,
     bump_psi,
@@ -248,8 +247,6 @@ def test_holder_scan_and_validation():
     for bad in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ValueError):
             holder_tail_constant(bad)
-    spec = HolderSpec.from_exponent(0.5)
-    assert spec.c_s == pytest.approx(holder_tail_constant(0.5))
 
 
 # ---------------------------------------------------------------------------

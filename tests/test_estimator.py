@@ -12,7 +12,6 @@ import pytest
 from privdens import privacy
 from privdens.estimator import (
     ProjectionEstimate,
-    RateQuery,
     fit,
     optimal_cutoff_adaptive_form,
     optimal_cutoff_thm,
@@ -112,16 +111,6 @@ def test_rate_monotonicity():
     # strictly decreasing in beta for n >= 3, rho <= 1
     rs_b = [theoretical_rate(1000, 0.5, b, 1) for b in (0.25, 0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(rs_b, rs_b[1:]))
-
-
-def test_rate_query_object():
-    q = RateQuery(n=100, rho=1.0, beta=1.0, d=1)
-    assert q.rate() == theoretical_rate(100, 1.0, 1.0, 1)
-    assert q.regime() == "sampling"
-    with pytest.raises(ValueError):
-        RateQuery(n=100, rho=0.0, beta=1.0, d=1)
-    with pytest.raises(ValueError):
-        RateQuery(n=100, rho=1.0, beta=-1.0, d=1)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,19 @@ def test_config_collects_every_violation():
         assert fragment in msg
 
 
+def test_config_rejects_wrong_json_types():
+    # nothing is rounded or coerced, and every violation is in one error
+    doc = _trig_cfg(n=[300.7, "abc"], rho=True, replicates=2.9, seed=1.5, d=True,
+                    beta=True, grid=[1, 2.5], time_limit_s="1",
+                    deterministic_timings=0)
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(doc)
+    msg = str(err.value)
+    for key in ("n", "rho", "replicates", "seed", "d", "beta", "grid", "time_limit_s",
+                "deterministic_timings"):
+        assert f"every {key} must be" in msg or f"'{key}' must be" in msg, key
+
+
 def test_config_oracle_requires_beta():
     doc = _trig_cfg()
     doc.pop("beta")
@@ -206,6 +219,27 @@ def test_rate_experiment_time_limit_flags_row():
     rec = res.records[0]
     assert rec.replicate == -1 and math.isnan(rec.mise)
     assert res.slope is None
+
+
+def test_adaptivity_time_limit_flags_row():
+    # the shared loop's guard covers adaptive sweeps too; a cell with no
+    # completed replicate gets no summary
+    cfg = ExperimentConfig.from_dict(
+        _trig_cfg(mode="penalized-bias", grid=[1, 2, 4], replicates=3, time_limit_s=1e-12)
+    )
+    res = run_adaptivity_experiment(cfg)
+    (rec,) = res.records
+    assert rec.mode == "penalized-bias" and rec.replicate == -1 and math.isnan(rec.mise)
+    assert res.cells == []
+
+
+def test_adaptivity_records_real_timings():
+    cfg = ExperimentConfig.from_dict(
+        _trig_cfg(mode="penalized-bias", grid=[1, 2, 4], deterministic_timings=False)
+    )
+    res = run_adaptivity_experiment(cfg)
+    assert len(res.records) == 4
+    assert all(rec.wall_ms > 0.0 for rec in res.records)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from privdens import fourier
 from privdens.fourier import (
     CoefficientGrid,
     empirical_coefficients,
-    eval_basis,
     evaluate,
     evaluate_complex,
     l2_distance_sq,
@@ -65,20 +64,29 @@ def test_multi_indices_validation():
 # ---------------------------------------------------------------------------
 
 
+def _basis_value(k, x) -> complex:
+    """phi_k at the single point x, through evaluate_complex on the grid
+    whose only nonzero coefficient is theta_k = 1."""
+    k = np.asarray(k)
+    cutoff = int(np.abs(k).max())
+    values = (multi_indices(cutoff, k.size) == k).all(axis=1).astype(complex)
+    return complex(np.ravel(evaluate_complex(CoefficientGrid(k.size, cutoff, values), x))[0])
+
+
 def test_eval_basis_constant_index():
-    val = eval_basis(np.array([0]), np.array([0.37]))
+    val = _basis_value(np.array([0]), np.array([0.37]))
     assert val == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
 
 def test_eval_basis_quarter_turn():
     # k = (1, 0) at x = (0.25, 0.5): e^{i 2 pi 0.25} = i
-    val = eval_basis(np.array([1, 0]), np.array([0.25, 0.5]))
+    val = _basis_value(np.array([1, 0]), np.array([0.25, 0.5]))
     assert val.real == pytest.approx(0.0, abs=1e-15)
     assert val.imag == pytest.approx(1.0, abs=1e-15)
 
 
 def test_eval_basis_full_turn():
-    val = eval_basis(np.array([2]), np.array([0.5]))
+    val = _basis_value(np.array([2]), np.array([0.5]))
     assert val.real == pytest.approx(1.0, abs=1e-14)
     assert val.imag == pytest.approx(0.0, abs=1e-14)
 
@@ -89,12 +97,12 @@ def test_eval_basis_unit_modulus():
         ks = rng.integers(-7, 8, size=(20, d))
         xs = rng.random((20, d))
         for k, x in zip(ks, xs):
-            assert abs(eval_basis(k, x)) == pytest.approx(1.0, abs=1e-13)
+            assert abs(_basis_value(k, x)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_eval_basis_dim_mismatch():
     with pytest.raises(ValueError):
-        eval_basis(np.array([1, 0]), np.array([0.5]))
+        _basis_value(np.array([1, 0]), np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +125,7 @@ def test_empirical_zeroth_coefficient_is_one():
     rng = np.random.default_rng(11)
     data = rng.random((257, 2))
     grid = empirical_coefficients(data, 2)
-    k0 = grid.index_of(np.zeros(2, dtype=int))
+    k0 = grid.size // 2  # k = 0 sits at the centre of the lexicographic order
     assert grid.values[k0] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -129,7 +137,7 @@ def test_empirical_uniform_concentration():
     n = 100_000
     data = rng.random((n, 1))
     grid = empirical_coefficients(data, 3)
-    k0 = grid.index_of(np.zeros(1, dtype=int))
+    k0 = grid.size // 2
     mags = np.abs(grid.values)
     mags[k0] = 0.0
     assert mags.max() <= 4.0 / math.sqrt(n)
@@ -193,7 +201,7 @@ def test_project_zero_pads_upward():
     grid = _grid_from_values([1j, 2.0, 3.0 - 1j], M=1, d=1)
     wide = project(grid, 3)
     assert wide.cutoff == 3
-    center = wide.index_of(np.zeros(1, dtype=int))
+    center = wide.size // 2
     assert wide.values[center] == 2.0
     assert np.count_nonzero(wide.values) == 3
     # restriction after padding is the identity
@@ -323,13 +331,6 @@ def test_grid_from_json_malformed():
         CoefficientGrid.from_json_dict({"d": 1, "M": 1, "re": [1.0, 2.0], "im": [0.0]})
     with pytest.raises(ValueError):
         CoefficientGrid.from_json_dict({"d": 1, "re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0]})
-
-
-def test_grid_index_of_roundtrip():
-    grid = _grid_from_values(np.zeros(25, dtype=complex), M=2, d=2)
-    ks = multi_indices(2, 2)
-    for flat, k in enumerate(ks):
-        assert grid.index_of(k) == flat
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,9 @@ from privdens import fourier, privacy
 from privdens.fourier import CoefficientGrid, empirical_coefficients
 from privdens.privacy import (
     BudgetLedger,
-    NoiseScale,
-    PrivacyBudget,
     add_noise,
+    as_rho,
     coefficient_sensitivity,
-    compose,
     derived_rng,
     gaussian_sigma,
     sigma_for_cutoff,
@@ -63,6 +61,9 @@ def test_gaussian_sigma_validation():
         gaussian_sigma(1.0, 0.0)
     with pytest.raises(ValueError):
         gaussian_sigma(1.0, -2.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            gaussian_sigma(bad, 1.0)
 
 
 def test_sigma_for_cutoff_examples():
@@ -101,13 +102,6 @@ def test_sigma_monotonicity():
     assert all(a <= b for a, b in zip(sig_M, sig_M[1:]))
     sig_d = [float(sigma_for_cutoff(100, 1.0, 2, d)) for d in (1, 2, 3)]
     assert all(a <= b for a, b in zip(sig_d, sig_d[1:]))
-
-
-def test_noise_scale_validation():
-    with pytest.raises(ValueError):
-        NoiseScale(-0.1)
-    with pytest.raises(ValueError):
-        NoiseScale(float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -194,40 +188,53 @@ def test_add_noise_negative_sigma_rejected():
         add_noise(_toy_grid(), -0.1, np.random.default_rng(0))
 
 
+def test_noise_scale_validation():
+    # the scale is checked where it is used: a scale that is negative or not
+    # finite would release NaN or inf
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            add_noise(_toy_grid(), bad, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # composition and budgets
 # ---------------------------------------------------------------------------
 
 
 def test_compose_examples():
-    assert float(compose([PrivacyBudget(0.7)])) == pytest.approx(0.7)
-    assert float(compose([0.1, 0.2])) == pytest.approx(0.3, rel=1e-15)
-
-
-def test_compose_empty_rejected():
-    with pytest.raises(ValueError):
-        compose([])
+    # zCDP parameters add: a ledger's total is the sum of its charges
+    ledger = BudgetLedger()
+    ledger.charge("only", 0.7)
+    assert ledger.spent == pytest.approx(0.7)
+    ledger = BudgetLedger()
+    for rho in (0.1, 0.2):
+        ledger.charge("part", rho)
+    assert ledger.spent == pytest.approx(0.3, rel=1e-15)
 
 
 def test_split_compose_roundtrip():
+    # equal shares, as the selectors charge them, add back up to the budget
     for rho in (1.0, 0.3, 7.7):
         for parts in (1, 3, 13):
-            shares = PrivacyBudget(rho).split(parts)
-            assert len(shares) == parts
-            total = float(compose(shares))
-            assert abs(total - rho) <= 4 * math.ulp(rho)
+            ledger = BudgetLedger()
+            for _ in range(parts):
+                ledger.charge("share", rho / parts)
+            assert len(ledger) == parts
+            assert abs(ledger.spent - rho) <= 4 * math.ulp(rho)
 
 
 def test_privacy_budget_validation():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            PrivacyBudget(bad)
+            as_rho(bad)
+        with pytest.raises(ValueError):
+            BudgetLedger().charge("bad", bad)
 
 
 def test_budget_ledger():
     ledger = BudgetLedger()
     ledger.charge("fit A", 0.25)
-    ledger.charge("fit B", PrivacyBudget(0.5))
+    ledger.charge("fit B", 0.5)
     assert len(ledger) == 2
     assert ledger.spent == pytest.approx(0.75, rel=1e-15)
     doc = ledger.to_json_dict()

@@ -1,0 +1,100 @@
+"""Write a fixed set of privdens outputs, for byte-for-byte comparison of two checkouts.
+
+    python3 tools/golden.py OUTDIR
+
+Everything goes through the command line of the checkout this file sits in
+(its `src/` is put first on PYTHONPATH), so the same script runs unchanged
+on an older commit. Into OUTDIR it writes:
+
+* `experiments/`: the CSVs and `summary.json` of the criterion 6, 7, 8 and
+  9a sweeps and of a d = 2 adaptivity sweep in both modes, 2 replicates
+  each (`privdens experiment`);
+* a CLI round trip: three `generate-density` fixtures, `sample`,
+  `fit --M`, `fit --adaptive penalized-bias` and `fit --adaptive lepskii`
+  with `--trace`, and `sample` from the released estimate;
+* `stdout.txt`: what each command printed, run from inside OUTDIR with
+  relative paths so that it does not depend on where OUTDIR is.
+
+A behaviour-preserving change leaves `diff -r OLD NEW` empty when both
+directories come from the same machine. It takes about 45 s on two cores.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+FIXTURES = {
+    "beta1.json": ["--kind", "trig", "--beta", "1", "--L", "2", "--M-truth", "32", "--seed", "11"],
+    "beta2.json": ["--kind", "trig", "--beta", "2", "--L", "2", "--M-truth", "20", "--seed", "7"],
+    "trig_d2.json": ["--kind", "trig", "--d", "2", "--beta", "2", "--L", "2", "--M-truth", "8",
+                     "--seed", "21"],
+}
+# (sweep name, fixture, config); criteria 6 to 9a keep the seeds of tests/test_acceptance.py
+SWEEPS = [
+    ("criterion06", "beta1.json",
+     {"n": [2**k for k in range(8, 16)], "rho": [10.0], "mode": "oracle", "seed": 60, "beta": 1.0}),
+    ("criterion07", "beta1.json",
+     {"n": [2**14], "rho": [2.0**-k for k in range(10, -1, -1)], "mode": "oracle", "seed": 70,
+      "beta": 1.0}),
+    ("criterion08", "beta2.json",
+     {"n": [2**14], "rho": [1.0], "mode": "penalized-bias", "seed": 80, "beta": 2.0}),
+    ("criterion09a", "beta2.json",
+     {"n": [2**14], "rho": [1.0], "mode": "lepskii", "seed": 90, "beta": 2.0,
+      "constants": {"mode": "practical", "C": 1.0, "a": 1.0, "eps": 0.5}}),
+    ("d2_penalized", "trig_d2.json",
+     {"n": [4096], "rho": [1.0], "mode": "penalized-bias", "seed": 21, "beta": 2.0}),
+    ("d2_lepskii", "trig_d2.json",
+     {"n": [4096], "rho": [1.0], "mode": "lepskii", "seed": 22, "beta": 2.0}),
+]
+ROUND_TRIP = [
+    ["sample", "beta2.json", "--n", "16384", "--seed", "0", "--out", "points.csv"],
+    ["fit", "points.csv", "--rho", "1", "--M", "6", "--out", "fixed.json"],
+    ["fit", "points.csv", "--rho", "1", "--adaptive", "penalized-bias", "--seed", "1",
+     "--out", "penalized.json", "--trace", "penalized_trace.json"],
+    ["fit", "points.csv", "--rho", "1", "--adaptive", "lepskii", "--seed", "2",
+     "--out", "lepskii.json", "--trace", "lepskii_trace.json"],
+    ["sample", "fixed.json", "--n", "1000", "--seed", "3", "--out", "synthetic.csv"],
+]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/golden.py OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    log = []
+
+    def cli(*args: str) -> None:
+        cmd = [sys.executable, "-m", "privdens.cli", *args]
+        done = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
+        log.append(f"$ privdens {' '.join(args)}\n{done.stdout}")
+        if done.returncode != 0:
+            raise SystemExit(f"privdens {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+
+    for name, flags in FIXTURES.items():
+        cli("generate-density", *flags, "--out", name)
+    sweeps = {}
+    for name, fixture, cfg in SWEEPS:
+        density = json.loads((out / fixture).read_text(encoding="utf-8"))
+        sweeps[name] = {"density": density, "d": density["coefficients"]["d"], "replicates": 2,
+                        **cfg}
+    (out / "sweeps.json").write_text(json.dumps({"sweeps": sweeps}, indent=1) + "\n",
+                                     encoding="utf-8")
+    cli("experiment", "sweeps.json", "--out-dir", "experiments")
+    for args in ROUND_TRIP:
+        cli(*args)
+    (out / "stdout.txt").write_text("".join(log), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
