@@ -37,8 +37,8 @@ data = rejection_sample(truth, n, np.random.default_rng(5))
 est, trace = penalized_bias_select(data, rho, rng=np.random.default_rng(6))
 print("penalized-bias selection")
 print(f"  grid of cut-offs: {trace.cutoffs}")
-print(f"  estimated bias^2: {[f'{b:.2e}' for b in trace.bias_sq]}")
-print(f"  penalties Lambda^2: {[f'{l:.2e}' for l in trace.lambda2]}")
+print(f"  estimated bias^2: {[f'{b:.2e}' for b in trace.evidence['bias_sq']]}")
+print(f"  penalties Lambda^2: {[f'{l:.2e}' for l in trace.evidence['lambda2']]}")
 print(f"  selected M = {trace.selected_cutoff}, rho spent = {trace.rho_spent}")
 print(f"  MISE = {mise(est, truth):.3e}")
 
@@ -51,9 +51,9 @@ print(f"  oracle (beta known): M = {M_star}, MISE = {mise(oracle, truth):.3e}\n"
 cfg = PenaltyConfig(mode="practical")
 est2, trace2 = lepskii_select(data, rho, cfg, np.random.default_rng(8))
 print("Lepskii selection (C = 1)")
-print(f"  beta grid size k_n = {len(trace2.betas)}, "
+print(f"  beta grid size k_n = {len(trace2.evidence['betas'])}, "
       f"rho per candidate = {trace2.rho_per_candidate:.2e}")
 print(f"  selected index {trace2.selected_index} "
       f"-> M = {trace2.selected_cutoff}, MISE = {mise(est2, truth):.3e}")
-print("  (the full comparison table lives in trace2.distances /")
-print("   trace2.thresholds; trace2.replay() re-verifies the decision)")
+print("  (the full comparison table lives in trace2.evidence['distances'] and")
+print("   trace2.evidence['thresholds']; trace2.replay() re-verifies the decision)")

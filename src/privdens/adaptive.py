@@ -26,10 +26,13 @@ Penalized estimated bias
     each comparison discounted by a variance penalty Lambda^(1); selection
     minimizes estimated bias plus Lambda^(2). Ties break to the smallest M.
 
-Both rules release their candidates through _release_candidates, so every
-call is private and needs a seeded generator. Both return the chosen
-estimate together with a SelectionTrace holding every number the decision
-consumed, so the choice can be replayed and audited offline.
+Both rules run one driver, _select: it computes the master coefficients,
+releases every candidate (so every call is private and needs a seeded
+generator), hands the candidates to the rule's score function and picks the
+winner with the rule's decision on that evidence, the same code
+SelectionTrace.replay() runs. Both return the chosen estimate together with
+a SelectionTrace holding the release and the rule's evidence, so the choice
+can be replayed and audited offline.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .estimator import (
     theoretical_rate,
 )
 from .fourier import (
-    CoefficientGrid,
+    _is_int,
     as_points,
     empirical_coefficients,
     multi_indices,
@@ -143,9 +146,18 @@ class PenaltyConfig:
 class SelectionTrace:
     """Everything a selection rule looked at, in decision order.
 
-    `replay()` recomputes the selected index from the stored arrays; it must
-    reproduce `selected_index` exactly. Candidate estimates are attached for
-    in-process consumers but excluded from JSON.
+    The common fields describe the release: cut-offs, per-candidate budget
+    and noise scales, the ledger and the choice. `evidence` holds what the
+    rule scored the candidates by, under its JSON keys:
+
+    * lepskii: betas, distances (raw pairwise squared L2 distances),
+      thresholds, accepted;
+    * penalized-bias: proj_distances, lambda1, lambda2, bias_sq, criterion.
+
+    `replay()` runs the rule's decision on the stored evidence, the code the
+    selector itself decided by, so it reproduces `selected_index` exactly.
+    Candidate estimates are attached for in-process consumers but excluded
+    from JSON.
     """
 
     method: str
@@ -157,35 +169,18 @@ class SelectionTrace:
     constants: dict
     cutoffs: list[int]
     sigmas: list[float]
+    evidence: dict
     selected_index: int
     selected_cutoff: int
     ledger: privacy.BudgetLedger
-    betas: list[float] | None = None
-    distances: np.ndarray | None = None
-    thresholds: np.ndarray | None = None
-    accepted: list[bool] | None = None
-    proj_distances: np.ndarray | None = None
-    lambda1: np.ndarray | None = None
-    lambda2: np.ndarray | None = None
-    bias_sq: np.ndarray | None = None
-    criterion: np.ndarray | None = None
     candidates: list[ProjectionEstimate] | None = field(default=None, repr=False)
 
     def replay(self) -> int:
-        if self.method == "lepskii":
-            accepted = _lepskii_accepted(
-                self.distances, self.thresholds, self.sigmas, self.cutoffs, self.d
-            )
-            return accepted.index(True)
-        if self.method == "penalized-bias":
-            crit = self.bias_sq + self.lambda2
-            return int(np.argmin(crit))
-        raise ValueError(f"unknown method {self.method!r}")
+        if self.method not in _DECISIONS:
+            raise ValueError(f"unknown method {self.method!r}")
+        return _DECISIONS[self.method](self.evidence, self.sigmas, self.cutoffs, self.d)
 
     def to_json_dict(self) -> dict:
-        def listify(x):
-            return None if x is None else np.asarray(x).tolist()
-
         return {
             "method": self.method,
             "n": self.n,
@@ -196,46 +191,47 @@ class SelectionTrace:
             "constants": dict(self.constants),
             "cutoffs": list(map(int, self.cutoffs)),
             "sigmas": list(map(float, self.sigmas)),
-            "betas": listify(self.betas),
-            "distances": listify(self.distances),
-            "thresholds": listify(self.thresholds),
-            "accepted": listify(self.accepted),
-            "proj_distances": listify(self.proj_distances),
-            "lambda1": listify(self.lambda1),
-            "lambda2": listify(self.lambda2),
-            "bias_sq": listify(self.bias_sq),
-            "criterion": listify(self.criterion),
+            **{key: np.asarray(value).tolist() for key, value in self.evidence.items()},
             "selected_index": int(self.selected_index),
             "selected_cutoff": int(self.selected_cutoff),
             "ledger": self.ledger.to_json_dict(),
         }
 
 
-def _release_candidates(master, cutoffs, n, d, rho_prime, rng, label):
-    """Candidate m is project(master, cutoffs[m]) plus Gaussian noise at
+def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, score):
+    """The release and decision of both rules.
+
+    Candidate m is project(master, cutoffs[m]) plus Gaussian noise at
     sigma_for_cutoff(n, rho_prime, M, d), draws consumed in candidate order,
     charged rho_prime to a fresh ledger as label.format(m=m, cutoff=M).
-    Returns the noisy grids, the sigmas, the ledger and the candidates as
-    estimates, each carrying its own share."""
+    score(candidate_matrix, sigmas) receives the candidates as rows, each
+    zero-padded to the largest cut-off, and returns the evidence; the
+    method's decision picks the winner from it, which is returned with
+    rho_spent = spent alongside the trace.
+    """
     if rng is None:
         raise ValueError("a seeded rng is required for a private selection")
+    n, d = pts.shape
+    top = max(cutoffs)
+    master = empirical_coefficients(pts, top)
     ledger = privacy.BudgetLedger()
-    grids: list[CoefficientGrid] = []
+    estimates: list[ProjectionEstimate] = []
     sigmas: list[float] = []
     for m, cutoff in enumerate(cutoffs):
         sigma = privacy.sigma_for_cutoff(n, rho_prime, cutoff, d)
-        grids.append(privacy.add_noise(project(master, cutoff), sigma, rng))
+        grid = privacy.add_noise(project(master, cutoff), sigma, rng)
+        estimates.append(ProjectionEstimate(grid, n, sigma=sigma, rho_spent=rho_prime))
         sigmas.append(sigma)
         ledger.charge(label.format(m=m, cutoff=cutoff), rho_prime)
-    estimates = [
-        ProjectionEstimate(g, n, sigma=s, rho_spent=rho_prime) for g, s in zip(grids, sigmas)
-    ]
-    return grids, sigmas, ledger, estimates
-
-
-def _padded_candidate_matrix(grids: list[CoefficientGrid], cutoff: int) -> np.ndarray:
-    rows = [project(g, cutoff).values for g in grids]
-    return np.vstack(rows)
+    evidence = score(np.vstack([project(e.coefficients, top).values for e in estimates]), sigmas)
+    selected = _DECISIONS[method](evidence, sigmas, cutoffs, d)
+    trace = SelectionTrace(
+        method=method, n=n, d=d, rho=rho, rho_per_candidate=rho_prime, rho_spent=spent,
+        constants=constants, cutoffs=list(cutoffs), sigmas=sigmas, evidence=evidence,
+        selected_index=selected, selected_cutoff=cutoffs[selected], ledger=ledger,
+        candidates=estimates,
+    )
+    return replace(estimates[selected], rho_spent=spent), trace
 
 
 def _pairwise_sq_distances(a: np.ndarray) -> np.ndarray:
@@ -255,6 +251,21 @@ def _lepskii_accepted(distances, thresholds, sigmas, cutoffs, d: int) -> list[bo
     return [
         bool(np.all(excess[m, m:] <= thresholds[m:])) for m in range(len(cutoffs))
     ]
+
+
+def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> int:
+    # The last candidate is always accepted (distance to itself is 0, the
+    # offset is nonnegative), so the search cannot fall off the end.
+    accepted = _lepskii_accepted(evidence["distances"], evidence["thresholds"], sigmas, cutoffs, d)
+    return accepted.index(True)
+
+
+def _penalized_decision(evidence, sigmas, cutoffs, d: int) -> int:
+    # argmin takes the first (smallest M) on ties
+    return int(np.argmin(evidence["bias_sq"] + evidence["lambda2"]))
+
+
+_DECISIONS = {"lepskii": _lepskii_decision, "penalized-bias": _penalized_decision}
 
 
 def lepskii_select(
@@ -298,56 +309,26 @@ def lepskii_select(
     cutoffs = [
         optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in grid.betas
     ]
-    master = empirical_coefficients(pts, max(cutoffs))
-    cand_grids, sigmas, ledger, estimates = _release_candidates(
-        master, cutoffs, n, d, rho_prime, rng, "lepskii candidate {m} (M={cutoff})"
-    )
-
-    a_mat = _padded_candidate_matrix(cand_grids, max(cutoffs))
-    distances = _pairwise_sq_distances(a_mat)
     c_val = cfg.resolved_C(d)
     thresholds = np.array(
-        [
-            c_val * ln**cfg.a * theoretical_rate(n, rho_prime, beta, d)
-            for beta in grid.betas
-        ]
+        [c_val * ln**cfg.a * theoretical_rate(n, rho_prime, beta, d) for beta in grid.betas]
     )
-    accepted = _lepskii_accepted(distances, thresholds, sigmas, cutoffs, d)
-    # The last candidate is always accepted (distance to itself is 0, the
-    # offset is nonnegative), so the search cannot fall off the end.
-    selected = accepted.index(True)
+
+    def score(cands, sigmas):
+        dist = _pairwise_sq_distances(cands)
+        accepted = _lepskii_accepted(dist, thresholds, sigmas, cutoffs, d)
+        return dict(
+            betas=list(grid.betas), distances=dist, thresholds=thresholds, accepted=accepted
+        )
 
     # Report the exact composition k_n * rho' rather than the float sum of the
     # ledger entries; the two agree to rounding and the former is the figure
     # the budget accounting promises.
-    spent = grid.k_n * rho_prime
-    chosen = replace(estimates[selected], rho_spent=spent)
-    trace = SelectionTrace(
-        method="lepskii",
-        n=n,
-        d=d,
-        rho=rho_v,
-        rho_per_candidate=rho_prime,
-        rho_spent=spent,
-        constants={
-            "mode": cfg.mode,
-            "C": c_val,
-            "a": cfg.a,
-            "eps": cfg.eps,
-            "L": cfg.L,
-        },
-        cutoffs=list(cutoffs),
-        sigmas=sigmas,
-        betas=list(grid.betas),
-        distances=distances,
-        thresholds=thresholds,
-        accepted=accepted,
-        selected_index=selected,
-        selected_cutoff=cutoffs[selected],
-        ledger=ledger,
-        candidates=estimates,
+    constants = {"mode": cfg.mode, "C": c_val, "a": cfg.a, "eps": cfg.eps, "L": cfg.L}
+    return _select(
+        "lepskii", pts, cutoffs, rho_v, rho_prime, grid.k_n * rho_prime, constants, rng,
+        "lepskii candidate {m} (M={cutoff})", score,
     )
-    return chosen, trace
 
 
 def penalty_lambda1(cutoff: int, n: int, rho_prime, d: int) -> float:
@@ -401,61 +382,34 @@ def penalized_bias_select(
     pts = as_points(data)
     n, d = pts.shape
     rho_v = privacy.as_rho(rho)
-    if grid is None:
-        grid = dyadic_cutoff_grid(n, d)
+    grid = dyadic_cutoff_grid(n, d) if grid is None else list(grid)
+    if not grid or not all(_is_int(m) and m >= 0 for m in grid):
+        raise ValueError(f"the cut-off grid must be a nonempty list of integers >= 0, got {grid!r}")
     grid = sorted(set(int(m) for m in grid))
-    if not grid:
-        raise ValueError("cut-off grid must be nonempty")
-    if grid[0] < 0:
-        raise ValueError("cut-offs must be >= 0")
-
     g = len(grid)
     rho_prime = rho_v / g
-    master = empirical_coefficients(pts, max(grid))
-    cand_grids, sigmas, ledger, estimates = _release_candidates(
-        master, grid, n, d, rho_prime, rng, "penalized-bias candidate M={cutoff}"
-    )
 
-    cutoff_max = max(grid)
-    a_mat = _padded_candidate_matrix(cand_grids, cutoff_max)
-    normmax = np.abs(multi_indices(cutoff_max, d)).max(axis=1)
-    masks = np.array([normmax <= m for m in grid])  # (g, K) restriction masks
-
-    proj_dist = np.empty((g, g))
-    for i in range(g):
-        diff = a_mat[i][None, :] * masks - a_mat
-        proj_dist[i] = np.sum(diff.real**2 + diff.imag**2, axis=1)
-
-    lam1 = np.array([penalty_lambda1(m, n, rho_prime, d) for m in grid])
-    lam2 = np.array([penalty_lambda2(m, n, rho_prime, d) for m in grid])
-    bias_sq = (proj_dist - lam1[None, :]).max(axis=1)
-    criterion = bias_sq + lam2
-    selected = int(np.argmin(criterion))  # argmin takes the first (smallest M) on ties
+    def score(cands, sigmas):
+        normmax = np.abs(multi_indices(max(grid), d)).max(axis=1)
+        masks = np.array([normmax <= m for m in grid])  # (g, K) restriction masks
+        proj_dist = np.empty((g, g))
+        for i in range(g):
+            diff = cands[i][None, :] * masks - cands
+            proj_dist[i] = np.sum(diff.real**2 + diff.imag**2, axis=1)
+        lam1 = np.array([penalty_lambda1(m, n, rho_prime, d) for m in grid])
+        lam2 = np.array([penalty_lambda2(m, n, rho_prime, d) for m in grid])
+        bias_sq = (proj_dist - lam1[None, :]).max(axis=1)
+        return dict(
+            proj_distances=proj_dist, lambda1=lam1, lambda2=lam2, bias_sq=bias_sq,
+            criterion=bias_sq + lam2,
+        )
 
     # g equal shares of rho/g add up to exactly rho; report that figure
     # (the ledger keeps the per-candidate entries for audit).
-    chosen = replace(estimates[selected], rho_spent=rho_v)
-    trace = SelectionTrace(
-        method="penalized-bias",
-        n=n,
-        d=d,
-        rho=rho_v,
-        rho_per_candidate=rho_prime,
-        rho_spent=rho_v,
-        constants={},
-        cutoffs=list(grid),
-        sigmas=sigmas,
-        proj_distances=proj_dist,
-        lambda1=lam1,
-        lambda2=lam2,
-        bias_sq=bias_sq,
-        criterion=criterion,
-        selected_index=selected,
-        selected_cutoff=grid[selected],
-        ledger=ledger,
-        candidates=estimates,
+    return _select(
+        "penalized-bias", pts, grid, rho_v, rho_prime, rho_v, {}, rng,
+        "penalized-bias candidate M={cutoff}", score,
     )
-    return chosen, trace
 
 
 def risk_series_sum(n, rho, eps: float, d: int) -> float:

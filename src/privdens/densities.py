@@ -35,7 +35,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import fourier
-from .fourier import CoefficientGrid, as_points, multi_indices, project
+from .fourier import (
+    CoefficientGrid,
+    _field,
+    _is_int,
+    _is_number,
+    as_points,
+    multi_indices,
+    project,
+)
 
 __all__ = [
     "DEFAULT_LATTICE_RESOLUTION",
@@ -549,28 +557,38 @@ def quadrature_mass(density, per_axis: int | None = None) -> float:
 
 
 def density_from_json_dict(doc: dict):
+    """A density from its JSON document. Every field must have its JSON type
+    (integers for d and m, 0/1 integers for theta, true or false for
+    floor_half); nothing is coerced."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("density document must be a JSON object with a 'kind' field")
     kind = doc["kind"]
+
+    def integer(key):
+        return _field(doc, key, _is_int, "an integer")
+
+    def number(key):
+        return float(_field(doc, key, _is_number, "a number"))
+
     try:
         if kind == "uniform":
-            return TrigDensity.uniform(int(doc["d"]))
+            return TrigDensity.uniform(integer("d"))
         if kind == "trig":
             grid = CoefficientGrid.from_json_dict(doc["coefficients"])
             return TrigDensity(
-                grid,
-                beta=float(doc["beta"]),
-                L=float(doc["L"]),
-                min_value=float(doc["min_value"]),
+                grid, beta=number("beta"), L=number("L"), min_value=number("min_value")
             )
         if kind == "packing":
+            bits = _field(
+                doc,
+                "theta",
+                lambda v: isinstance(v, list) and all(_is_int(b) and b in (0, 1) for b in v),
+                "a list of 0/1 integers",
+            )
+            floor_half = _field(doc, "floor_half", lambda v: isinstance(v, bool), "a bool", False)
             return make_packing_density(
-                doc["theta"],
-                int(doc["m"]),
-                float(doc["beta"]),
-                d=int(doc["d"]),
-                L=float(doc["L"]),
-                floor_half=bool(doc.get("floor_half", False)),
+                bits, integer("m"), number("beta"), d=integer("d"), L=number("L"),
+                floor_half=floor_half,
             )
     except KeyError as exc:
         raise ValueError(f"density document is missing field {exc}") from exc

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import privacy
-from .fourier import CoefficientGrid, as_points, empirical_coefficients
+from .fourier import CoefficientGrid, _field, _is_int, _is_number, as_points, empirical_coefficients
 
 __all__ = [
     "ProjectionEstimate",
@@ -128,12 +128,14 @@ class ProjectionEstimate:
     def from_json_dict(cls, obj: dict) -> "ProjectionEstimate":
         grid = CoefficientGrid.from_json_dict(obj)
         try:
-            n = int(obj["n"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed estimate object: {exc}") from exc
-        sigma = float(obj.get("sigma", 0.0))
-        rho = obj.get("rho_spent")
-        return cls(grid, n, sigma, None if rho is None else float(rho))
+            n = _field(obj, "n", _is_int, "an integer")
+        except KeyError as exc:
+            raise ValueError(f"malformed estimate object: missing {exc}") from exc
+        sigma = _field(obj, "sigma", _is_number, "a number", 0.0)
+        rho = _field(
+            obj, "rho_spent", lambda v: v is None or _is_number(v), "a number or null", None
+        )
+        return cls(grid, n, float(sigma), None if rho is None else float(rho))
 
 
 def theoretical_rate(n: int, rho, beta: float, d: int) -> float:

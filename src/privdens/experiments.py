@@ -32,6 +32,7 @@ import numpy as np
 from . import adaptive, densities, fourier, privacy
 from .adaptive import PenaltyConfig
 from .densities import PackingDensity, TrigDensity, rejection_sample
+from .fourier import _is_int, _is_number
 from .estimator import (
     ProjectionEstimate,
     fit,
@@ -59,14 +60,6 @@ _CUTOFF_FORMS = ("adaptive", "thm")
 _CONSTANT_KEYS = {"mode", "C", "a", "eps", "L"}
 
 CSV_HEADER = "n,rho,beta_nominal,d,mode,replicate,selected_M,rho_spent,mise,wall_ms"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -323,16 +316,13 @@ def _oracle_cutoff(cfg: ExperimentConfig, n: int, rho: float) -> int:
 
 
 def _run_one(cfg, mode, data, rho, rng):
-    """Fit one replicate's data per mode; returns (estimate, M, spent, trace),
-    with trace None for an oracle fit."""
+    """Fit one replicate's data per mode; returns (estimate, trace), with
+    trace None for an oracle fit."""
     if mode == "oracle":
-        cutoff = _oracle_cutoff(cfg, len(data), rho)
-        return fit(data, cutoff, rho, rng), cutoff, rho, None
+        return fit(data, _oracle_cutoff(cfg, len(data), rho), rho, rng), None
     if mode == "lepskii":
-        est, trace = adaptive.lepskii_select(data, rho, cfg.penalty_config(), rng)
-    else:
-        est, trace = adaptive.penalized_bias_select(data, rho, cfg.grid, rng)
-    return est, trace.selected_cutoff, trace.rho_spent, trace
+        return adaptive.lepskii_select(data, rho, cfg.penalty_config(), rng)
+    return adaptive.penalized_bias_select(data, rho, cfg.grid, rng)
 
 
 def _sweep(cfg: ExperimentConfig, truth, compare: bool = False):
@@ -367,10 +357,12 @@ def _sweep(cfg: ExperimentConfig, truth, compare: bool = False):
             t0 = time.perf_counter()
             data = rejection_sample(truth, n, rng)
             for mode, fit_rng in fits:
-                est, cutoff, spent, trace = _run_one(cfg, mode, data, rho, fit_rng)
+                est, trace = _run_one(cfg, mode, data, rho, fit_rng)
                 err = mise(est, truth)
                 wall = 0.0 if cfg.deterministic_timings else (time.perf_counter() - t0) * 1e3
-                rec = ExperimentRecord(n, rho, beta_nom, cfg.d, mode, rep, cutoff, spent, err, wall)
+                rec = ExperimentRecord(
+                    n, rho, beta_nom, cfg.d, mode, rep, est.cutoff, est.rho_spent, err, wall
+                )
                 records.append(rec)
                 cell_records.append(rec)
                 if compare and trace is not None:

@@ -19,6 +19,7 @@ deterministic on a given platform.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,27 @@ _CHUNK_BUDGET = 4_000_000
 
 def _chunk_rows(n_freq: int) -> int:
     return max(1, min(_CHUNK, _CHUNK_BUDGET // max(n_freq, 1)))
+
+
+# Type checks shared by every loader of JSON documents and user parameters:
+# a bool is neither an integer nor a number, and nothing is coerced.
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _field(doc: dict, key: str, ok, kind: str, *default):
+    """doc[key] if ok(doc[key]), else ValueError naming the key; an absent key
+    gives the default if one is passed, else KeyError."""
+    if default and key not in doc:
+        return default[0]
+    value = doc[key]
+    if not ok(value):
+        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
+    return value
 
 
 def as_points(data, dim: int | None = None) -> np.ndarray:
@@ -148,11 +170,16 @@ class CoefficientGrid:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CoefficientGrid":
+        def numbers_only(v):
+            return isinstance(v, list) and all(map(_is_number, v))
+
         try:
-            dim = int(obj["d"])
-            cutoff = int(obj["M"])
-            re = np.asarray(obj["re"], dtype=float)
-            im = np.asarray(obj["im"], dtype=float)
+            dim = _field(obj, "d", _is_int, "an integer")
+            cutoff = _field(obj, "M", _is_int, "an integer")
+            re, im = (
+                np.asarray(_field(obj, key, numbers_only, "a list of numbers"), dtype=float)
+                for key in ("re", "im")
+            )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed coefficient grid object: {exc}") from exc
         if re.shape != im.shape:

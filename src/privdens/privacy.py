@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .fourier import CoefficientGrid
+from .fourier import CoefficientGrid, _is_number
 
 __all__ = [
     "BudgetLedger",
@@ -52,7 +52,10 @@ __all__ = [
 
 
 def as_rho(budget) -> float:
-    """A zCDP budget as a float, rejected unless positive and finite."""
+    """A zCDP budget as a float, rejected unless a positive, finite Python or
+    NumPy real (a bool or a string is not one)."""
+    if not _is_number(budget):
+        raise ValueError(f"rho must be a number, got {budget!r}")
     rho = float(budget)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be positive and finite, got {rho}")

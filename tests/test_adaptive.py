@@ -167,7 +167,7 @@ def test_lepskii_all_candidates_identical_selects_first():
     est, trace = lepskii_select(data, 1e-8, PenaltyConfig(), rng)
     assert len(set(trace.cutoffs)) == 1
     assert est.cutoff == trace.cutoffs[0]
-    trace.distances = np.zeros_like(trace.distances)
+    trace.evidence["distances"] = np.zeros_like(trace.evidence["distances"])
     assert trace.replay() == 0
 
 
@@ -256,7 +256,7 @@ def test_lepskii_uniform_truth_clears_noise_floor():
         est, trace = lepskii_select(data, 1.0, PenaltyConfig(), rng)
         assert est.cutoff <= 2
         assert trace.replay() == trace.selected_index
-        assert trace.accepted.index(True) == trace.selected_index
+        assert trace.evidence["accepted"].index(True) == trace.selected_index
 
 
 def test_lepskii_trace_json_serializable():
@@ -268,6 +268,35 @@ def test_lepskii_trace_json_serializable():
     assert doc["selected_index"] == trace.selected_index
     assert len(doc["cutoffs"]) == len(trace.cutoffs)
     assert "candidates" not in doc
+
+
+_COMMON_TRACE_KEYS = {
+    "method", "n", "d", "rho", "rho_per_candidate", "rho_spent", "constants", "cutoffs",
+    "sigmas", "selected_index", "selected_cutoff", "ledger",
+}
+
+
+@pytest.mark.parametrize(
+    "select, evidence_keys",
+    [
+        (lambda data, rng: lepskii_select(data, 1.0, PenaltyConfig(), rng),
+         {"betas", "distances", "thresholds", "accepted"}),
+        (lambda data, rng: penalized_bias_select(data, 1.0, None, rng),
+         {"proj_distances", "lambda1", "lambda2", "bias_sq", "criterion"}),
+    ],
+    ids=["lepskii", "penalized-bias"],
+)
+def test_trace_json_holds_only_its_own_evidence(select, evidence_keys):
+    # Each method writes the common keys plus its own evidence, never the
+    # other method's keys as null; the selection replays from the evidence.
+    data = np.random.default_rng(52).random((300, 1))
+    est, trace = select(data, np.random.default_rng(53))
+    doc = json.loads(json.dumps(trace.to_json_dict()))
+    assert set(doc) == _COMMON_TRACE_KEYS | evidence_keys
+    assert set(trace.evidence) == evidence_keys
+    assert all(value is not None for value in doc.values())
+    assert trace.replay() == trace.selected_index == doc["selected_index"]
+    assert est.cutoff == doc["cutoffs"][doc["selected_index"]]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +320,8 @@ def test_penalized_tie_break_smallest():
     N = 64
     data = (np.arange(N) / N).reshape(-1, 1)
     est, trace = penalized_bias_select(data, 1e30, [1, 2, 4, 8], np.random.default_rng(0))
-    assert np.allclose(trace.bias_sq, trace.bias_sq[0], atol=1e-12)
+    bias_sq = trace.evidence["bias_sq"]
+    assert np.allclose(bias_sq, bias_sq[0], atol=1e-12)
     assert trace.selected_index == 0
     assert est.cutoff == 1
 
@@ -316,9 +346,9 @@ def test_penalized_bias_lower_bound_and_replay():
     for seed in (5, 6, 7):
         data = np.random.default_rng(seed).random((500, 1))
         est, trace = penalized_bias_select(data, 1.0, None, np.random.default_rng(seed))
-        lam1 = trace.lambda1
-        assert np.all(trace.bias_sq >= -lam1.min() - 1e-12)
-        assert np.all(np.isfinite(trace.bias_sq))
+        lam1, bias_sq = trace.evidence["lambda1"], trace.evidence["bias_sq"]
+        assert np.all(bias_sq >= -lam1.min() - 1e-12)
+        assert np.all(np.isfinite(bias_sq))
         assert trace.replay() == trace.selected_index
 
 
@@ -336,6 +366,9 @@ def test_penalized_validation():
         penalized_bias_select(data, 1.0, [], np.random.default_rng(73))
     with pytest.raises(ValueError):
         penalized_bias_select(data, 1.0, [-1, 2], np.random.default_rng(73))
+    for bad in ([1.5, 2.9], [True, 2], [1, "2"], [2.0]):  # never rounded to integers
+        with pytest.raises(ValueError):
+            penalized_bias_select(data, 1.0, bad, np.random.default_rng(73))
     with pytest.raises(ValueError):
         penalized_bias_select(data, 1.0, None)  # rng required when noised
 

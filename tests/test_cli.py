@@ -163,6 +163,14 @@ def test_sample_degenerate_estimate_rejected(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_sample_non_integer_dimension_rejected(tmp_path, capsys):
+    # a density file is type-checked, not coerced: d = 2.7 is not read as 2
+    dens = _write(tmp_path / "u.json", json.dumps({"kind": "uniform", "d": 2.7}))
+    assert main(["sample", dens, "--n", "5", "--out", str(tmp_path / "s.csv")]) == 1
+    assert "'d' must be an integer, got 2.7" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_generate_sample_fit_roundtrip(tmp_path):
     dens = tmp_path / "truth.json"
     assert main(["generate-density", "--kind", "trig", "--beta", "2.0",

@@ -28,7 +28,7 @@ from privdens.densities import (
     quadrature_mass,
     rejection_sample,
 )
-from privdens.estimator import fit
+from privdens.estimator import ProjectionEstimate, fit
 from privdens.fourier import CoefficientGrid, empirical_coefficients
 
 
@@ -339,3 +339,21 @@ def test_density_json_errors():
         density_from_json_dict({"kind": "spline", "d": 1})
     with pytest.raises(ValueError):
         density_from_json_dict({"kind": "packing", "m": 4})  # missing fields
+    # wrong JSON types are rejected, never rounded or coerced
+    with pytest.raises(ValueError, match="'d' must be an integer"):
+        density_from_json_dict({"kind": "uniform", "d": 2.7})
+    packing = make_packing_density(np.array([1, 0]), 2, 1.0, d=1).to_json_dict()
+    assert density_from_json_dict(packing).m == 2
+    for key, bad in (("m", 2.9), ("theta", [1.7, 0.4]), ("theta", [True, 0]),
+                     ("floor_half", "no")):
+        with pytest.raises(ValueError, match=repr(key)):
+            density_from_json_dict({**packing, key: bad})
+    grid = TrigDensity.uniform(1).coefficients.to_json_dict()
+    for key, bad in (("M", 1.9), ("re", ["1.0"])):
+        with pytest.raises(ValueError, match=repr(key)):
+            CoefficientGrid.from_json_dict({**grid, key: bad})
+    est = ProjectionEstimate(TrigDensity.uniform(1).coefficients, 100).to_json_dict()
+    assert ProjectionEstimate.from_json_dict(est).n == 100
+    for key, bad in (("n", 100.6), ("sigma", True), ("rho_spent", "0.5")):
+        with pytest.raises(ValueError, match=repr(key)):
+            ProjectionEstimate.from_json_dict({**est, key: bad})
