@@ -384,14 +384,16 @@ class PackingDensity:
         pts = as_points(arr, self.d)
         out = np.full(len(pts), 1.0 - self.offset)
         hb = self.h**self.beta
-        for bit, center in zip(self.theta, self._centers):
-            if not bit:
-                continue
-            u = (pts - center) / (2.0 * self.h)  # psi(z) = a Psi(z/2)
-            r2 = np.sum(u * u, axis=1)
-            mask = r2 < 1.0
-            if mask.any():
-                out[mask] += hb * self.amplitude * np.exp(-1.0 / (1.0 - r2[mask]))
+        # A support has radius 2h <= 1/(2(m+1)), half the spacing of the
+        # centers, so the only bump a point can lie in is the one whose
+        # center j/(m+1) is nearest on every axis.
+        j = np.rint(pts * (self.m + 1)).astype(np.int64)
+        inside = np.all((j >= 1) & (j <= self.m), axis=1)
+        nearest = np.ravel_multi_index(tuple(np.clip(j, 1, self.m).T - 1), (self.m,) * self.d)
+        u = (pts - self._centers[nearest]) / (2.0 * self.h)  # psi(z) = a Psi(z/2)
+        r2 = np.sum(u * u, axis=1)
+        mask = inside & (self.theta[nearest] == 1) & (r2 < 1.0)
+        out[mask] += hb * self.amplitude * np.exp(-1.0 / (1.0 - r2[mask]))
         return float(out[0]) if single else out
 
     def to_json_dict(self) -> dict:

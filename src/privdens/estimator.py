@@ -127,13 +127,18 @@ class ProjectionEstimate:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ProjectionEstimate":
         grid = CoefficientGrid.from_json_dict(obj)
+
+        def finite(v):
+            return _is_number(v) and math.isfinite(v)
+
         try:
-            n = _field(obj, "n", _is_int, "an integer")
+            n = _field(obj, "n", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
         except KeyError as exc:
             raise ValueError(f"malformed estimate object: missing {exc}") from exc
-        sigma = _field(obj, "sigma", _is_number, "a number", 0.0)
+        sigma = _field(obj, "sigma", lambda v: finite(v) and v >= 0, "a finite number >= 0", 0.0)
         rho = _field(
-            obj, "rho_spent", lambda v: v is None or _is_number(v), "a number or null", None
+            obj, "rho_spent", lambda v: v is None or (finite(v) and v > 0),
+            "null or a finite number > 0", None,
         )
         return cls(grid, n, float(sigma), None if rho is None else float(rho))
 

@@ -107,6 +107,15 @@ def test_fit_ragged_columns_rejected(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_fit_oversized_cutoff_refused(tmp_path, capsys):
+    # (2M+1)^d is checked against the size cap before anything is allocated
+    data = _write(tmp_path / "pts.csv", "0.5\n")
+    assert main(["fit", data, "--M", str(10**12), "--out", str(tmp_path / "e.json")]) == 1
+    err = capsys.readouterr().err
+    assert "2000000000001 coefficients" in err and "Traceback" not in err
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_fit_usage_errors(tmp_path, capsys):
     data = _write(tmp_path / "pts.csv", "0.5\n")
     # no cut-off choice at all
@@ -169,6 +178,27 @@ def test_sample_non_integer_dimension_rejected(tmp_path, capsys):
     assert main(["sample", dens, "--n", "5", "--out", str(tmp_path / "s.csv")]) == 1
     assert "'d' must be an integer, got 2.7" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("key,bad", [("n", 0), ("sigma", -1.0), ("sigma", math.inf),
+                                     ("rho_spent", -2.0), ("rho_spent", 0.0)])
+def test_sample_estimate_out_of_range_rejected(tmp_path, capsys, key, bad):
+    # an estimate file cannot claim no data, a negative noise scale or a
+    # negative privacy spend
+    doc = {"d": 1, "M": 0, "re": [1.0], "im": [0.0], "n": 100, "sigma": 0.5, "rho_spent": 1.0}
+    est = _write(tmp_path / "est.json", json.dumps({**doc, key: bad}))
+    assert main(["sample", est, "--n", "5", "--out", str(tmp_path / "s.csv")]) == 1
+    assert f"{key!r} must be" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_generate_oversized_density_refused(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    assert main(["generate-density", "--kind", "trig", "--d", "5", "--M-truth", "300",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "(2M+1)^d" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_generate_sample_fit_roundtrip(tmp_path):

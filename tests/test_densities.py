@@ -210,6 +210,39 @@ def test_packing_one_bit_distance():
     assert np.allclose(diff[mask], mass_shift, atol=1e-14)
 
 
+def _packing_by_loop(f, pts):
+    """The packing density summed over every center, the reference for the
+    evaluation that visits only each point's nearest center."""
+    out = np.full(len(pts), 1.0 - f.offset)
+    hb = f.h**f.beta
+    for bit, center in zip(f.theta, f._centers):
+        if bit:
+            u = (pts - center) / (2.0 * f.h)
+            r2 = np.sum(u * u, axis=1)
+            mask = r2 < 1.0
+            out[mask] += hb * f.amplitude * np.exp(-1.0 / (1.0 - r2[mask]))
+    return out
+
+
+@pytest.mark.parametrize("d,m,beta,floor_half", [
+    (1, 4, 1.0, False), (1, 7, 0.5, True), (1, 3, 2.5, False),
+    (2, 4, 1.0, False), (2, 3, 0.7, True), (3, 3, 1.0, False), (3, 2, 0.5, True),
+])
+def test_packing_evaluate_matches_loop_over_centers(d, m, beta, floor_half):
+    rng = np.random.default_rng(31 * d + m)
+    f = make_packing_density(rng.integers(0, 2, size=m**d), m, beta, d=d, floor_half=floor_half)
+    # points on the rim of each support: just inside, on it and just outside,
+    # plus the points half way between centers and the faces of the cube
+    u = rng.normal(size=(len(f._centers), d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rim = [f._centers + 2.0 * f.h * s * u for s in (1 - 1e-3, 1 - 1e-12, 1.0, 1 + 1e-12)]
+    halfway = (np.arange(m + 1) + 0.5) / (m + 1)
+    axis = np.concatenate([halfway, [0.0, 1.0]])
+    cross = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    for pts in (midpoint_lattice(d), rng.random((5000, d)), np.clip(np.vstack(rim), 0, 1), cross):
+        assert np.array_equal(f.evaluate(pts), _packing_by_loop(f, pts))
+
+
 def test_packing_floor_half():
     f = make_packing_density(np.ones(4, dtype=int), 4, 1.0, d=1, floor_half=True)
     lattice = midpoint_lattice(1)
@@ -354,6 +387,8 @@ def test_density_json_errors():
             CoefficientGrid.from_json_dict({**grid, key: bad})
     est = ProjectionEstimate(TrigDensity.uniform(1).coefficients, 100).to_json_dict()
     assert ProjectionEstimate.from_json_dict(est).n == 100
-    for key, bad in (("n", 100.6), ("sigma", True), ("rho_spent", "0.5")):
+    for key, bad in (("n", 100.6), ("sigma", True), ("rho_spent", "0.5"),
+                     ("n", 0), ("sigma", -1.0), ("sigma", math.inf), ("sigma", math.nan),
+                     ("rho_spent", -2.0), ("rho_spent", 0.0), ("rho_spent", math.inf)):
         with pytest.raises(ValueError, match=repr(key)):
             ProjectionEstimate.from_json_dict({**est, key: bad})

@@ -9,11 +9,15 @@ Parseval identities.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privdens import fourier
+from privdens import densities, fourier
 from privdens.fourier import (
     CoefficientGrid,
     empirical_coefficients,
@@ -176,6 +180,99 @@ def test_empirical_variance_popoviciu():
     tol = (1.0 / n) * (1.0 + 5.0 / math.sqrt(R))
     assert reals.var(axis=0, ddof=1).max() <= tol
     assert imags.var(axis=0, ddof=1).max() <= tol
+
+
+# ---------------------------------------------------------------------------
+# the separable kernel against a direct sum
+# ---------------------------------------------------------------------------
+
+
+def _direct_coefficients(x, M):
+    """theta_k = mean_j exp(-2 pi i <k, X_j>), one cos/sin term per (point, k)."""
+    ks = multi_indices(M, x.shape[1]).T.astype(float)
+    acc = 0
+    for start in range(0, len(x), 256):
+        ang = 2.0 * np.pi * (x[start : start + 256] @ ks)
+        acc = acc + np.cos(ang).sum(axis=0) - 1j * np.sin(ang).sum(axis=0)
+    return acc / len(x)
+
+
+def _direct_values(values, M, x):
+    """sum_k theta_k exp(2 pi i <k, x>), one cos/sin term per (point, k)."""
+    ks = multi_indices(M, x.shape[1]).T.astype(float)
+    out = []
+    for start in range(0, len(x), 256):
+        ang = 2.0 * np.pi * (x[start : start + 256] @ ks)
+        out.append(np.cos(ang) @ values + 1j * (np.sin(ang) @ values))
+    return np.concatenate(out)
+
+
+# (d, M, n): every n = 1 case and n = 1537, which is not a multiple of the
+# kernel's block of 1024 points; M = 4096 on one block of points
+KERNEL_CASES = (
+    [(1, M, 1) for M in (0, 1, 7, 128)]
+    + [(1, M, 1537) for M in (0, 1, 7, 128, 843)]
+    + [(1, 4096, 1024)]
+    + [(d, M, n) for d, Ms in ((2, (0, 3, 17)), (3, (0, 2, 6))) for M in Ms for n in (1, 1537)]
+)
+
+
+@pytest.mark.parametrize("d,M,n", KERNEL_CASES)
+def test_kernel_coefficients_match_direct_sum(d, M, n):
+    x = np.random.default_rng(1000 * d + M).random((n, d))
+    grid = empirical_coefficients(x, M)
+    assert np.abs(grid.values - _direct_coefficients(x, M)).max() <= 1e-12
+    assert grid.values[grid.size // 2] == 1.0
+
+
+@pytest.mark.parametrize("d,M", sorted({(d, M) for d, M, _ in KERNEL_CASES}))
+def test_kernel_evaluation_matches_direct_sum(d, M):
+    # one point, 1537 random points and a midpoint lattice of about 1000
+    # points, for a grid with sum |theta_k| = 1
+    rng = np.random.default_rng(2000 * d + M)
+    size = (2 * M + 1) ** d
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    grid = CoefficientGrid(d, M, values / np.abs(values).sum())
+    lattice = densities.midpoint_lattice(d, 2 ** (10 // d))
+    for x in (rng.random((1, d)), rng.random((1537, d)), lattice):
+        assert np.abs(evaluate_complex(grid, x) - _direct_values(grid.values, M, x)).max() <= 1e-12
+
+
+def test_kernel_bits_do_not_depend_on_blas_threads():
+    # The byte-reproducible outputs rest on BLAS matrix products; one thread,
+    # two threads and the default must give the same bytes.
+    script = (
+        "import hashlib, numpy as np\n"
+        "from privdens.fourier import CoefficientGrid, empirical_coefficients, evaluate_complex\n"
+        "rng = np.random.default_rng(3)\n"
+        "h = hashlib.sha256()\n"
+        "for d, M in ((1, 843), (1, 4096), (2, 17), (3, 6)):\n"
+        "    grid = empirical_coefficients(rng.random((3000, d)), M)\n"
+        "    h.update(grid.values.tobytes())\n"
+        "    h.update(evaluate_complex(grid, rng.random((3000, d))).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    src = str(Path(fourier.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = set()
+    for threads in (None, "1", "2"):
+        env = dict(base) if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_size_cap_refuses_before_allocating():
+    with pytest.raises(ValueError, match="coefficients"):
+        multi_indices(10**12, 1)
+    with pytest.raises(ValueError, match="coefficients"):
+        empirical_coefficients(np.array([[0.5]]), 10**12)
+    with pytest.raises(ValueError, match="coefficients"):
+        project(CoefficientGrid(5, 0, np.ones(1)), 300)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Write a fixed set of privdens outputs, for byte-for-byte comparison of two checkouts.
+"""Write a fixed set of privdens outputs, and compare two such sets.
 
     python3 tools/golden.py OUTDIR
+    python3 tools/golden.py --compare OLD NEW
 
 Everything goes through the command line of the checkout this file sits in
 (its `src/` is put first on PYTHONPATH), so the same script runs unchanged
@@ -17,17 +18,28 @@ on an older commit. Into OUTDIR it writes:
 
 A behaviour-preserving change leaves `diff -r OLD NEW` empty when both
 directories come from the same machine. It takes about 45 s on two cores.
+
+A change of floating-point arithmetic, such as a new Fourier kernel, cannot
+keep the bytes. `--compare OLD NEW` lists the byte-identical files and
+passes each other file only if its text outside numbers is identical and
+every pair of numbers satisfies |x - y| <= 1e-9 max(|x|, |y|) + 1e-12;
+integers, such as a selected cut-off, must therefore match exactly. It
+exits 1 if a file fails or exists on one side only.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+REL_TOL, ABS_TOL = 1e-9, 1e-12
+# a decimal number, as Python, json and the CSV writer print them
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf|NaN|Infinity)")
 
 FIXTURES = {
     "beta1.json": ["--kind", "trig", "--beta", "1", "--L", "2", "--M-truth", "32", "--seed", "11"],
@@ -63,9 +75,60 @@ ROUND_TRIP = [
 ]
 
 
+def compare_text(old: str, new: str) -> tuple[str | None, int, float, float]:
+    """(failure or None, numbers that differ, largest absolute and relative difference)."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return "text outside numbers differs", 0, 0.0, 0.0
+    changed, max_abs, max_rel = 0, 0.0, 0.0
+    for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)):
+        if a == b:
+            continue
+        x, y = float(a), float(b)
+        diff = abs(x - y)
+        if not diff <= REL_TOL * max(abs(x), abs(y)) + ABS_TOL:
+            return f"{a} -> {b}", changed, max_abs, max_rel
+        if diff == 0.0:  # -0.0 against 0.0, or another spelling of the same value
+            continue
+        changed += 1
+        max_abs = max(max_abs, diff)
+        max_rel = max(max_rel, diff / max(abs(x), abs(y)))
+    return None, changed, max_abs, max_rel
+
+
+def compare(old: Path, new: Path) -> int:
+    files = {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
+    identical, failed = [], 0
+    for rel in sorted(files):
+        if not (old / rel).is_file() or not (new / rel).is_file():
+            print(f"FAIL {rel}: present on one side only")
+            failed += 1
+            continue
+        a, b = (old / rel).read_bytes(), (new / rel).read_bytes()
+        if a == b:
+            identical.append(rel)
+            continue
+        try:
+            problem, changed, max_abs, max_rel = compare_text(a.decode(), b.decode())
+        except UnicodeDecodeError:
+            problem, changed, max_abs, max_rel = "not text", 0, 0.0, 0.0
+        if problem:
+            print(f"FAIL {rel}: {problem}")
+            failed += 1
+        else:
+            print(f"close {rel}: {changed} numbers differ, at most {max_abs:.3g} absolute, "
+                  f"{max_rel:.3g} relative")
+    print(f"{len(identical)} byte-identical:")
+    for rel in identical:
+        print(f"  {rel}")
+    print(f"{failed} failed of {len(files)} files")
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/golden.py OUTDIR", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python3 tools/golden.py OUTDIR | --compare OLD NEW", file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
