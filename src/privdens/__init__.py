@@ -19,7 +19,6 @@ Typical flow::
 """
 
 from .adaptive import (
-    BetaGrid,
     PenaltyConfig,
     SelectionTrace,
     build_beta_grid,
@@ -28,18 +27,14 @@ from .adaptive import (
     penalized_bias_select,
     penalty_lambda1,
     penalty_lambda2,
-    risk_series_bound,
-    risk_series_sum,
 )
 from .densities import (
     ClippedDensity,
     PackingDensity,
     TrigDensity,
-    bump_psi,
     density_from_json,
     density_from_json_dict,
     exact_bias,
-    holder_tail_constant,
     make_packing_density,
     make_trig_density,
     rejection_sample,
@@ -54,7 +49,6 @@ from .estimator import (
 )
 from .experiments import (
     ExperimentConfig,
-    chi2_tail_check,
     mise,
     run_adaptivity_experiment,
     run_rate_experiment,
@@ -103,7 +97,6 @@ __all__ = [
     "theoretical_rate",
     "rate_regime",
     # adaptive
-    "BetaGrid",
     "PenaltyConfig",
     "SelectionTrace",
     "build_beta_grid",
@@ -112,17 +105,13 @@ __all__ = [
     "penalty_lambda2",
     "dyadic_cutoff_grid",
     "penalized_bias_select",
-    "risk_series_sum",
-    "risk_series_bound",
     # densities
     "TrigDensity",
     "PackingDensity",
     "ClippedDensity",
-    "bump_psi",
     "make_trig_density",
     "make_packing_density",
     "exact_bias",
-    "holder_tail_constant",
     "rejection_sample",
     "density_from_json",
     "density_from_json_dict",
@@ -131,6 +120,5 @@ __all__ = [
     "mise",
     "run_rate_experiment",
     "run_adaptivity_experiment",
-    "chi2_tail_check",
     "write_csv",
 ]

@@ -58,7 +58,6 @@ from .fourier import (
 )
 
 __all__ = [
-    "BetaGrid",
     "PenaltyConfig",
     "SelectionTrace",
     "build_beta_grid",
@@ -67,27 +66,14 @@ __all__ = [
     "penalty_lambda2",
     "dyadic_cutoff_grid",
     "penalized_bias_select",
-    "risk_series_sum",
-    "risk_series_bound",
 ]
 
 
-@dataclass(frozen=True)
-class BetaGrid:
+def build_beta_grid(n, eps: float) -> tuple[float, ...]:
     """Candidate smoothness grid: k_n = floor((log n)^2 / eps) values
-    descending from k_n eps / log n in steps of eps / log n."""
+    descending from k_n eps / log n in steps of eps / log n.
 
-    n: float
-    eps: float
-    betas: tuple[float, ...]
-
-    @property
-    def k_n(self) -> int:
-        return len(self.betas)
-
-
-def build_beta_grid(n, eps: float) -> BetaGrid:
-    """n may be any real >= 3; sample sizes are integers in practice but the
+    n may be any real >= 3; sample sizes are integers in practice but the
     grid is pure arithmetic in log n."""
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -98,8 +84,7 @@ def build_beta_grid(n, eps: float) -> BetaGrid:
     # land a few ulp low and must not lose a grid point.
     k_n = max(1, int(math.floor((ln * ln / eps) * (1.0 + 1e-12))))
     step = eps / ln
-    betas = tuple((k_n - m) * step for m in range(k_n))
-    return BetaGrid(n=n, eps=eps, betas=betas)
+    return tuple((k_n - m) * step for m in range(k_n))
 
 
 @dataclass(frozen=True)
@@ -304,21 +289,19 @@ def lepskii_select(
             )
 
     ln = math.log(n)
-    grid = build_beta_grid(n, cfg.eps)
+    betas = build_beta_grid(n, cfg.eps)
     rho_prime = rho_v * cfg.eps / (ln * ln)
-    cutoffs = [
-        optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in grid.betas
-    ]
+    cutoffs = [optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in betas]
     c_val = cfg.resolved_C(d)
     thresholds = np.array(
-        [c_val * ln**cfg.a * theoretical_rate(n, rho_prime, beta, d) for beta in grid.betas]
+        [c_val * ln**cfg.a * theoretical_rate(n, rho_prime, beta, d) for beta in betas]
     )
 
     def score(cands, sigmas):
         dist = _pairwise_sq_distances(cands)
         accepted = _lepskii_accepted(dist, thresholds, sigmas, cutoffs, d)
         return dict(
-            betas=list(grid.betas), distances=dist, thresholds=thresholds, accepted=accepted
+            betas=list(betas), distances=dist, thresholds=thresholds, accepted=accepted
         )
 
     # Report the exact composition k_n * rho' rather than the float sum of the
@@ -326,7 +309,7 @@ def lepskii_select(
     # the budget accounting promises.
     constants = {"mode": cfg.mode, "C": c_val, "a": cfg.a, "eps": cfg.eps, "L": cfg.L}
     return _select(
-        "lepskii", pts, cutoffs, rho_v, rho_prime, grid.k_n * rho_prime, constants, rng,
+        "lepskii", pts, cutoffs, rho_v, rho_prime, len(betas) * rho_prime, constants, rng,
         "lepskii candidate {m} (M={cutoff})", score,
     )
 
@@ -410,22 +393,3 @@ def penalized_bias_select(
         "penalized-bias", pts, grid, rho_v, rho_prime, rho_v, {}, rng,
         "penalized-bias candidate M={cutoff}", score,
     )
-
-
-def risk_series_sum(n, rho, eps: float, d: int) -> float:
-    """sum_{l=0}^{k_n} r_{n,rho'_n}(beta_l) over the grid plus its beta = 0
-    endpoint (where the rate is 1)."""
-    rho_v = privacy.as_rho(rho)
-    grid = build_beta_grid(n, eps)
-    ln = math.log(n)
-    rho_prime = rho_v * eps / (ln * ln)
-    return sum(theoretical_rate(n, rho_prime, beta, d) for beta in grid.betas) + 1.0
-
-
-def risk_series_bound(n: int, rho, eps: float, d: int) -> float:
-    """4 (2+d) eps^{-1} (log n)^2 (rho'_n^{-1/(1+d)} + 2), the proven cap on
-    risk_series_sum for eps <= 1/2."""
-    rho_v = privacy.as_rho(rho)
-    ln = math.log(n)
-    rho_prime = rho_v * eps / (ln * ln)
-    return 4.0 * (2.0 + d) / eps * ln * ln * (rho_prime ** (-1.0 / (1.0 + d)) + 2.0)

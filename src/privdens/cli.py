@@ -29,6 +29,7 @@ from .experiments import (
     run_rate_experiment,
     write_csv,
 )
+from .fourier import as_points
 
 __all__ = ["main"]
 
@@ -58,10 +59,10 @@ def _read_points(path: str) -> np.ndarray:
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError(f"{path}: coordinates must be finite and lie in [0,1]")
-    return arr
+    try:
+        return as_points(rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_points(path: str, pts: np.ndarray) -> None:
@@ -163,6 +164,11 @@ def _cmd_generate_density(args) -> int:
         )
     else:
         m_total = args.m**args.d
+        if m_total > densities._MAX_BUMPS:
+            raise ValueError(
+                f"a packing with m = {args.m} in d = {args.d} has m^d = {m_total} bumps, "
+                f"more than the {densities._MAX_BUMPS} this package builds"
+            )
         if args.theta is not None:
             bits = [int(c) for c in args.theta if c in "01"]
             if len(bits) != m_total or len(args.theta) != m_total:

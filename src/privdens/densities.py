@@ -49,13 +49,11 @@ __all__ = [
     "DEFAULT_LATTICE_RESOLUTION",
     "lattice_resolution",
     "midpoint_lattice",
-    "bump_psi",
     "TrigDensity",
     "make_trig_density",
     "exact_bias",
     "PackingDensity",
     "make_packing_density",
-    "holder_tail_constant",
     "rejection_sample",
     "ClippedDensity",
     "quadrature_mass",
@@ -64,9 +62,16 @@ __all__ = [
 ]
 
 # Per-axis lattice resolution used for positivity certification, mass
-# checks, and quadrature MISE. Chosen so the full lattice stays ~1e3..3e4
-# points in every dimension.
+# checks, and quadrature MISE: 2^10, 2^14 and 2^15 points in d = 1, 2, 3,
+# and 32^d from d = 4 on, which _MAX_LATTICE_POINTS admits only at d = 4.
 DEFAULT_LATTICE_RESOLUTION = {1: 2**10, 2: 2**7, 3: 2**5}
+# Largest midpoint lattice built: 2^20 points are 8 MiB per coordinate, and
+# each evaluation on it holds a few such arrays. Larger lattices fail with
+# ValueError before anything is allocated.
+_MAX_LATTICE_POINTS = 2**20
+# Largest packing built, in bumps (m^d); its bits and centers are allocated
+# in full, 8 d + 1 bytes per bump. The command line checks it before drawing.
+_MAX_BUMPS = 2**20
 
 
 def lattice_resolution(d: int) -> int:
@@ -76,6 +81,11 @@ def lattice_resolution(d: int) -> int:
 def midpoint_lattice(d: int, per_axis: int | None = None) -> np.ndarray:
     """Midpoint lattice ((i+1/2)/N per axis) as an (N^d, d) array."""
     n = per_axis or lattice_resolution(d)
+    if n**d > _MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"a midpoint lattice of {n} points per axis in d = {d} has {n**d} points, "
+            f"more than the {_MAX_LATTICE_POINTS} this package builds"
+        )
     axis = (np.arange(n) + 0.5) / n
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, d)
@@ -84,23 +94,6 @@ def midpoint_lattice(d: int, per_axis: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the bump and its integrals
 # ---------------------------------------------------------------------------
-
-
-def bump_psi(x):
-    """Unit bump Psi(x) = exp(-1/(1-|x|^2)) for |x| < 1, else 0.
-
-    Accepts a single point (scalar or length-d vector) or an (N, d) batch.
-    """
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim <= 1
-    pts = np.atleast_2d(arr) if arr.ndim else arr.reshape(1, 1)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    r2 = np.sum(pts * pts, axis=1)
-    out = np.zeros(len(r2))
-    inside = r2 < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    return float(out[0]) if single else out
 
 
 def _profile(r):
@@ -345,6 +338,11 @@ class PackingDensity:
     _centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.m**self.d > _MAX_BUMPS:
+            raise ValueError(
+                f"a packing with m = {self.m} in d = {self.d} has m^d = {self.m**self.d} "
+                f"bumps, more than the {_MAX_BUMPS} this package builds"
+            )
         self.theta = np.asarray(self.theta, dtype=np.uint8).reshape(-1)
         if len(self.theta) != self.m**self.d:
             raise ValueError(f"theta must have length m^d = {self.m ** self.d}")
@@ -445,19 +443,6 @@ def make_packing_density(theta, m, beta, d=1, L=2.0, *, floor_half=False) -> Pac
 
 
 # ---------------------------------------------------------------------------
-# Hoelder tail constant
-# ---------------------------------------------------------------------------
-
-
-def holder_tail_constant(s: float) -> float:
-    """C(s) = 2^(2s) 3^(-s) / (1 - 2^(-2s)) for a fractional exponent
-    s in (0,1); relates Fourier tail energy to the Hoelder seminorm."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
-    return 2.0 ** (2.0 * s) * 3.0 ** (-s) / (1.0 - 2.0 ** (-2.0 * s))
-
-
-# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -479,12 +464,9 @@ class ClippedDensity:
         self.grid = grid
         self.sup_bound = float(np.sum(np.abs(grid.values)))
         lattice = midpoint_lattice(grid.dim)
-        clipped = np.maximum(fourier.evaluate(grid, lattice), 0.0)
-        self.lattice_mass = float(np.mean(clipped))
-        if self.lattice_mass < 1e-3:
-            raise ValueError(
-                f"clipped estimate is degenerate: lattice mass {self.lattice_mass:.3g} < 1e-3"
-            )
+        mass = float(np.mean(np.maximum(fourier.evaluate(grid, lattice), 0.0)))
+        if mass < 1e-3:
+            raise ValueError(f"clipped estimate is degenerate: lattice mass {mass:.3g} < 1e-3")
 
     @property
     def dim(self) -> int:

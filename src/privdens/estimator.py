@@ -143,38 +143,33 @@ class ProjectionEstimate:
         return cls(grid, n, float(sigma), None if rho is None else float(rho))
 
 
+def _rate_branches(n: int, rho, beta: float, d: int) -> tuple[float, float]:
+    """The sampling rate n^(-2b/(2b+d)) and the privacy rate
+    (n sqrt(rho))^(-2b/(b+d)) that make up r_{n,rho}(beta)."""
+    rho_v = _validate_cutoff_args(n, rho, beta, d)
+    sampling = float(n) ** (-2.0 * beta / (2.0 * beta + d))
+    private = (n * math.sqrt(rho_v)) ** (-2.0 * beta / (beta + d))
+    return sampling, private
+
+
 def theoretical_rate(n: int, rho, beta: float, d: int) -> float:
     """r_{n,rho}(beta) = max{ n^(-2b/(2b+d)), (n sqrt(rho))^(-2b/(b+d)) }.
 
     The first branch is the classical sampling rate, the second the privacy
     rate; whichever is larger limits the achievable squared error.
     """
-    rho_v = _validate_cutoff_args(n, rho, beta, d)
-    sampling = float(n) ** (-2.0 * beta / (2.0 * beta + d))
-    private = (n * math.sqrt(rho_v)) ** (-2.0 * beta / (beta + d))
-    return max(sampling, private)
+    return max(_rate_branches(n, rho, beta, d))
 
 
 def rate_regime(n: int, rho, beta: float, d: int) -> str:
     """Which branch of the rate is active: "sampling" or "privacy".
-
-    Ties (within float equality) report "sampling"; the boundary is
-    rho = n^(-2 beta/(2 beta+d)) ... solved for the budget at which privacy
-    stops being the bottleneck.
-    """
-    rho_v = _validate_cutoff_args(n, rho, beta, d)
-    sampling = float(n) ** (-2.0 * beta / (2.0 * beta + d))
-    private = (n * math.sqrt(rho_v)) ** (-2.0 * beta / (beta + d))
+    Ties (within float equality) report "sampling"."""
+    sampling, private = _rate_branches(n, rho, beta, d)
     return "privacy" if private > sampling else "sampling"
 
 
 def fit(
-    data,
-    cutoff: int,
-    budget=None,
-    rng: np.random.Generator | None = None,
-    *,
-    symmetrize: bool = False,
+    data, cutoff: int, budget=None, rng: np.random.Generator | None = None
 ) -> ProjectionEstimate:
     """Fit the projection estimator at cut-off M, optionally privately.
 
@@ -192,5 +187,5 @@ def fit(
     if rng is None:
         raise ValueError("a seeded rng is required for a private fit")
     sigma = privacy.sigma_for_cutoff(n, rho, cutoff, d)
-    noisy = privacy.add_noise(grid, sigma, rng, symmetrize=symmetrize)
+    noisy = privacy.add_noise(grid, sigma, rng)
     return ProjectionEstimate(noisy, n, sigma=sigma, rho_spent=rho)

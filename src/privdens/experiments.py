@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -50,21 +50,22 @@ __all__ = [
     "fit_slope",
     "run_rate_experiment",
     "run_adaptivity_experiment",
-    "chi2_tail_check",
     "write_csv",
     "CSV_HEADER",
 ]
 
 _MODES = ("oracle", "lepskii", "penalized-bias")
 _CUTOFF_FORMS = ("adaptive", "thm")
-_CONSTANT_KEYS = {"mode", "C", "a", "eps", "L"}
-
-CSV_HEADER = "n,rho,beta_nominal,d,mode,replicate,selected_M,rho_spent,mise,wall_ms"
 
 
 @dataclass
 class ExperimentConfig:
     """One sweep: a truth density, lists of n and rho, and an estimator mode.
+
+    The JSON document has one key per field, named after it, except that
+    the lists ns and rhos are written n and rho (the "key" metadata); the
+    fields without a default are the required keys, and `constants` takes
+    the fields of PenaltyConfig.
 
     deterministic_timings=True (the default) writes wall_ms = 0 in every
     record so that identical configs give byte-identical CSV files; set it
@@ -73,8 +74,8 @@ class ExperimentConfig:
     """
 
     density: dict
-    ns: list[int]
-    rhos: list[float]
+    ns: list[int] = field(metadata={"key": "n"})
+    rhos: list[float] = field(metadata={"key": "rho"})
     mode: str
     replicates: int
     seed: int
@@ -86,22 +87,6 @@ class ExperimentConfig:
     deterministic_timings: bool = True
     time_limit_s: float | None = None
 
-    _KEYS = {
-        "density",
-        "n",
-        "rho",
-        "mode",
-        "replicates",
-        "seed",
-        "d",
-        "beta",
-        "cutoff_form",
-        "constants",
-        "grid",
-        "deterministic_timings",
-        "time_limit_s",
-    }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Parse and validate a config document, reporting every violation.
@@ -110,11 +95,12 @@ class ExperimentConfig:
         problems = []
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
+        keys = {f.metadata.get("key", f.name): f for f in fields(cls)}
         for key in doc:
-            if key not in cls._KEYS:
+            if key not in keys:
                 problems.append(f"unknown key {key!r}")
-        for key in ("density", "n", "rho", "mode", "replicates", "seed", "d"):
-            if key not in doc:
+        for key, f in keys.items():
+            if f.default is MISSING and f.default_factory is MISSING and key not in doc:
                 problems.append(f"missing required key {key!r}")
 
         def typed(key, ok, kind, nullable=False):
@@ -164,9 +150,8 @@ class ExperimentConfig:
         if not isinstance(constants, dict):
             problems.append("'constants' must be an object")
         else:
-            for key in constants:
-                if key not in _CONSTANT_KEYS:
-                    problems.append(f"unknown constants key {key!r}")
+            known = {f.name for f in fields(PenaltyConfig)}
+            problems += [f"unknown constants key {key!r}" for key in constants if key not in known]
         grid = typed(
             "grid",
             lambda v: isinstance(v, list) and v and all(_is_int(m) for m in v),
@@ -211,31 +196,11 @@ class ExperimentConfig:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "density": self.density,
-            "n": list(self.ns),
-            "rho": list(self.rhos),
-            "mode": self.mode,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "d": self.d,
-            "beta": self.beta,
-            "cutoff_form": self.cutoff_form,
-            "constants": dict(self.constants),
-            "grid": self.grid,
-            "deterministic_timings": self.deterministic_timings,
-            "time_limit_s": self.time_limit_s,
-        }
+        doc = asdict(self)
+        return {f.metadata.get("key", f.name): doc[f.name] for f in fields(self)}
 
     def penalty_config(self) -> PenaltyConfig:
-        c = self.constants
-        return PenaltyConfig(
-            mode=c.get("mode", "practical"),
-            C=c.get("C"),
-            a=c.get("a", 1.0),
-            eps=c.get("eps", 0.5),
-            L=c.get("L", 2.0),
-        )
+        return PenaltyConfig(**self.constants)
 
 
 @dataclass
@@ -250,6 +215,10 @@ class ExperimentRecord:
     rho_spent: float
     mise: float
     wall_ms: float
+
+
+# The CSV columns are the record's fields, in order (write_csv).
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
 
 
 @dataclass(frozen=True)
@@ -465,40 +434,6 @@ def run_adaptivity_experiment(cfg: ExperimentConfig) -> AdaptivityResult:
     return AdaptivityResult(records=records, cells=summaries)
 
 
-def chi2_tail_check(D: int, delta: float, R: int, rng=None, sigma: float = 1.0) -> dict:
-    """Empirical check of the chi-squared tail bound.
-
-    Simulates Z = sigma^2 chi^2_D and compares the frequency of
-    Z >= (1+delta) D sigma^2 against max(exp(-D delta^2/4), exp(-D delta/2))
-    plus a Monte-Carlo margin of 4 sqrt(bound/R) + 4/R. Raises
-    AssertionError when the frequency exceeds the allowance.
-    """
-    if D < 1:
-        raise ValueError("D must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    if R < 10**4:
-        raise ValueError("R must be >= 10^4 for a meaningful tail estimate")
-    rng = np.random.default_rng(rng)
-    z = sigma * sigma * rng.chisquare(D, size=R)
-    threshold = (1.0 + delta) * D * sigma * sigma
-    empirical = float(np.mean(z >= threshold))
-    bound = max(math.exp(-D * delta * delta / 4.0), math.exp(-D * delta / 2.0))
-    allowed = bound + 4.0 * math.sqrt(bound / R) + 4.0 / R
-    result = {
-        "empirical": empirical,
-        "bound": bound,
-        "allowed": allowed,
-        "ok": empirical <= allowed,
-    }
-    if not result["ok"]:
-        raise AssertionError(
-            f"chi^2 tail frequency {empirical} exceeds allowance {allowed} "
-            f"(bound {bound}, D={D}, delta={delta}, R={R})"
-        )
-    return result
-
-
 def _g17(x) -> str:
     return f"{float(x):.17g}"
 
@@ -509,23 +444,10 @@ def write_csv(records, path) -> None:
     Floats use 17 significant digits so a re-run of the same config is
     byte-identical (given deterministic_timings).
     """
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    _g17(r.rho),
-                    _g17(r.beta_nominal),
-                    str(r.d),
-                    r.mode,
-                    str(r.replicate),
-                    str(r.selected_M),
-                    _g17(r.rho_spent),
-                    _g17(r.mise),
-                    _g17(r.wall_ms),
-                ]
-            )
-        )
+    columns = [(f.name, f.type == "float") for f in fields(ExperimentRecord)]
+    lines = [CSV_HEADER] + [
+        ",".join(_g17(getattr(r, key)) if real else str(getattr(r, key)) for key, real in columns)
+        for r in records
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

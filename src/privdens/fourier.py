@@ -38,7 +38,6 @@ refused before anything is allocated.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -52,10 +51,8 @@ __all__ = [
     "empirical_coefficients",
     "project",
     "l2_distance_sq",
-    "norm_sq",
     "evaluate",
     "evaluate_complex",
-    "hermitian_defect",
 ]
 
 # Points per block in both kernels. Fixed, so the floating-point reduction
@@ -192,9 +189,6 @@ class CoefficientGrid:
             "im": self.values.imag.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CoefficientGrid":
         def numbers_only(v):
@@ -212,10 +206,6 @@ class CoefficientGrid:
         if re.shape != im.shape:
             raise ValueError("re and im arrays must have equal length")
         return cls(dim, cutoff, re + 1j * im)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoefficientGrid":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _plan(cutoff: int, dim: int):
@@ -313,12 +303,6 @@ def l2_distance_sq(a: CoefficientGrid, b: CoefficientGrid) -> float:
     return float(np.sum(diff.real**2 + diff.imag**2))
 
 
-def norm_sq(grid: CoefficientGrid) -> float:
-    """Squared L2 norm of the trig polynomial, sum_k |theta_k|^2."""
-    v = grid.values
-    return float(np.sum(v.real**2 + v.imag**2))
-
-
 def evaluate_complex(grid: CoefficientGrid, x) -> np.ndarray | complex:
     """sum_k theta_k phi_k(x), the full complex value.
 
@@ -352,13 +336,3 @@ def evaluate(grid: CoefficientGrid, x):
     """
     out = evaluate_complex(grid, x)
     return np.real(out) if isinstance(out, np.ndarray) else out.real
-
-
-def hermitian_defect(grid: CoefficientGrid) -> float:
-    """max_k |theta_k - conj(theta_{-k})|; 0 for real-valued polynomials.
-
-    Reversing the lexicographic storage order maps k to -k, so the check is
-    a single array reversal.
-    """
-    v = grid.values
-    return float(np.abs(v - np.conj(v[::-1])).max())

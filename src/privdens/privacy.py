@@ -100,31 +100,19 @@ def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> float:
     return 2.0 * math.sqrt((2 * cutoff + 1) ** dim) / (n * math.sqrt(rho))
 
 
-def add_noise(
-    grid: CoefficientGrid,
-    sigma,
-    rng: np.random.Generator,
-    symmetrize: bool = False,
-) -> CoefficientGrid:
+def add_noise(grid: CoefficientGrid, sigma, rng: np.random.Generator) -> CoefficientGrid:
     """Release theta_k + sigma (N(0,1) + i N(0,1)) for every coefficient.
 
     Draws are consumed in lexicographic coefficient order, real part first.
     They are consumed even when sigma == 0 so that the generator state after
     the call does not depend on the scale; with sigma == 0 the output values
     equal the input exactly.
-
-    symmetrize=True averages theta_k with conj(theta_{-k}) afterwards. That
-    is post-processing of an already-private release, so it costs no budget;
-    it is off by default because the privacy analysis treats all (2M+1)^d
-    coefficients as independently noised, k = 0 and conjugate pairs included.
     """
     s = float(sigma)
     if not (math.isfinite(s) and s >= 0):
         raise ValueError(f"sigma must be nonnegative and finite, got {s}")
     draws = rng.standard_normal((grid.size, 2))
     noisy = grid.values + s * (draws[:, 0] + 1j * draws[:, 1])
-    if symmetrize:
-        noisy = 0.5 * (noisy + np.conj(noisy[::-1]))
     return CoefficientGrid(grid.dim, grid.cutoff, noisy)
 
 

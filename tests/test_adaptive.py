@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from privdens.adaptive import (
-    BetaGrid,
     PenaltyConfig,
     build_beta_grid,
     dyadic_cutoff_grid,
@@ -19,12 +18,11 @@ from privdens.adaptive import (
     penalized_bias_select,
     penalty_lambda1,
     penalty_lambda2,
-    risk_series_bound,
-    risk_series_sum,
 )
 from privdens.estimator import fit, optimal_cutoff_adaptive_form
 from privdens.fourier import CoefficientGrid
 from privdens.densities import TrigDensity, rejection_sample
+from theory_checks import risk_series_bound, risk_series_sum
 
 
 # ---------------------------------------------------------------------------
@@ -34,28 +32,27 @@ from privdens.densities import TrigDensity, rejection_sample
 
 def test_beta_grid_e_squared():
     # n = e^2 so log n = 2 exactly: k_n = 4, betas 2, 1.5, 1, 0.5
-    grid = build_beta_grid(math.e**2, 1.0)
-    assert grid.k_n == 4
-    assert grid.betas == pytest.approx((2.0, 1.5, 1.0, 0.5), abs=1e-12)
+    betas = build_beta_grid(math.e**2, 1.0)
+    assert len(betas) == 4
+    assert betas == pytest.approx((2.0, 1.5, 1.0, 0.5), abs=1e-12)
 
 
 def test_beta_grid_e_fourth():
-    grid = build_beta_grid(math.e**4, 0.5)
-    assert grid.k_n == 32
-    assert grid.betas[0] == pytest.approx(4.0, abs=1e-12)
-    steps = np.diff(grid.betas)
+    betas = build_beta_grid(math.e**4, 0.5)
+    assert len(betas) == 32
+    assert betas[0] == pytest.approx(4.0, abs=1e-12)
+    steps = np.diff(betas)
     assert np.allclose(steps, -0.125, atol=1e-12)
 
 
 def test_beta_grid_structure():
     for n, eps in ((100, 0.5), (10**4, 0.25), (77, 0.1)):
-        grid = build_beta_grid(n, eps)
-        betas = np.asarray(grid.betas)
-        assert len(betas) == grid.k_n
+        betas = build_beta_grid(n, eps)
+        assert isinstance(betas, tuple)
         gaps = np.diff(betas)
         assert np.allclose(gaps, gaps[0], atol=1e-12)  # constant spacing
         assert betas[-1] >= 0.0
-        assert betas[0] == pytest.approx(grid.k_n * eps / math.log(n), rel=1e-12)
+        assert betas[0] == pytest.approx(len(betas) * eps / math.log(n), rel=1e-12)
 
 
 def test_beta_grid_validation():

@@ -201,6 +201,26 @@ def test_generate_oversized_density_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_oversized_packing_refused(tmp_path, capsys):
+    # m^d is checked against the packing cap before any bit is drawn
+    out = tmp_path / "d.json"
+    assert main(["generate-density", "--kind", "packing", "--m", "100000", "--d", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "1000000000000000 bumps" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generate_oversized_lattice_refused(tmp_path, capsys):
+    # a d = 8 trig fixture certifies positivity on 32^8 lattice points: refused
+    out = tmp_path / "d.json"
+    assert main(["generate-density", "--kind", "trig", "--d", "8", "--M-truth", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "midpoint lattice" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_sample_fit_roundtrip(tmp_path):
     dens = tmp_path / "truth.json"
     assert main(["generate-density", "--kind", "trig", "--beta", "2.0",

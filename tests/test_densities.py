@@ -18,10 +18,8 @@ from privdens.densities import (
     ClippedDensity,
     PackingDensity,
     TrigDensity,
-    bump_psi,
     density_from_json_dict,
     exact_bias,
-    holder_tail_constant,
     make_packing_density,
     make_trig_density,
     midpoint_lattice,
@@ -33,31 +31,46 @@ from privdens.fourier import CoefficientGrid, empirical_coefficients
 
 
 # ---------------------------------------------------------------------------
-# bump function
+# the bump, seen through PackingDensity.evaluate
 # ---------------------------------------------------------------------------
 
 
+def _one_bump(d):
+    # m = 1: a single active bump at the center of the cube, so no other bump
+    # is near any point these tests use; returns it with its floor 1 - offset
+    # and its support radius 2h
+    f = make_packing_density(np.ones(1), 1, 1.0, d=d)
+    return f, 1.0 - f.offset, 2.0 * f.h
+
+
 def test_bump_at_origin():
-    assert bump_psi(np.zeros(1)) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert bump_psi(np.zeros(3)) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    for d in (1, 3):
+        f, floor, _ = _one_bump(d)
+        peak = floor + f.h**f.beta * f.amplitude * math.exp(-1.0)
+        assert f.evaluate(np.full(d, 0.5)) == pytest.approx(peak, rel=1e-14)
 
 
 def test_bump_support():
-    assert bump_psi(np.array([1.0])) == 0.0
-    assert bump_psi(np.array([2.0])) == 0.0
-    assert bump_psi(np.array([0.6, 0.8])) == 0.0  # norm exactly 1 in d=2
+    for d, direction in ((1, [1.0]), (1, [-1.0]), (2, [0.6, 0.8])):  # a unit vector
+        f, floor, radius = _one_bump(d)
+        for r in (1.0, 1.5, 2.0):  # on and past the rim
+            assert f.evaluate(0.5 + r * radius * np.array(direction)) == floor
 
 
 def test_bump_boundary_decay():
-    assert 0.0 < bump_psi(np.array([0.999])) < 1e-200
+    # the bump falls monotonically from its peak to the floor at the rim
+    f, floor, radius = _one_bump(1)
+    vals = [f.evaluate(np.array([0.5 + u * radius])) for u in (0.0, 0.5, 0.9, 0.999)]
+    assert vals[0] > vals[1] > vals[2] > floor
+    assert vals[3] == floor  # exp(-500) is below the floor's last bit
 
 
 def test_bump_symmetries():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-0.9, 0.9, size=(20, 2))
-    base = bump_psi(pts)
-    assert np.allclose(bump_psi(pts * np.array([-1.0, 1.0])), base, rtol=1e-13)
-    assert np.allclose(bump_psi(pts[:, ::-1]), base, rtol=1e-13)
+    f, _, radius = _one_bump(2)
+    u = np.random.default_rng(3).uniform(-0.9, 0.9, size=(20, 2)) / math.sqrt(2.0)
+    base = f.evaluate(0.5 + radius * u)
+    assert np.allclose(f.evaluate(0.5 + radius * u * np.array([-1.0, 1.0])), base, rtol=1e-13)
+    assert np.allclose(f.evaluate(0.5 + radius * u[:, ::-1]), base, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +256,14 @@ def test_packing_evaluate_matches_loop_over_centers(d, m, beta, floor_half):
         assert np.array_equal(f.evaluate(pts), _packing_by_loop(f, pts))
 
 
+def test_size_caps_refuse_before_allocating():
+    assert midpoint_lattice(4).shape == (2**20, 4)  # the largest default lattice built
+    with pytest.raises(ValueError, match="midpoint lattice"):
+        midpoint_lattice(8)  # 32^8 points
+    with pytest.raises(ValueError, match="bumps"):
+        make_packing_density(np.ones(1), 100_000, 1.0, d=3)
+
+
 def test_packing_floor_half():
     f = make_packing_density(np.ones(4, dtype=int), 4, 1.0, d=1, floor_half=True)
     lattice = midpoint_lattice(1)
@@ -261,25 +282,6 @@ def test_packing_theta_validation():
         make_packing_density(np.array([1, 0, 1]), 2, 1.0, d=1)  # wrong length
     with pytest.raises(ValueError):
         make_packing_density(np.array([1, 2]), 2, 1.0, d=1)  # not a bit vector
-
-
-# ---------------------------------------------------------------------------
-# Holder tail constant
-# ---------------------------------------------------------------------------
-
-
-def test_holder_examples():
-    assert holder_tail_constant(0.5) == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
-    assert holder_tail_constant(1.0 - 1e-9) == pytest.approx(16.0 / 9.0, rel=1e-6)
-
-
-def test_holder_scan_and_validation():
-    for s in np.linspace(0.1, 0.9, 9):
-        c = holder_tail_constant(float(s))
-        assert math.isfinite(c) and c > 0
-    for bad in (0.0, 1.0, -0.3, 2.0):
-        with pytest.raises(ValueError):
-            holder_tail_constant(bad)
 
 
 # ---------------------------------------------------------------------------

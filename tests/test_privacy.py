@@ -4,12 +4,17 @@ calibration identity (two independent routes to sigma must agree) and the
 distribution of the injected noise.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from privdens import fourier, privacy
+from privdens import adaptive, experiments, privacy
+from privdens.cli import main
+from privdens.densities import TrigDensity
+from privdens.estimator import ProjectionEstimate, fit
+from privdens.experiments import ExperimentConfig
 from privdens.fourier import CoefficientGrid, empirical_coefficients
 from privdens.privacy import (
     BudgetLedger,
@@ -171,18 +176,6 @@ def test_add_noise_part_statistics():
         assert abs(part.var() - sigma**2) <= 5.0 * sigma**2 / math.sqrt(len(part))
 
 
-def test_add_noise_symmetrize_postprocessing():
-    rng = np.random.default_rng(5)
-    data = rng.random((50, 1))
-    grid = empirical_coefficients(data, 3)
-    noisy = add_noise(grid, 0.2, np.random.default_rng(8), symmetrize=True)
-    assert fourier.hermitian_defect(noisy) <= 1e-12
-    # the symmetrized release averages theta_k with conj(theta_{-k})
-    raw = add_noise(grid, 0.2, np.random.default_rng(8), symmetrize=False)
-    expected = 0.5 * (raw.values + np.conj(raw.values[::-1]))
-    assert np.allclose(noisy.values, expected, atol=1e-15)
-
-
 def test_add_noise_negative_sigma_rejected():
     with pytest.raises(ValueError):
         add_noise(_toy_grid(), -0.1, np.random.default_rng(0))
@@ -256,3 +249,96 @@ def test_derived_rng_deterministic_and_distinct():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+
+
+# ---------------------------------------------------------------------------
+# the privacy claim: sensitivity and ledger
+# ---------------------------------------------------------------------------
+
+
+def test_coded_sensitivity_covers_worst_neighbouring_pair():
+    # Swapping x' for x moves the stacked coefficient vector by
+    # (1/n) sqrt(2K - 2 D(x - x')), D the product Dirichlet kernel. The swapped
+    # pair is placed at the minimiser of D over a lattice of differences, and
+    # the realized move, computed by empirical_coefficients, must not exceed
+    # the coded sensitivity. The coded bound's slack (README) is pinned too.
+    n = 5
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3):
+        for M in range(17):
+            per_axis = (16 if d < 3 else 4) * (2 * M + 1)
+            t = np.arange(per_axis) / per_axis
+            kernel_1d = np.cos(2 * np.pi * np.multiply.outer(t, np.arange(-M, M + 1))).sum(axis=1)
+            kernel = kernel_1d
+            for _ in range(d - 1):
+                kernel = np.multiply.outer(kernel, kernel_1d)
+            x = t[list(np.unravel_index(np.argmin(kernel), kernel.shape))]
+            rest = rng.random((n - 1, d))
+            moved = (
+                empirical_coefficients(np.vstack([rest, x]), M).values
+                - empirical_coefficients(np.vstack([rest, np.zeros(d)]), M).values
+            )
+            realized = math.sqrt(np.sum(moved.real**2 + moved.imag**2))
+            worst = math.sqrt(2 * (2 * M + 1) ** d - 2 * kernel.min()) / n
+            assert realized == pytest.approx(worst, rel=1e-9, abs=1e-12), (d, M)
+            coded = coefficient_sensitivity(n, M, d)
+            assert realized <= coded, (d, M)
+            if M >= 1:
+                assert 1.73 <= coded / realized <= 1.82, (d, M)
+
+
+def test_every_noise_draw_is_charged(monkeypatch, tmp_path, capsys):
+    # Each add_noise call is one ledger entry, the ledger adds up to the
+    # reported rho_spent, and no path spends more than it was given.
+    calls = []
+    add_noise_uncounted = privacy.add_noise
+
+    def counted(grid, sigma, rng):
+        calls.append(sigma)
+        return add_noise_uncounted(grid, sigma, rng)
+
+    monkeypatch.setattr(privacy, "add_noise", counted)
+    rho = 0.5
+    data = np.random.default_rng(31).random((500, 1))
+
+    def check(rho_spent, ledger_spent, entries):
+        assert len(calls) == entries
+        assert ledger_spent == pytest.approx(rho_spent, rel=1e-12)
+        assert rho_spent <= rho
+        calls.clear()
+
+    for select in (adaptive.lepskii_select, adaptive.penalized_bias_select):
+        est, trace = select(data, rho, rng=np.random.default_rng(32))
+        assert est.rho_spent == trace.rho_spent
+        check(est.rho_spent, trace.ledger.spent, len(trace.ledger))
+
+    est = fit(data, 4, rho, np.random.default_rng(33))
+    check(est.rho_spent, rho, 1)  # a plain fit carries no ledger: one release at rho
+
+    points = tmp_path / "pts.csv"
+    points.write_text("".join(f"{x:.17g}\n" for x in data[:, 0]), encoding="utf-8")
+    out = tmp_path / "est.json"
+    assert main(["fit", str(points), "--rho", str(rho), "--M", "4", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    entries = [line for line in printed if ": rho=" in line]
+    total = float(next(line for line in printed if "total spent" in line).split()[2])
+    released = ProjectionEstimate.from_json_dict(json.loads(out.read_text()))
+    check(released.rho_spent, total, len(entries))
+
+    traces = []
+    select_untapped = adaptive.lepskii_select
+
+    def tapped(*args, **kwargs):
+        est, trace = select_untapped(*args, **kwargs)
+        traces.append(trace)
+        return est, trace
+
+    monkeypatch.setattr(adaptive, "lepskii_select", tapped)
+    cfg = ExperimentConfig(
+        density={"kind": "uniform", "d": 1}, ns=[500], rhos=[rho], mode="lepskii",
+        replicates=1, seed=34, d=1,
+    )
+    (record,), _ = experiments._sweep(cfg, TrigDensity.uniform(1))
+    (trace,) = traces
+    assert record.rho_spent == trace.rho_spent
+    check(record.rho_spent, trace.ledger.spent, len(trace.ledger))

@@ -8,11 +8,14 @@ Everything goes through the command line of the checkout this file sits in
 on an older commit. Into OUTDIR it writes:
 
 * `experiments/`: the CSVs and `summary.json` of the criterion 6, 7, 8 and
-  9a sweeps and of a d = 2 adaptivity sweep in both modes, 2 replicates
-  each (`privdens experiment`);
-* a CLI round trip: three `generate-density` fixtures, `sample`,
-  `fit --M`, `fit --adaptive penalized-bias` and `fit --adaptive lepskii`
-  with `--trace`, and `sample` from the released estimate;
+  9a sweeps, of a d = 2 adaptivity sweep in both modes and of an oracle
+  sweep on a d = 2 packing (its MISE is the lattice quadrature route),
+  2 replicates each (`privdens experiment`);
+* a CLI round trip: three trig and one packing `generate-density`
+  fixtures, `sample`, `fit --M`, `fit --adaptive penalized-bias` and
+  `fit --adaptive lepskii` with `--trace`, and `sample` from the released
+  estimate;
+* `rates.csv` from `rate-table`, and the default config of `print-config`;
 * `stdout.txt`: what each command printed, run from inside OUTDIR with
   relative paths so that it does not depend on where OUTDIR is.
 
@@ -46,6 +49,7 @@ FIXTURES = {
     "beta2.json": ["--kind", "trig", "--beta", "2", "--L", "2", "--M-truth", "20", "--seed", "7"],
     "trig_d2.json": ["--kind", "trig", "--d", "2", "--beta", "2", "--L", "2", "--M-truth", "8",
                      "--seed", "21"],
+    "packing_d2.json": ["--kind", "packing", "--d", "2", "--m", "4", "--beta", "1", "--seed", "41"],
 }
 # (sweep name, fixture, config); criteria 6 to 9a keep the seeds of tests/test_acceptance.py
 SWEEPS = [
@@ -63,6 +67,8 @@ SWEEPS = [
      {"n": [4096], "rho": [1.0], "mode": "penalized-bias", "seed": 21, "beta": 2.0}),
     ("d2_lepskii", "trig_d2.json",
      {"n": [4096], "rho": [1.0], "mode": "lepskii", "seed": 22, "beta": 2.0}),
+    ("packing_d2", "packing_d2.json",
+     {"n": [1024, 4096], "rho": [0.5, 4.0], "mode": "oracle", "seed": 42, "beta": 1.0}),
 ]
 ROUND_TRIP = [
     ["sample", "beta2.json", "--n", "16384", "--seed", "0", "--out", "points.csv"],
@@ -72,6 +78,10 @@ ROUND_TRIP = [
     ["fit", "points.csv", "--rho", "1", "--adaptive", "lepskii", "--seed", "2",
      "--out", "lepskii.json", "--trace", "lepskii_trace.json"],
     ["sample", "fixed.json", "--n", "1000", "--seed", "3", "--out", "synthetic.csv"],
+    ["rate-table", "--n", "100", "4096", "1000000", "--rho", "0.001", "1", "1000",
+     "--beta", "0.5", "1", "2.5", "--d", "2", "--out", "rates.csv"],
+    ["rate-table", "--n", "1000", "--rho", "0.01", "1", "--beta", "1", "2"],
+    ["print-config"],
 ]
 
 
@@ -148,8 +158,8 @@ def main(argv: list[str]) -> int:
     sweeps = {}
     for name, fixture, cfg in SWEEPS:
         density = json.loads((out / fixture).read_text(encoding="utf-8"))
-        sweeps[name] = {"density": density, "d": density["coefficients"]["d"], "replicates": 2,
-                        **cfg}
+        d = density["d"] if "d" in density else density["coefficients"]["d"]
+        sweeps[name] = {"density": density, "d": d, "replicates": 2, **cfg}
     (out / "sweeps.json").write_text(json.dumps({"sweeps": sweeps}, indent=1) + "\n",
                                      encoding="utf-8")
     cli("experiment", "sweeps.json", "--out-dir", "experiments")
