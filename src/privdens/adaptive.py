@@ -261,13 +261,14 @@ def lepskii_select(
 ) -> tuple[ProjectionEstimate, SelectionTrace]:
     """Adaptive cut-off selection by the Lepskii rule.
 
-    Fits one private estimator per grid smoothness (budget rho'_n each,
-    noise draws consumed in candidate order m = 0, 1, ...), then picks the
-    smallest index m whose estimator lies within the penalized risk
-    threshold of every candidate l >= m, once the expected noise energy of
-    both candidates is subtracted from their squared distance. The trace
-    stores the raw distances; replay() derives the offsets from the stored
-    sigmas and cut-offs. rng is required.
+    Fits one private estimator per grid smoothness (budget rho'_n =
+    min(rho eps / (log n)^2, rho / k_n) each, noise draws consumed in
+    candidate order m = 0, 1, ...), then picks the smallest index m whose
+    estimator lies within the penalized risk threshold of every candidate
+    l >= m, once the expected noise energy of both candidates is subtracted
+    from their squared distance. The trace stores the raw distances;
+    replay() derives the offsets from the stored sigmas and cut-offs. rng is
+    required.
     """
     cfg = cfg or PenaltyConfig()
     pts = as_points(data)
@@ -290,7 +291,8 @@ def lepskii_select(
 
     ln = math.log(n)
     betas = build_beta_grid(n, cfg.eps)
-    rho_prime = rho_v * cfg.eps / (ln * ln)
+    # k_n is clamped up to 1 when eps > (log n)^2; rho / k_n caps the total at rho
+    rho_prime = min(rho_v * cfg.eps / (ln * ln), rho_v / len(betas))
     cutoffs = [optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in betas]
     c_val = cfg.resolved_C(d)
     thresholds = np.array(

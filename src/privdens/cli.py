@@ -163,12 +163,7 @@ def _cmd_generate_density(args) -> int:
             args.beta, args.L, args.M_truth, d=args.d, rng=args.seed
         )
     else:
-        m_total = args.m**args.d
-        if m_total > densities._MAX_BUMPS:
-            raise ValueError(
-                f"a packing with m = {args.m} in d = {args.d} has m^d = {m_total} bumps, "
-                f"more than the {densities._MAX_BUMPS} this package builds"
-            )
+        m_total = densities._packing_size(args.m, args.d)
         if args.theta is not None:
             bits = [int(c) for c in args.theta if c in "01"]
             if len(bits) != m_total or len(args.theta) != m_total:

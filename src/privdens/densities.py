@@ -315,6 +315,20 @@ def exact_bias(truth: TrigDensity, cutoff: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _packing_size(m: int, d: int) -> int:
+    """m^d, the bumps of a packing, after checking m >= 1, d >= 1 and _MAX_BUMPS."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if m**d > _MAX_BUMPS:
+        raise ValueError(
+            f"a packing with m = {m} in d = {d} has m^d = {m**d} bumps, "
+            f"more than the {_MAX_BUMPS} this package builds"
+        )
+    return m**d
+
+
 @dataclass
 class PackingDensity:
     """Perturbed-uniform bump density; mass is exactly 1 by construction.
@@ -338,14 +352,10 @@ class PackingDensity:
     _centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.m**self.d > _MAX_BUMPS:
-            raise ValueError(
-                f"a packing with m = {self.m} in d = {self.d} has m^d = {self.m**self.d} "
-                f"bumps, more than the {_MAX_BUMPS} this package builds"
-            )
+        size = _packing_size(self.m, self.d)
         self.theta = np.asarray(self.theta, dtype=np.uint8).reshape(-1)
-        if len(self.theta) != self.m**self.d:
-            raise ValueError(f"theta must have length m^d = {self.m ** self.d}")
+        if len(self.theta) != size:
+            raise ValueError(f"theta must have length m^d = {size}")
         if not np.all((self.theta == 0) | (self.theta == 1)):
             raise ValueError("theta entries must be 0 or 1")
         axis = np.arange(1, self.m + 1) / (self.m + 1)
@@ -414,8 +424,7 @@ def make_packing_density(theta, m, beta, d=1, L=2.0, *, floor_half=False) -> Pac
     (0.99 L)^2 < L^2. h = min(1/(gamma (m+1)), 1/(4(m+1))); floor_half=True
     halves the first term, which forces the density >= 1/2 everywhere.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _packing_size(m, d)
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if L <= 0:

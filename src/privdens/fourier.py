@@ -15,29 +15,35 @@ The kernel cuts the frequency cube into two factors of about sqrt(K)
 frequencies each, K = (2M+1)^d: the first half of the coordinates against
 the second, and in odd d the middle coordinate split as k + M = qB + r with
 B = ceil(sqrt(2M+1)) (in d = 1 that split is the whole cut). A block of
-points gets one exp table per coordinate or part of one; the row-wise
-Khatri-Rao product of each factor's tables is a (rows, ~sqrt(K)) matrix,
-and the coefficients are one matrix product per block, L^T R. Evaluation
-contracts the coefficient matrix with the same tables: L theta, then a
-row-wise dot with R. This takes about 2 sqrt(K) complex exps per point in
-d = 1 (about d (2M+1) in d >= 2) instead of K, and the O(n K) multiply-adds
-run in BLAS.
+points gets one (frequencies, points) exp table per coordinate or part of
+one; the Khatri-Rao product of each factor's tables along the frequency axis
+is a (~sqrt(K), rows) matrix, and the coefficients are one matrix product per
+block, L R^T. Evaluation is theta^T L, then a column-wise dot with R. A table
+is built by doubling from f = 0: that row is exactly 1, the rows s .. 2s - 1
+steps from 0 are rows 0 .. s - 1 times one fresh exp, and the shorter side
+of 0 is the conjugate of the longer, so t rows take about log2(t) exps.
+Coefficients are computed only in the rows whose leading left-factor
+frequency is >= 0, which hold every k >= 0 in storage order, and the rest
+mirrored, values[:K//2] = conj(values[:K//2:-1]): the output is exactly
+Hermitian, and theta_0 (n products 1 * 1, divided by n) exactly 1.
 
-Accuracy: a table entry is exp of a rounded phase 2 pi f x with
-|f| <= M + B, as in a direct sum, so a term's phase differs from the direct
-sum's by at most about 2 pi (2M + 2B) 2^-53 (5.8e-12 at M = 4096), and
-these differences average out over the n points. On the grid of
-tests/test_fourier.py, up to M = 4096 on 1024 points, the coefficients and
-the values of grids with sum |theta_k| = 1 agree with a direct cos/sin sum
-to 1e-12 or better. Blocks have a fixed number of rows and are added in a
-fixed order, and a BLAS matrix product does not split its inner (block-row)
-dimension between threads, so the output bits depend neither on memory nor
-on the thread count. Grids of more than _MAX_COEFFICIENTS entries are
-refused before anything is allocated.
+Accuracy: a row's phase 2 pi f x is the sum of at most log2|f| + 1 fresh
+phases, each rounded as in a direct sum, so a term's phase differs from the
+direct sum's by at most about 2 pi (2M + 2B) 2^-53 (5.8e-12 at M = 4096),
+plus one rounding per product; the differences average out over the n
+points. On the grid of tests/test_fourier.py, up to M = 4096 on 1024 points,
+the coefficients and the values of grids with sum |theta_k| = 1 agree with a
+direct cos/sin sum to 1e-12 or better (1.2e-13 at worst). Blocks have a
+fixed number of rows and are added in a fixed order, and a BLAS matrix
+product does not split its inner (block-row) dimension between threads, so
+the output bits depend neither on memory nor on the thread count. Grids of
+more than _MAX_COEFFICIENTS entries are refused before anything is
+allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -57,9 +63,10 @@ __all__ = [
 
 # Points per block in both kernels. Fixed, so the floating-point reduction
 # order (and thus the output bits) never depends on memory or thread count.
-# A block holds, as complex128, the two factors and L theta during
+# A block holds, as complex128, the two factors and theta^T L during
 # evaluation, each 16 * 1024 * ~sqrt(K) bytes: 1.5 MB at d = 1, M = 4096;
 # 2 MB at d = 2, M = 63; 67 MB at the _MAX_COEFFICIENTS cap (0.2 GB in all).
+# The coefficients' left factor holds only its k >= 0 half.
 _CHUNK = 1024
 # Largest grid, (2M+1)^d entries, that any function here builds: 2^24 complex
 # values are 256 MiB. Larger requests fail with ValueError before allocating.
@@ -238,32 +245,57 @@ def _plan(cutoff: int, dim: int):
     return left, right, (width**half, len(q) * b, width**half), width
 
 
+def _exp_table(x: np.ndarray, freqs: np.ndarray, sign: float) -> np.ndarray:
+    """exp(sign 2 pi i f x), one row per f in freqs, an arithmetic progression
+    through 0, built by doubling from f = 0 (module docstring)."""
+    table = np.empty((len(freqs), len(x)), dtype=complex)
+    zero = int(np.flatnonzero(freqs == 0)[0])
+    step = int(freqs[1] - freqs[0]) if len(freqs) > 1 else 0
+    rows = table
+    if 2 * zero >= len(freqs):  # more negative frequencies than positive: fill from the end
+        rows, zero, step = table[::-1], len(freqs) - 1 - zero, -step
+    rows[zero] = 1.0
+    s = 1
+    while zero + s < len(rows):
+        top = min(zero + 2 * s, len(rows))
+        fresh = np.exp(sign * 2j * np.pi * (s * step) * x)
+        np.multiply(rows[zero : top - s], fresh, out=rows[zero + s : top])
+        s *= 2
+    rows[:zero] = np.conj(rows[2 * zero : zero : -1])
+    return table
+
+
 def _khatri_rao(block: np.ndarray, tables, sign: float) -> np.ndarray:
-    """Row-wise Khatri-Rao product of exp(sign 2 pi i f x_j) over the tables
-    (coordinate j, frequencies f), earlier tables slower: (rows, prod len(f))."""
-    out = np.ones((len(block), 1))
-    for j, freqs in tables:
-        table = np.exp(sign * 2j * np.pi * np.multiply.outer(block[:, j], freqs))
-        out = (out[:, :, None] * table[:, None, :]).reshape(len(block), -1)
-    return out
+    """Khatri-Rao product, along the frequency axis, of the _exp_table of each
+    (coordinate j, frequencies f) in tables, earlier tables slower:
+    (prod len(f), rows)."""
+    factors = (_exp_table(block[:, j], freqs, sign) for j, freqs in tables)
+    return functools.reduce(lambda a, b: (a[:, None] * b).reshape(-1, len(block)), factors)
 
 
 def empirical_coefficients(data, cutoff: int) -> CoefficientGrid:
     """Empirical Fourier coefficients of a sample.
 
     theta_k = (1/n) sum_j conj(phi_k(X_j)) for every k in {-M..M}^d. The
-    k = 0 entry is exactly 1. The result is Hermitian-symmetric and every
-    entry has modulus <= 1, both up to rounding.
+    k = 0 entry is exactly 1 and the result is exactly Hermitian-symmetric;
+    every entry has modulus <= 1 up to rounding.
     """
     pts = as_points(data)
     n, d = pts.shape
-    _cube_size(cutoff, d)
+    size = _cube_size(cutoff, d)
     left, right, shape, width = _plan(cutoff, d)
+    (j, lead), rest = left[0], left[1:]
+    half = [(j, lead[lead >= 0])] + rest  # every k >= 0 in storage order
     acc = 0
     for start in range(0, n, _CHUNK):
         block = pts[start : start + _CHUNK]
-        acc += _khatri_rao(block, left, -1.0).T @ _khatri_rao(block, right, -1.0)
-    return CoefficientGrid(d, cutoff, acc.reshape(shape)[:, :width, :].reshape(-1) / n)
+        acc += _khatri_rao(block, half, -1.0) @ _khatri_rao(block, right, -1.0).T
+    full = np.zeros(math.prod(shape), dtype=complex)
+    full[-acc.size :] = acc.reshape(-1)
+    full.view(float)[:] /= n  # real division: numpy's complex one gives 161 / 161 < 1
+    values = full.reshape(shape)[:, :width, :].reshape(-1)
+    values[: size // 2] = np.conj(values[: size // 2 : -1])
+    return CoefficientGrid(d, cutoff, values)
 
 
 def project(grid: CoefficientGrid, cutoff: int) -> CoefficientGrid:
@@ -319,10 +351,9 @@ def evaluate_complex(grid: CoefficientGrid, x) -> np.ndarray | complex:
     out = np.empty(pts.shape[0], dtype=complex)
     for start in range(0, pts.shape[0], _CHUNK):
         block = pts[start : start + _CHUNK]
-        # the left factor's axes contract in the matrix product, the right's in a row-wise dot
-        part = _khatri_rao(block, left, 1.0) @ tensor
-        right_table = _khatri_rao(block, right, 1.0)
-        out[start : start + len(block)] = np.einsum("ij,ij->i", part, right_table)
+        # the left factor's axes contract in the matrix product, the right's in a column-wise dot
+        part = tensor.T @ _khatri_rao(block, left, 1.0)
+        out[start : start + len(block)] = np.einsum("ij,ij->j", part, _khatri_rao(block, right, 1.0))
     return complex(out[0]) if single else out
 
 

@@ -175,6 +175,8 @@ def test_lepskii_singleton_grid():
     est, trace = lepskii_select(data, 1.0, cfg, np.random.default_rng(23))
     assert len(trace.cutoffs) == 1
     assert trace.selected_index == 0
+    # the single candidate is charged rho / k_n = rho, not rho eps / (log n)^2 > rho
+    assert trace.rho_spent <= 1.0 + 1e-12
 
 
 def test_lepskii_budget_identity():

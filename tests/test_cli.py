@@ -87,6 +87,18 @@ def test_fit_adaptive_writes_trace_and_ledger(tmp_path, capsys):
     assert "selected M=" in text and "total spent" in text
 
 
+def test_fit_lepskii_large_eps_stays_within_budget(tmp_path, capsys):
+    # eps = 50 > (log 100)^2 clamps the grid to one candidate, charged rho itself
+    rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(5).random(100))
+    data = _write(tmp_path / "pts.csv", rows + "\n")
+    out = tmp_path / "est.json"
+    assert main(["fit", data, "--rho", "1", "--adaptive", "lepskii", "--eps", "50",
+                 "--seed", "6", "--out", str(out)]) == 0
+    spent = float(capsys.readouterr().out.split("total spent: ")[1].split()[0])
+    assert spent <= 1.0 + 1e-12
+    assert json.loads(out.read_text())["rho_spent"] <= 1.0 + 1e-12
+
+
 def test_fit_malformed_row_names_line(tmp_path, capsys):
     data = _write(tmp_path / "pts.csv", "0.5\nnot-a-number\n0.25\n")
     code = main(["fit", data, "--M", "1", "--out", str(tmp_path / "e.json")])
@@ -218,6 +230,15 @@ def test_generate_oversized_lattice_refused(tmp_path, capsys):
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "midpoint lattice" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_generate_packing_nonpositive_dimension_rejected(tmp_path, capsys, d):
+    out = tmp_path / "d.json"
+    assert main(["generate-density", "--kind", "packing", "--d", d, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "d must be >= 1" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privdens import densities, fourier
 from privdens.fourier import (
@@ -223,6 +225,29 @@ def test_kernel_coefficients_match_direct_sum(d, M, n):
     grid = empirical_coefficients(x, M)
     assert np.abs(grid.values - _direct_coefficients(x, M)).max() <= 1e-12
     assert grid.values[grid.size // 2] == 1.0
+
+
+@pytest.mark.parametrize("d,M,n", KERNEL_CASES)
+def test_kernel_coefficients_are_exactly_hermitian(d, M, n):
+    # the kernel computes the half k >= 0 and mirrors it by conjugation
+    v = empirical_coefficients(np.random.default_rng(1000 * d + M).random((n, d)), M).values
+    assert np.array_equal(v, np.conj(v[::-1]))
+    assert v[v.size // 2] == 1
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(d=st.integers(1, 3), M=st.integers(0, 6), n=st.integers(1, 2100),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_direct_sum_property(d, M, n, seed):
+    # n up to 2100 crosses the kernel's 1024-point block boundary twice
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, d))
+    v = empirical_coefficients(x, M).values
+    assert np.abs(v - _direct_coefficients(x, M)).max() <= 1e-12
+    assert np.array_equal(v, np.conj(v[::-1])) and v[v.size // 2] == 1
+    values = rng.normal(size=v.size) + 1j * rng.normal(size=v.size)
+    grid = CoefficientGrid(d, M, values / np.abs(values).sum())
+    assert np.abs(evaluate_complex(grid, x) - _direct_values(grid.values, M, x)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d,M", sorted({(d, M) for d, M, _ in KERNEL_CASES}))
