@@ -32,7 +32,9 @@ generator), hands the candidates to the rule's score function and picks the
 winner with the rule's decision on that evidence, the same code
 SelectionTrace.replay() runs. Both return the chosen estimate together with
 a SelectionTrace holding the release and the rule's evidence, so the choice
-can be replayed and audited offline.
+can be replayed and audited offline. A release of more than _MAX_CANDIDATES
+Lepskii candidates, or of more than fourier._MAX_COEFFICIENTS coefficients
+over all candidates, is refused before any noise is drawn.
 """
 
 from __future__ import annotations
@@ -46,16 +48,23 @@ import numpy as np
 from . import privacy
 from .estimator import (
     ProjectionEstimate,
+    _release,
     optimal_cutoff_adaptive_form,
     theoretical_rate,
 )
 from .fourier import (
+    _MAX_COEFFICIENTS,
+    _cube_size,
     _is_int,
+    _is_number,
     as_points,
     empirical_coefficients,
     multi_indices,
     project,
 )
+
+# Most Lepskii candidates released: their pairwise distances are 2^24 floats.
+_MAX_CANDIDATES = 2**12
 
 __all__ = [
     "PenaltyConfig",
@@ -74,7 +83,8 @@ def build_beta_grid(n, eps: float) -> tuple[float, ...]:
     descending from k_n eps / log n in steps of eps / log n.
 
     n may be any real >= 3; sample sizes are integers in practice but the
-    grid is pure arithmetic in log n."""
+    grid is pure arithmetic in log n. More than _MAX_CANDIDATES values are
+    refused."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if eps <= 0:
@@ -82,7 +92,13 @@ def build_beta_grid(n, eps: float) -> tuple[float, ...]:
     ln = math.log(n)
     # Tolerant floor: mathematically integer arguments (n = e^2 and friends)
     # land a few ulp low and must not lose a grid point.
-    k_n = max(1, int(math.floor((ln * ln / eps) * (1.0 + 1e-12))))
+    size = (ln * ln / eps) * (1.0 + 1e-12)
+    if size >= _MAX_CANDIDATES + 1:
+        raise ValueError(
+            f"eps = {eps} at n = {n} gives more than the {_MAX_CANDIDATES} "
+            "Lepskii candidates this package releases"
+        )
+    k_n = max(1, int(math.floor(size)))
     step = eps / ln
     return tuple((k_n - m) * step for m in range(k_n))
 
@@ -98,6 +114,8 @@ class PenaltyConfig:
     index 0), so mode="practical" (default C = 1) exists for experiments;
     every trace records which mode produced it. Both modes compare the
     same noise-corrected distances; only C and the checks on a differ.
+    C (when given), a, eps and L must be finite real numbers; a bool, a
+    string, NaN or an infinity is rejected with a ValueError naming it.
     """
 
     mode: str = "practical"
@@ -109,6 +127,12 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.mode not in ("practical", "theory"):
             raise ValueError(f"mode must be 'practical' or 'theory', got {self.mode!r}")
+        for name in ("C", "a", "eps", "L"):
+            value = getattr(self, name)
+            if not (name == "C" and value is None) and not (
+                _is_number(value) and math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.a <= 0:
             raise ValueError("a must be > 0")
         if self.eps <= 0:
@@ -186,28 +210,32 @@ class SelectionTrace:
 def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, score):
     """The release and decision of both rules.
 
-    Candidate m is project(master, cutoffs[m]) plus Gaussian noise at
-    sigma_for_cutoff(n, rho_prime, M, d), draws consumed in candidate order,
-    charged rho_prime to a fresh ledger as label.format(m=m, cutoff=M).
-    score(candidate_matrix, sigmas) receives the candidates as rows, each
-    zero-padded to the largest cut-off, and returns the evidence; the
-    method's decision picks the winner from it, which is returned with
-    rho_spent = spent alongside the trace.
+    Candidate m is the release (estimator._release) of project(master,
+    cutoffs[m]) at rho_prime, draws consumed in candidate order, charged to
+    one fresh ledger as label.format(m=m, cutoff=M). score(candidate_matrix,
+    sigmas) receives the candidates as rows, each zero-padded to the largest
+    cut-off, and returns the evidence; the method's decision picks the
+    winner from it, which is returned with rho_spent = spent and the ledger
+    alongside the trace.
     """
     if rng is None:
         raise ValueError("a seeded rng is required for a private selection")
     n, d = pts.shape
     top = max(cutoffs)
+    size = len(cutoffs) * _cube_size(top, d)
+    if size > _MAX_COEFFICIENTS:
+        raise ValueError(
+            f"{len(cutoffs)} candidates up to M = {top} in d = {d} hold {size} coefficients, "
+            f"more than the {_MAX_COEFFICIENTS} this package builds"
+        )
     master = empirical_coefficients(pts, top)
     ledger = privacy.BudgetLedger()
-    estimates: list[ProjectionEstimate] = []
-    sigmas: list[float] = []
-    for m, cutoff in enumerate(cutoffs):
-        sigma = privacy.sigma_for_cutoff(n, rho_prime, cutoff, d)
-        grid = privacy.add_noise(project(master, cutoff), sigma, rng)
-        estimates.append(ProjectionEstimate(grid, n, sigma=sigma, rho_spent=rho_prime))
-        sigmas.append(sigma)
-        ledger.charge(label.format(m=m, cutoff=cutoff), rho_prime)
+    estimates = [
+        _release(project(master, cutoff), n, rho_prime, rng, ledger,
+                 label.format(m=m, cutoff=cutoff))
+        for m, cutoff in enumerate(cutoffs)
+    ]
+    sigmas = [e.sigma for e in estimates]
     evidence = score(np.vstack([project(e.coefficients, top).values for e in estimates]), sigmas)
     selected = _DECISIONS[method](evidence, sigmas, cutoffs, d)
     trace = SelectionTrace(
@@ -295,9 +323,11 @@ def lepskii_select(
     rho_prime = min(rho_v * cfg.eps / (ln * ln), rho_v / len(betas))
     cutoffs = [optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in betas]
     c_val = cfg.resolved_C(d)
-    thresholds = np.array(
-        [c_val * ln**cfg.a * theoretical_rate(n, rho_prime, beta, d) for beta in betas]
-    )
+    try:
+        scale = c_val * ln**cfg.a
+    except OverflowError:  # a large a: the threshold is infinite and accepts every candidate
+        scale = math.inf
+    thresholds = np.array([scale * theoretical_rate(n, rho_prime, beta, d) for beta in betas])
 
     def score(cands, sigmas):
         dist = _pairwise_sq_distances(cands)

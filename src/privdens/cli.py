@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adaptive, densities, estimator, privacy
+from . import adaptive, densities, estimator, experiments, privacy
 from .adaptive import PenaltyConfig
 from .densities import ClippedDensity, density_from_json_dict, rejection_sample
 from .estimator import ProjectionEstimate, fit, rate_regime, theoretical_rate
@@ -76,17 +76,14 @@ def _write_json(path: str, obj: dict) -> None:
     )
 
 
-def _print_ledger(ledger: privacy.BudgetLedger | None, requested=None) -> None:
+def _print_ledger(ledger: privacy.BudgetLedger, requested) -> None:
     print("budget ledger:")
-    if ledger is None or len(ledger) == 0:
+    if len(ledger) == 0:
         print("  (empty: no privacy mechanism invoked)")
         return
     for label, rho in ledger.entries:
         print(f"  {label}: rho={rho:.17g}")
-    line = f"  total spent: {ledger.spent:.17g}"
-    if requested is not None:
-        line += f" (requested {float(requested):.17g})"
-    print(line)
+    print(f"  total spent: {ledger.spent:.17g} (requested {float(requested):.17g})")
 
 
 # ---------------------------------------------------------------------------
@@ -109,33 +106,25 @@ def _cmd_fit(args) -> int:
             est, trace = adaptive.lepskii_select(data, args.rho, cfg, rng)
         else:
             est, trace = adaptive.penalized_bias_select(data, args.rho, None, rng)
-        _write_json(args.out, est.to_json_dict())
         if args.trace:
             _write_json(args.trace, trace.to_json_dict())
-        print(f"selected M={trace.selected_cutoff} by {trace.method}")
-        _print_ledger(trace.ledger, requested=args.rho)
-        return 0
-
-    if args.M is not None:
-        cutoff = args.M
-    elif args.beta is not None:
-        if args.rho is not None:
-            cutoff = estimator.optimal_cutoff_adaptive_form(n, args.rho, args.beta, d)
+        line = f"selected M={trace.selected_cutoff} by {trace.method}"
+    else:
+        if args.M is not None:
+            cutoff = args.M
+        elif args.beta is not None:
+            if args.rho is not None:
+                cutoff = estimator.optimal_cutoff_adaptive_form(n, args.rho, args.beta, d)
+            else:
+                # no privacy: only the sampling branch of the tuned cut-off
+                cutoff = estimator._floor_pow(float(n), 1.0 / (2.0 * args.beta + d))
         else:
-            # no privacy: only the sampling branch of the tuned cut-off
-            cutoff = estimator._floor_pow(float(n), 1.0 / (2.0 * args.beta + d))
-    else:
-        raise UsageError("choose a cut-off: --M, --beta, or --adaptive")
-
-    ledger = privacy.BudgetLedger()
-    if args.rho is not None:
+            raise UsageError("choose a cut-off: --M, --beta, or --adaptive")
         est = fit(data, cutoff, args.rho, rng)
-        ledger.charge(f"fit (M={cutoff}, d={d})", args.rho)
-    else:
-        est = fit(data, cutoff)
+        line = f"fit M={cutoff} on n={n} points (d={d}), sigma={est.sigma:.17g}"
     _write_json(args.out, est.to_json_dict())
-    print(f"fit M={cutoff} on n={n} points (d={d}), sigma={est.sigma:.17g}")
-    _print_ledger(ledger, requested=args.rho)
+    print(line)
+    _print_ledger(est.ledger, args.rho)
     return 0
 
 
@@ -189,7 +178,9 @@ def _cmd_experiment(args) -> int:
     problems = []
     for name, sweep in sweep_docs.items():
         try:
-            configs[name] = ExperimentConfig.from_dict(sweep)
+            cfg = configs[name] = ExperimentConfig.from_dict(sweep)
+            if cfg.mode != "oracle":
+                experiments._check_adaptivity(cfg)
         except ValueError as exc:
             problems.append(f"sweep {name!r}: {exc}")
     if problems:

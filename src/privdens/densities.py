@@ -38,6 +38,7 @@ from . import fourier
 from .fourier import (
     CoefficientGrid,
     _field,
+    _int_power,
     _is_int,
     _is_number,
     as_points,
@@ -72,6 +73,10 @@ _MAX_LATTICE_POINTS = 2**20
 # Largest packing built, in bumps (m^d); its bits and centers are allocated
 # in full, 8 d + 1 bytes per bump. The command line checks it before drawing.
 _MAX_BUMPS = 2**20
+# Largest sample drawn, in coordinates (n d): 2^24 are 128 MiB of points,
+# 256 times the largest sample the tests and benchmark draw. rejection_sample
+# and ExperimentConfig refuse more before anything is drawn.
+_MAX_SAMPLE_VALUES = 2**24
 
 
 def lattice_resolution(d: int) -> int:
@@ -81,9 +86,10 @@ def lattice_resolution(d: int) -> int:
 def midpoint_lattice(d: int, per_axis: int | None = None) -> np.ndarray:
     """Midpoint lattice ((i+1/2)/N per axis) as an (N^d, d) array."""
     n = per_axis or lattice_resolution(d)
-    if n**d > _MAX_LATTICE_POINTS:
+    size = _int_power(n, d)
+    if size > _MAX_LATTICE_POINTS:
         raise ValueError(
-            f"a midpoint lattice of {n} points per axis in d = {d} has {n**d} points, "
+            f"a midpoint lattice of {n} points per axis in d = {d} has {size} points, "
             f"more than the {_MAX_LATTICE_POINTS} this package builds"
         )
     axis = (np.arange(n) + 0.5) / n
@@ -321,12 +327,13 @@ def _packing_size(m: int, d: int) -> int:
         raise ValueError("m must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if m**d > _MAX_BUMPS:
+    size = _int_power(m, d)
+    if size > _MAX_BUMPS:
         raise ValueError(
-            f"a packing with m = {m} in d = {d} has m^d = {m**d} bumps, "
+            f"a packing with m = {m} in d = {d} has m^d = {size} bumps, "
             f"more than the {_MAX_BUMPS} this package builds"
         )
-    return m**d
+    return size
 
 
 @dataclass
@@ -493,6 +500,8 @@ def rejection_sample(density, n, rng, *, return_stats=False, max_rounds=1000):
     a proposal x with uniform u is kept when u*B < f(x). When B <= 1 the
     round size is exactly the number still needed (for the uniform density
     every proposal is accepted, so the output is the raw proposal block).
+    More than _MAX_SAMPLE_VALUES coordinates (n d) are refused before any
+    draw.
     """
     d = int(density.dim)
     bound = float(density.sup_bound)
@@ -500,6 +509,11 @@ def rejection_sample(density, n, rng, *, return_stats=False, max_rounds=1000):
         raise ValueError("sup bound must be > 0")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if int(n) * d > _MAX_SAMPLE_VALUES:
+        raise ValueError(
+            f"{n} points in d = {d} are {int(n) * d} coordinates, "
+            f"more than the {_MAX_SAMPLE_VALUES} this package samples"
+        )
     rng = np.random.default_rng(rng)
 
     blocks = []

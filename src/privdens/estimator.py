@@ -19,7 +19,7 @@ on the second form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,12 +104,16 @@ class ProjectionEstimate:
         spend their total across many candidates, so there rho_spent is the
         composed total while sigma reflects the per-candidate split recorded
         in the selection trace.
+    ledger : BudgetLedger or None
+        The ledger charged for this release, in memory only (None once loaded):
+        a fit's own (empty without budget), else its selector's.
     """
 
     coefficients: CoefficientGrid
     n: int
     sigma: float = 0.0
     rho_spent: float | None = None
+    ledger: privacy.BudgetLedger | None = field(default=None, repr=False, compare=False)
 
     @property
     def cutoff(self) -> int:
@@ -168,24 +172,33 @@ def rate_regime(n: int, rho, beta: float, d: int) -> str:
     return "privacy" if private > sampling else "sampling"
 
 
+def _release(grid, n, rho, rng, ledger, label) -> ProjectionEstimate:
+    """The Gaussian release of grid: noise at sigma_for_cutoff(n, rho, M, d),
+    drawn through privacy.add_noise and charged rho to ledger as label."""
+    sigma = privacy.sigma_for_cutoff(n, rho, grid.cutoff, grid.dim)
+    noisy = privacy.add_noise(grid, sigma, rng)
+    ledger.charge(label, rho)
+    return ProjectionEstimate(noisy, n, sigma=sigma, rho_spent=rho, ledger=ledger)
+
+
 def fit(
     data, cutoff: int, budget=None, rng: np.random.Generator | None = None
 ) -> ProjectionEstimate:
     """Fit the projection estimator at cut-off M, optionally privately.
 
     With budget=None the raw empirical coefficients are returned (sigma 0,
-    rho_spent None). With a budget, the Gaussian mechanism is applied at
-    scale sigma_for_cutoff(n, rho, M, d) and the full budget is recorded as
-    spent. rng is required exactly when a budget is given.
+    rho_spent None, an empty ledger). With a budget, the Gaussian mechanism
+    is applied at scale sigma_for_cutoff(n, rho, M, d) and the full budget
+    is charged to the estimate's ledger as "fit (M=..., d=...)". rng is
+    required exactly when a budget is given.
     """
     pts = as_points(data)
     n, d = pts.shape
     grid = empirical_coefficients(pts, cutoff)
+    ledger = privacy.BudgetLedger()
     if budget is None:
-        return ProjectionEstimate(grid, n, sigma=0.0, rho_spent=None)
+        return ProjectionEstimate(grid, n, ledger=ledger)
     rho = privacy.as_rho(budget)
     if rng is None:
         raise ValueError("a seeded rng is required for a private fit")
-    sigma = privacy.sigma_for_cutoff(n, rho, cutoff, d)
-    noisy = privacy.add_noise(grid, sigma, rng)
-    return ProjectionEstimate(noisy, n, sigma=sigma, rho_spent=rho)
+    return _release(grid, n, rho, rng, ledger, f"fit (M={cutoff}, d={d})")

@@ -1,8 +1,8 @@
 """Monte-Carlo harness: MISE, rate-slope regression, adaptivity comparisons.
 
-A sweep is described by one ExperimentConfig (parsed from a JSON document
-with strict key and type checking; every violation is reported, not just
-the first).
+A sweep is described by one ExperimentConfig, checked field by field
+whenever it is built, from a JSON document or by keyword; every violation
+is reported, not just the first.
 Each (n, rho) cell runs R replicates of sample -> fit -> MISE with a
 generator derived from (seed, cell index, replicate), so any subset of the
 sweep can be reproduced in isolation and the CSV is byte-identical across
@@ -58,6 +58,93 @@ _MODES = ("oracle", "lepskii", "penalized-bias")
 _CUTOFF_FORMS = ("adaptive", "thm")
 
 
+def _check_fields(v: dict, problems: list[str]):
+    """Raise one ValueError listing problems and every bad value in v, a map
+    from field names to values in which an absent field goes unchecked.
+    Return the truth density parsed from v["density"]."""
+
+    def typed(key, ok, kind, nullable=False):
+        # v[key] if it has the right type, else None
+        value = v.get(key)
+        if key in v and not (value is None and nullable) and not ok(value):
+            problems.append(f"{key!r} must be {kind}, got {value!r}")
+            return None
+        return value
+
+    def listed(name, key, ok, kind):
+        # v[name] if it is a list of the right items, else []
+        value = v.get(name, [])
+        if isinstance(value, list) and all(map(ok, value)):
+            if not value and name in v:
+                problems.append(f"{key!r} must be {kind} or a nonempty list")
+            return value
+        problems.append(f"{key!r} must be a list, got {value!r}" if ok(value)
+                        else f"every {key} must be {kind}, got {value!r}")
+        return []
+
+    ns = listed("ns", "n", _is_int, "an integer")
+    if any(n < 3 for n in ns):
+        problems.append("every n must be >= 3")
+    rhos = listed("rhos", "rho", _is_number, "a number")
+    if any(not r > 0 for r in rhos):
+        problems.append("every rho must be > 0")
+    elif any(math.isinf(r) for r in rhos):
+        problems.append("every rho must be finite")
+    mode = v.get("mode")
+    if "mode" in v and mode not in _MODES:
+        problems.append(f"mode must be one of {_MODES}, got {mode!r}")
+    replicates = typed("replicates", _is_int, "an integer")
+    if replicates is not None and replicates < 1:
+        problems.append("replicates must be >= 1")
+    seed = typed("seed", _is_int, "an integer")
+    if seed is not None and seed < 0:
+        problems.append("seed must be >= 0")
+    d = typed("d", _is_int, "an integer")
+    cap = densities._MAX_SAMPLE_VALUES
+    if d is not None and d >= 1 and any(int(n) * int(d) > cap for n in ns):
+        problems.append(f"n * d must be at most {cap}, the coordinates this package samples")
+    beta = typed("beta", _is_number, "a number", nullable=True)
+    if mode == "oracle" and v.get("beta") is None:
+        problems.append("oracle mode requires 'beta'")
+    if beta is not None and not beta > 0:
+        problems.append("beta must be > 0")
+    if "cutoff_form" in v and v["cutoff_form"] not in _CUTOFF_FORMS:
+        problems.append(f"cutoff_form must be one of {_CUTOFF_FORMS}")
+    constants = v.get("constants")
+    if "constants" in v and not isinstance(constants, dict):
+        problems.append("'constants' must be an object")
+    elif constants:
+        known = {f.name for f in fields(PenaltyConfig)}
+        unknown = [f"unknown constants key {key!r}" for key in constants if key not in known]
+        problems += unknown
+        if not unknown:
+            try:
+                PenaltyConfig(**constants)
+            except ValueError as exc:
+                problems.append(f"bad constants: {exc}")
+    grid = typed("grid", lambda g: isinstance(g, list) and g and all(map(_is_int, g)),
+                 "a nonempty list of integer cut-offs", nullable=True)
+    if grid is not None and any(m < 0 for m in grid):
+        problems.append("grid cut-offs must be >= 0")
+    truth = None
+    if "density" in v:
+        try:
+            truth = densities.density_from_json_dict(v["density"])
+        except (ValueError, TypeError) as exc:
+            problems.append(f"bad density spec: {exc}")
+    if truth is not None and d is not None and truth.dim != d:
+        problems.append(f"density dimension {truth.dim} does not match d = {d}")
+    time_limit = typed("time_limit_s", _is_number, "a number", nullable=True)
+    if time_limit is not None and not time_limit > 0:
+        problems.append("time_limit_s must be > 0 when given")
+    typed("deterministic_timings", lambda t: isinstance(t, bool), "true or false")
+    if problems:
+        raise ValueError(
+            "invalid experiment config:\n" + "\n".join(f"  - {p}" for p in problems)
+        )
+    return truth
+
+
 @dataclass
 class ExperimentConfig:
     """One sweep: a truth density, lists of n and rho, and an estimator mode.
@@ -66,6 +153,10 @@ class ExperimentConfig:
     the lists ns and rhos are written n and rho (the "key" metadata); the
     fields without a default are the required keys, and `constants` takes
     the fields of PenaltyConfig.
+
+    Keyword and JSON construction are checked alike, every bad field in one
+    ValueError; nothing is coerced, but rhos, beta and time_limit_s are
+    stored as floats. The density is parsed once, into the truth sampled.
 
     deterministic_timings=True (the default) writes wall_ms = 0 in every
     record so that identical configs give byte-identical CSV files; set it
@@ -87,113 +178,30 @@ class ExperimentConfig:
     deterministic_timings: bool = True
     time_limit_s: float | None = None
 
+    def __post_init__(self):
+        self._truth = _check_fields(vars(self), [])
+        self.rhos = [float(v) for v in self.rhos]
+        self.beta = None if self.beta is None else float(self.beta)
+        self.time_limit_s = None if self.time_limit_s is None else float(self.time_limit_s)
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Parse and validate a config document, reporting every violation.
-        Values must have their JSON type (a bool is not a number); nothing
-        is coerced."""
-        problems = []
+        """Build a config from its JSON document: the field checks of
+        construction, plus known and required keys, in one error. A single
+        n or rho stands for a list of one."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         keys = {f.metadata.get("key", f.name): f for f in fields(cls)}
-        for key in doc:
-            if key not in keys:
-                problems.append(f"unknown key {key!r}")
-        for key, f in keys.items():
-            if f.default is MISSING and f.default_factory is MISSING and key not in doc:
-                problems.append(f"missing required key {key!r}")
-
-        def typed(key, ok, kind, nullable=False):
-            # doc[key] if it has the right JSON type, else None
-            value = doc.get(key)
-            if key not in doc or (value is None and nullable):
-                return None
-            if not ok(value):
-                problems.append(f"{key!r} must be {kind}, got {value!r}")
-                return None
-            return value
-
-        def typed_list(key, ok, kind):
-            # doc[key] as a list, a scalar standing for a list of one
-            value = doc.get(key, [])
-            items = value if isinstance(value, list) else [value]
-            if not all(ok(v) for v in items):
-                problems.append(f"every {key} must be {kind}, got {value!r}")
-                return []
-            if not items and key in doc:
-                problems.append(f"{key!r} must be {kind} or a nonempty list")
-            return items
-
-        ns = typed_list("n", _is_int, "an integer")
-        if any(v < 3 for v in ns):
-            problems.append("every n must be >= 3")
-        rhos = [float(v) for v in typed_list("rho", _is_number, "a number")]
-        if any(not v > 0 for v in rhos):
-            problems.append("every rho must be > 0")
-        mode = doc.get("mode", "oracle")
-        if mode not in _MODES:
-            problems.append(f"mode must be one of {_MODES}, got {mode!r}")
-        replicates = typed("replicates", _is_int, "an integer")
-        if replicates is not None and replicates < 1:
-            problems.append("replicates must be >= 1")
-        seed = typed("seed", _is_int, "an integer")
-        d = typed("d", _is_int, "an integer")
-        beta = typed("beta", _is_number, "a number", nullable=True)
-        if mode == "oracle" and doc.get("beta") is None:
-            problems.append("oracle mode requires 'beta'")
-        if beta is not None and not beta > 0:
-            problems.append("beta must be > 0")
-        cutoff_form = doc.get("cutoff_form", "adaptive")
-        if cutoff_form not in _CUTOFF_FORMS:
-            problems.append(f"cutoff_form must be one of {_CUTOFF_FORMS}")
-        constants = doc.get("constants", {})
-        if not isinstance(constants, dict):
-            problems.append("'constants' must be an object")
-        else:
-            known = {f.name for f in fields(PenaltyConfig)}
-            problems += [f"unknown constants key {key!r}" for key in constants if key not in known]
-        grid = typed(
-            "grid",
-            lambda v: isinstance(v, list) and v and all(_is_int(m) for m in v),
-            "a nonempty list of integer cut-offs",
-            nullable=True,
-        )
-        if grid is not None and any(m < 0 for m in grid):
-            problems.append("grid cut-offs must be >= 0")
-        truth = None
-        if "density" in doc:
-            try:
-                truth = densities.density_from_json_dict(doc["density"])
-            except (ValueError, TypeError) as exc:
-                problems.append(f"bad density spec: {exc}")
-        if truth is not None and d is not None and truth.dim != d:
-            problems.append(f"density dimension {truth.dim} does not match d = {d}")
-        time_limit = typed("time_limit_s", _is_number, "a number", nullable=True)
-        if time_limit is not None and not time_limit > 0:
-            problems.append("time_limit_s must be > 0 when given")
-        timings = typed(
-            "deterministic_timings", lambda v: isinstance(v, bool), "true or false"
-        )
-
-        if problems:
-            raise ValueError(
-                "invalid experiment config:\n" + "\n".join(f"  - {p}" for p in problems)
-            )
-        return cls(
-            density=doc["density"],
-            ns=ns,
-            rhos=rhos,
-            mode=mode,
-            replicates=replicates,
-            seed=seed,
-            d=d,
-            beta=None if beta is None else float(beta),
-            cutoff_form=cutoff_form,
-            constants=dict(constants),
-            grid=None if grid is None else list(grid),
-            deterministic_timings=True if timings is None else timings,
-            time_limit_s=None if time_limit is None else float(time_limit),
-        )
+        required = [k for k, f in keys.items() if MISSING is f.default is f.default_factory]
+        problems = [f"unknown key {key!r}" for key in doc if key not in keys]
+        problems += [f"missing required key {key!r}" for key in required if key not in doc]
+        values = {f.name: doc[key] for key, f in keys.items() if key in doc}
+        for name, ok in (("ns", _is_int), ("rhos", _is_number)):
+            if ok(values.get(name)):
+                values[name] = [values[name]]
+        if problems:  # raises, listing the field problems after the key problems
+            _check_fields(values, problems)
+        return cls(**values)
 
     def to_json_dict(self) -> dict:
         doc = asdict(self)
@@ -350,8 +358,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateResult:
     log(n sqrt(rho)) when n is a single value; with one cell the slope is
     reported as None.
     """
-    truth = densities.density_from_json_dict(cfg.density)
-    records, cells = _sweep(cfg, truth)
+    records, cells = _sweep(cfg, cfg._truth)
     cell_means = [
         (n, rho, float(np.mean([r.mise for r in recs]))) for n, rho, recs, _ in cells
     ]
@@ -373,6 +380,14 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateResult:
     return RateResult(records=records, slope=slope, cell_means=cell_means)
 
 
+def _check_adaptivity(cfg: ExperimentConfig) -> None:
+    """Raise unless cfg can run as an adaptivity experiment."""
+    if cfg.mode not in ("lepskii", "penalized-bias"):
+        raise ValueError("adaptivity experiments need mode lepskii or penalized-bias")
+    if cfg.beta is None:
+        raise ValueError("adaptivity experiments need 'beta' for the oracle comparison")
+
+
 def run_adaptivity_experiment(cfg: ExperimentConfig) -> AdaptivityResult:
     """Compare an adaptive rule against the oracle-beta estimator.
 
@@ -391,12 +406,8 @@ def run_adaptivity_experiment(cfg: ExperimentConfig) -> AdaptivityResult:
     and, for information, oracle_split_cutoff, the tuned cut-off for the
     nominal beta at the per-candidate budget.
     """
-    if cfg.mode not in ("lepskii", "penalized-bias"):
-        raise ValueError("adaptivity experiments need mode lepskii or penalized-bias")
-    if cfg.beta is None:
-        raise ValueError("adaptivity experiments need 'beta' for the oracle comparison")
-    truth = densities.density_from_json_dict(cfg.density)
-    records, cells = _sweep(cfg, truth, compare=True)
+    _check_adaptivity(cfg)
+    records, cells = _sweep(cfg, cfg._truth, compare=True)
     summaries = []
     for n, rho, recs, candidate_mises in cells:
         adaptive_mises = [r.mise for r in recs if r.mode == cfg.mode]

@@ -116,13 +116,22 @@ def as_points(data, dim: int | None = None) -> np.ndarray:
     return pts
 
 
+def _int_power(base: int, exponent: int):
+    """base**exponent for the size caps, or inf when it is above 2^64: a
+    dimension from a document can be large enough that the exact power would
+    fill memory before any cap could refuse it."""
+    if base > 1 and exponent > 64:
+        return math.inf
+    return base**exponent
+
+
 def _cube_size(cutoff: int, dim: int) -> int:
     """(2M+1)^d, after checking M >= 0, d >= 1 and _MAX_COEFFICIENTS."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    size = (2 * int(cutoff) + 1) ** int(dim)
+    size = _int_power(2 * int(cutoff) + 1, int(dim))
     if size > _MAX_COEFFICIENTS:
         raise ValueError(
             f"cut-off M = {cutoff} in d = {dim} needs (2M+1)^d = {size} coefficients, "

@@ -88,6 +88,34 @@ def test_penalty_config_validation():
         PenaltyConfig(C=0.5)  # C is a real >= 1 by contract
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-300, 1e-310])
+def test_beta_grid_size_cap(eps):
+    # (log 100)^2 / eps candidates: 21207 at 1e-3, and inf at 1e-310
+    with pytest.raises(ValueError, match="more than the 4096 Lepskii candidates"):
+        build_beta_grid(100, eps)
+    assert len(build_beta_grid(100, (math.log(100) ** 2) / 4096)) == 4096
+
+
+def test_selection_size_cap_refuses_before_any_release():
+    data = np.random.default_rng(0).random((50, 1))
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    # 4200 candidates padded to M = 4199 would be 4200 x 8399 coefficients
+    with pytest.raises(ValueError, match="4200 candidates up to M = 4199"):
+        penalized_bias_select(data, 1.0, list(range(4200)), rng)
+    assert rng.bit_generator.state == state  # no noise was drawn
+
+
+@pytest.mark.parametrize("field, value", [
+    ("C", math.nan), ("C", math.inf), ("C", "big"), ("C", True),
+    ("a", math.nan), ("a", "1"), ("eps", math.nan), ("eps", True),
+    ("eps", math.inf), ("L", -math.inf), ("L", math.nan),
+])
+def test_penalty_config_constants_must_be_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        PenaltyConfig(**{field: value})
+
+
 def test_theory_mode_rejects_weak_constants():
     data = np.random.default_rng(0).random((100, 1))
     with pytest.raises(ValueError):

@@ -204,6 +204,24 @@ def test_sample_estimate_out_of_range_rejected(tmp_path, capsys, key, bad):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sample_oversized_request_refused(tmp_path, capsys):
+    # 10 points in d = 2^40 would be 80 TiB of coordinates
+    dens = _write(tmp_path / "u.json", json.dumps({"kind": "uniform", "d": 2**40}))
+    out = tmp_path / "s.csv"
+    assert main(["sample", dens, "--n", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "more than the 16777216 this package samples" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generate_huge_dimension_refused_without_huge_powers(tmp_path, capsys):
+    # 3^(10^6) has 477k digits; the cap refuses it without computing it
+    out = tmp_path / "t.json"
+    assert main(["generate-density", "--kind", "trig", "--d", "1000000", "--M-truth", "1",
+                 "--out", str(out)]) == 1
+    assert "needs (2M+1)^d = inf coefficients" in capsys.readouterr().err
+
+
 def test_generate_oversized_density_refused(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert main(["generate-density", "--kind", "trig", "--d", "5", "--M-truth", "300",
@@ -268,6 +286,38 @@ def test_generate_packing_density(tmp_path):
     assert list(back.theta) == [1, 0, 1, 0]
 
 
+@pytest.mark.parametrize("flag, field", [("--C", "C"), ("--a", "a"), ("--eps", "eps"),
+                                         ("--L", "L")])
+def test_fit_lepskii_non_finite_constant_rejected(tmp_path, capsys, flag, field):
+    rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(5).random(100))
+    data = _write(tmp_path / "pts.csv", rows + "\n")
+    out = tmp_path / "est.json"
+    assert main(["fit", data, "--rho", "1", "--adaptive", "lepskii", flag, "nan",
+                 "--out", str(out)]) == 1
+    assert f"error: {field} must be a finite number, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_lepskii_tiny_eps_refused(tmp_path, capsys):
+    # (log 100)^2 / 1e-310 overflows to inf candidates
+    rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(5).random(100))
+    data = _write(tmp_path / "pts.csv", rows + "\n")
+    assert main(["fit", data, "--rho", "1", "--adaptive", "lepskii", "--eps", "1e-310",
+                 "--out", str(tmp_path / "est.json")]) == 1
+    assert "Lepskii candidates this package releases" in capsys.readouterr().err
+
+
+def test_fit_lepskii_huge_exponent_accepts_first_candidate(tmp_path, capsys):
+    # (log 100)^544 overflows a float: the threshold is infinite, so the rule
+    # accepts candidate 0
+    rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(5).random(100))
+    data = _write(tmp_path / "pts.csv", rows + "\n")
+    trace = tmp_path / "trace.json"
+    assert main(["fit", data, "--rho", "1", "--adaptive", "lepskii", "--a", "544",
+                 "--out", str(tmp_path / "est.json"), "--trace", str(trace)]) == 0
+    assert json.loads(trace.read_text())["selected_index"] == 0
+
+
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
@@ -310,6 +360,21 @@ def test_experiment_sweeps_list_rejected(tmp_path, capsys):
     cfg_path = _write(tmp_path / "cfg.json", json.dumps(doc))
     assert main(["experiment", cfg_path, "--out-dir", str(tmp_path / "r")]) == 1
     assert "'sweeps' must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second, fragment", [
+    ({"mode": "lepskii"}, "sweep 'b': adaptivity experiments need 'beta'"),
+    ({"mode": "oracle", "beta": 1.0, "constants": {"eps": -1}}, "eps must be > 0"),
+])
+def test_experiment_checks_every_sweep_before_running_any(tmp_path, capsys, second, fragment):
+    common = {"density": {"kind": "uniform", "d": 1}, "n": 64, "rho": 1.0, "replicates": 1,
+              "seed": 0, "d": 1}
+    doc = {"sweeps": {"a": {**common, "mode": "oracle", "beta": 1.0}, "b": {**common, **second}}}
+    cfg_path = _write(tmp_path / "cfg.json", json.dumps(doc))
+    out_dir = tmp_path / "runs"
+    assert main(["experiment", cfg_path, "--out-dir", str(out_dir)]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,24 @@ def test_size_caps_refuse_before_allocating():
         make_packing_density(np.ones(1), 100_000, 1.0, d=3)
 
 
+def test_sample_size_cap_refuses_before_drawing():
+    huge = TrigDensity.uniform(2**40)
+    with pytest.raises(ValueError, match="coordinates, more than the 16777216"):
+        rejection_sample(huge, 10, np.random.default_rng(0))
+    largest_used = rejection_sample(TrigDensity.uniform(1), 2**16, np.random.default_rng(0))
+    assert largest_used.shape == (2**16, 1)
+
+
+def test_size_caps_do_not_form_huge_powers():
+    # a dimension from a document is refused without computing m^d exactly
+    with pytest.raises(ValueError, match="inf bumps"):
+        make_packing_density(np.ones(1), 2, 1.0, d=10**12)
+    with pytest.raises(ValueError, match="inf points"):
+        midpoint_lattice(10**12)
+    with pytest.raises(ValueError, match="inf coefficients"):
+        CoefficientGrid(10**12, 1, np.ones(1, dtype=complex))
+
+
 def test_packing_floor_half():
     f = make_packing_density(np.ones(4, dtype=int), 4, 1.0, d=1, floor_half=True)
     lattice = midpoint_lattice(1)

@@ -198,3 +198,25 @@ def test_bias_variance_bound_uniform_truth():
         diff = est.coefficients.values - truth_vals
         errs[r] = float(np.sum(diff.real**2 + diff.imag**2))
     assert errs.mean() <= bound * (1.0 + 5.0 / math.sqrt(R))
+
+
+def test_fit_carries_its_ledger():
+    data = np.random.default_rng(5).random((200, 1))
+    est = fit(data, 4, 0.5, np.random.default_rng(6))
+    assert est.ledger.entries == [("fit (M=4, d=1)", 0.5)]
+    assert est.ledger.spent == est.rho_spent
+    assert len(fit(data, 4).ledger) == 0  # no budget, no charge
+    doc = est.to_json_dict()
+    assert "ledger" not in doc  # in memory only; the JSON is unchanged
+    assert ProjectionEstimate.from_json_dict(doc).ledger is None
+
+
+def test_selected_estimate_carries_the_selectors_ledger():
+    from privdens.adaptive import lepskii_select, penalized_bias_select
+
+    data = np.random.default_rng(7).random((300, 1))
+    for select in (lepskii_select, penalized_bias_select):
+        est, trace = select(data, 1.0, rng=np.random.default_rng(8))
+        assert est.ledger is trace.ledger
+        assert est.ledger.spent == pytest.approx(est.rho_spent, rel=1e-12)
+        assert all(c.ledger is trace.ledger for c in trace.candidates)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from privdens import fourier
+from privdens import densities, fourier
 from privdens.densities import (
     TrigDensity,
     make_packing_density,
@@ -106,6 +106,74 @@ def test_config_unknown_mode_and_constants_key():
         ExperimentConfig.from_dict(_trig_cfg(mode="magic"))
     with pytest.raises(ValueError, match="constants"):
         ExperimentConfig.from_dict(_trig_cfg(constants={"zeta": 1}))
+
+
+def _keyword_cfg(**overrides):
+    kwargs = dict(density=_TRUTH.to_json_dict(), ns=[256], rhos=[1.0], mode="oracle",
+                  replicates=2, seed=42, d=1, beta=1.0)
+    kwargs.update(overrides)
+    return ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("override, fragment", [
+    ({"mode": "bogus"}, "mode must be one of"),
+    ({"d": 2}, "density dimension 1 does not match d = 2"),
+    ({"replicates": 0}, "replicates must be >= 1"),
+    ({"cutoff_form": "thm-typo"}, "cutoff_form must be one of"),
+    ({"ns": 512}, "'n' must be a list"),
+    ({"rhos": [1.0, True]}, "every rho must be a number"),
+])
+def test_keyword_config_checked_like_json(override, fragment):
+    # construction by keyword runs the same checks as from_dict
+    with pytest.raises(ValueError, match="invalid experiment config") as err:
+        _keyword_cfg(**override)
+    assert fragment in str(err.value)
+
+
+def test_keyword_config_stores_floats_and_its_truth():
+    cfg = _keyword_cfg(rhos=[1], beta=2, time_limit_s=5)
+    assert cfg.rhos == [1.0] and isinstance(cfg.rhos[0], float)
+    assert isinstance(cfg.beta, float) and isinstance(cfg.time_limit_s, float)
+    assert np.array_equal(cfg._truth.coefficients.values, _TRUTH.coefficients.values)
+    assert "_truth" not in cfg.to_json_dict()
+
+
+def test_config_parses_its_density_once(monkeypatch):
+    calls = []
+    parse = densities.density_from_json_dict
+
+    def counted(doc):
+        calls.append(doc)
+        return parse(doc)
+
+    monkeypatch.setattr(densities, "density_from_json_dict", counted)
+    run_rate_experiment(ExperimentConfig.from_dict(_trig_cfg(replicates=1)))
+    run_adaptivity_experiment(_keyword_cfg(mode="penalized-bias", grid=[1, 2], replicates=1))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("override, fragment", [
+    ({"constants": {"eps": -1}}, "bad constants: eps must be > 0"),
+    ({"constants": {"C": "big"}}, "bad constants: C must be a finite number"),
+    ({"constants": {"a": float("nan")}}, "bad constants: a must be a finite number"),
+    ({"rho": [float("inf")]}, "every rho must be finite"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"n": [2**25]}, "n * d must be at most 16777216"),
+])
+def test_config_rejects_values_that_would_fail_mid_sweep(override, fragment):
+    with pytest.raises(ValueError, match="invalid experiment config") as err:
+        ExperimentConfig.from_dict(_trig_cfg(mode="lepskii", **override))
+    assert fragment in str(err.value)
+
+
+def test_config_missing_mode_reports_no_default_mode():
+    doc = _trig_cfg()
+    doc.pop("mode")
+    doc.pop("beta")
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(doc)
+    assert "missing required key 'mode'" in str(err.value)
+    assert "oracle mode requires" not in str(err.value)
 
 
 def test_penalty_config_from_constants():

@@ -1,0 +1,164 @@
+"""Property tests of the document and config loaders and of the fit flags.
+
+Each loader either returns a value or raises ValueError, whatever JSON-like
+value it is given; the command line returns 0, 1 or 2 and raises nothing but
+argparse's SystemExit(2). The documents are valid ones with some keys
+replaced by arbitrary JSON values, removed, or joined by unknown keys, so
+most examples get past the first check. Runs are derandomized with small
+example counts, so the suite stays deterministic and fast.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from privdens.cli import main
+from privdens.densities import density_from_json_dict
+from privdens.estimator import ProjectionEstimate
+from privdens.experiments import ExperimentConfig
+
+FUZZ = settings(
+    derandomize=True, database=None, max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+UNIFORM = {"kind": "uniform", "d": 1}
+PACKING = {"kind": "packing", "d": 1, "m": 2, "beta": 1.0, "L": 2.0, "theta": [1, 0]}
+TRIG = {"kind": "trig", "beta": 1.0, "L": 2.0, "min_value": 0.5,
+        "coefficients": {"d": 1, "M": 1, "re": [0.1, 1.0, 0.1], "im": [0.05, 0.0, -0.05]}}
+ESTIMATE = {"d": 1, "M": 1, "re": [0.1, 1.0, 0.1], "im": [0.05, 0.0, -0.05], "n": 5,
+            "sigma": 0.0, "rho_spent": None}
+CONFIG = {"density": UNIFORM, "n": [64], "rho": [1.0], "mode": "oracle", "replicates": 1,
+          "seed": 0, "d": 1, "beta": 1.0}
+
+
+def mutated(base: dict, extra_keys=("typo",)):
+    """base with some keys given arbitrary JSON values, some removed, and
+    possibly an unknown key added."""
+    keys = st.sampled_from(sorted(base) + list(extra_keys))
+    return st.tuples(
+        st.dictionaries(keys, JSON, max_size=3), st.sets(st.sampled_from(sorted(base)), max_size=2)
+    ).map(lambda t: {**{k: v for k, v in base.items() if k not in t[1]}, **t[0]})
+
+
+def returns_or_value_error(load, doc):
+    try:
+        return load(doc)
+    except ValueError:
+        return None
+
+
+@FUZZ
+@given(st.one_of(mutated(UNIFORM), mutated(PACKING), mutated(TRIG), JSON))
+def test_density_loader_returns_or_raises_value_error(doc):
+    dens = returns_or_value_error(density_from_json_dict, doc)
+    if dens is not None:
+        assert dens.dim >= 1 and dens.sup_bound > 0
+
+
+@FUZZ
+@given(st.one_of(mutated(ESTIMATE), JSON))
+def test_estimate_loader_returns_or_raises_value_error(doc):
+    est = returns_or_value_error(ProjectionEstimate.from_json_dict, doc)
+    if est is not None:
+        assert est.n >= 1 and est.sigma >= 0 and est.ledger is None
+
+
+def _check_built(cfg):
+    # a config that constructs also gives its Lepskii constants and its truth,
+    # and the same values build it again, by keyword and from its JSON form
+    cfg.penalty_config()
+    assert cfg._truth.dim == cfg.d
+    again = ExperimentConfig(**{k: getattr(cfg, k) for k in cfg.__dataclass_fields__})
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_json_dict())))
+    for other in (again, back):
+        assert json.dumps(other.to_json_dict()) == json.dumps(cfg.to_json_dict())
+
+
+@FUZZ
+@given(st.one_of(
+    mutated(CONFIG),
+    mutated({**CONFIG, "mode": "lepskii", "constants": {"C": 1.0, "eps": 0.5}}),
+    mutated({**CONFIG, "density": PACKING, "grid": [1, 2], "time_limit_s": 1.0}),
+    JSON,
+))
+def test_config_from_dict_returns_or_raises_value_error(doc):
+    cfg = returns_or_value_error(ExperimentConfig.from_dict, doc)
+    if cfg is not None:
+        _check_built(cfg)
+
+
+KEYWORDS = {
+    "density": st.one_of(st.just(UNIFORM), st.just(PACKING), JSON),
+    "ns": st.one_of(st.just([64]), st.lists(st.integers(-5, 2**26), max_size=3), JSON),
+    "rhos": st.one_of(st.just([1.0]), st.lists(st.floats(), max_size=3), JSON),
+    "mode": st.one_of(st.sampled_from(["oracle", "lepskii", "penalized-bias"]), JSON),
+    "replicates": st.one_of(st.just(1), JSON),
+    "seed": st.one_of(st.just(0), JSON),
+    "d": st.one_of(st.just(1), JSON),
+    "beta": st.one_of(st.just(1.0), JSON),
+    "cutoff_form": st.one_of(st.just("thm"), JSON),
+    "constants": st.one_of(
+        st.fixed_dictionaries({}, optional={"C": JSON, "a": JSON, "eps": JSON, "mode": JSON}),
+        JSON,
+    ),
+    "grid": st.one_of(st.just([1, 2]), JSON),
+    "deterministic_timings": st.one_of(st.booleans(), JSON),
+    "time_limit_s": st.one_of(st.just(2.0), JSON),
+}
+
+
+@FUZZ
+@given(st.fixed_dictionaries(
+    {k: KEYWORDS[k] for k in ("density", "ns", "rhos", "mode", "replicates", "seed", "d")},
+    optional={k: v for k, v in KEYWORDS.items()
+              if k not in ("density", "ns", "rhos", "mode", "replicates", "seed", "d")},
+))
+def test_keyword_config_returns_or_raises_value_error(kwargs):
+    cfg = returns_or_value_error(lambda kw: ExperimentConfig(**kw), kwargs)
+    if cfg is not None:
+        _check_built(cfg)
+
+
+# Flag values as the shell passes them: printed floats, special values and junk.
+FLAG_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-310", "1e308", "True", "abc", ""]),
+)
+
+
+@settings(FUZZ, max_examples=30)
+@given(st.dictionaries(st.sampled_from(["--C", "--a", "--eps", "--L"]), FLAG_VALUES, min_size=1),
+       st.booleans())
+def test_fit_lepskii_flags_exit_cleanly(tmp_path_factory, flags, theory):
+    tmp = tmp_path_factory.mktemp("fit")
+    data = tmp / "pts.csv"
+    data.write_text("".join(f"{x:.17g}\n" for x in np.random.default_rng(0).random(40)),
+                    encoding="utf-8")
+    argv = ["fit", str(data), "--rho", "1", "--adaptive", "lepskii", "--out", str(tmp / "e.json")]
+    if theory:
+        argv += ["--constants-mode", "theory"]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value}")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+        assert code == 2
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert math.isfinite(json.loads((tmp / "e.json").read_text())["rho_spent"])

@@ -313,7 +313,7 @@ def test_every_noise_draw_is_charged(monkeypatch, tmp_path, capsys):
         check(est.rho_spent, trace.ledger.spent, len(trace.ledger))
 
     est = fit(data, 4, rho, np.random.default_rng(33))
-    check(est.rho_spent, rho, 1)  # a plain fit carries no ledger: one release at rho
+    check(est.rho_spent, est.ledger.spent, len(est.ledger))
 
     points = tmp_path / "pts.csv"
     points.write_text("".join(f"{x:.17g}\n" for x in data[:, 0]), encoding="utf-8")

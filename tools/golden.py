@@ -17,7 +17,10 @@ on an older commit. Into OUTDIR it writes:
   estimate;
 * `rates.csv` from `rate-table`, and the default config of `print-config`;
 * `stdout.txt`: what each command printed, run from inside OUTDIR with
-  relative paths so that it does not depend on where OUTDIR is.
+  relative paths so that it does not depend on where OUTDIR is;
+* `failures/NAME.txt`, one per malformed config or flag set in FAILURES:
+  the command, its exit code, the files it left behind and its stderr. Each
+  case runs in a fresh temporary directory, and none aborts the script.
 
 A behaviour-preserving change leaves `diff -r OLD NEW` empty when both
 directories come from the same machine. It takes about 45 s on two cores.
@@ -37,6 +40,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -82,6 +86,81 @@ ROUND_TRIP = [
      "--beta", "0.5", "1", "2.5", "--d", "2", "--out", "rates.csv"],
     ["rate-table", "--n", "1000", "--rho", "0.01", "1", "--beta", "1", "2"],
     ["print-config"],
+]
+
+
+# A base sweep that is valid and fast (uniform truth, one small cell).
+_OK = {"density": {"kind": "uniform", "d": 1}, "n": [64], "rho": [1.0], "mode": "oracle",
+       "replicates": 1, "seed": 0, "d": 1, "beta": 1.0}
+_POINTS = "".join(f"{(i * 0.6180339887498949) % 1:.17g}\n" for i in range(1, 101))
+
+
+def _config(**changes) -> str:
+    return json.dumps({**_OK, **changes})
+
+
+def _two_sweeps(**second) -> str:
+    return json.dumps({"sweeps": {"a": _OK, "b": {**_OK, **second}}})
+
+
+def _without(*keys) -> str:
+    return json.dumps({k: v for k, v in _OK.items() if k not in keys})
+
+
+_LEPSKII = ["fit", "pts.csv", "--rho", "1", "--adaptive", "lepskii", "--out", "est.json"]
+_EXPERIMENT = ["experiment", "cfg.json", "--out-dir", "runs"]
+# (name, files written first, command): malformed configs and flags.
+FAILURES = [
+    ("config_mode_bogus", {"cfg.json": _config(mode="bogus")}, _EXPERIMENT),
+    ("config_dimension_mismatch", {"cfg.json": _config(density={"kind": "uniform", "d": 2})},
+     _EXPERIMENT),
+    ("config_replicates_zero", {"cfg.json": _config(replicates=0)}, _EXPERIMENT),
+    ("config_cutoff_form_typo", {"cfg.json": _config(cutoff_form="thm-typo")}, _EXPERIMENT),
+    ("config_missing_mode", {"cfg.json": _without("mode")}, _EXPERIMENT),
+    ("config_missing_mode_and_beta", {"cfg.json": _without("mode", "beta")}, _EXPERIMENT),
+    ("config_missing_everything", {"cfg.json": "{}"}, _EXPERIMENT),
+    ("config_wrong_types", {"cfg.json": _config(
+        n=[300.7, "abc"], rho=True, replicates=2.9, seed=1.5, d=True, beta=True, grid=[1, 2.5],
+        time_limit_s="1", deterministic_timings=0, constants=[1])}, _EXPERIMENT),
+    ("config_bad_scalars", {"cfg.json": _config(n="abc", rho=None, mode=["oracle"])},
+     _EXPERIMENT),
+    ("config_empty_lists", {"cfg.json": _config(n=[], rho=[], grid=[])}, _EXPERIMENT),
+    ("config_out_of_range", {"cfg.json": _config(n=[2], rho=[-1.0], beta=0, grid=[-1],
+                                                time_limit_s=0)}, _EXPERIMENT),
+    ("config_unknown_keys", {"cfg.json": _config(typo=1, constants={"zeta": 1})}, _EXPERIMENT),
+    ("config_bad_density", {"cfg.json": _config(density={"kind": "trig"})}, _EXPERIMENT),
+    ("config_not_object", {"cfg.json": "[1, 2]"}, _EXPERIMENT),
+    ("config_sweeps_list", {"cfg.json": json.dumps({"sweeps": [_OK]})}, _EXPERIMENT),
+    ("config_constants_eps_negative", {"cfg.json": _two_sweeps(mode="lepskii",
+                                                              constants={"eps": -1})},
+     _EXPERIMENT),
+    ("config_constants_C_string", {"cfg.json": _two_sweeps(mode="lepskii",
+                                                          constants={"C": "big"})}, _EXPERIMENT),
+    ("config_adaptive_without_beta", {"cfg.json": _two_sweeps(mode="lepskii", beta=None)},
+     _EXPERIMENT),
+    ("config_rho_infinite", {"cfg.json": _two_sweeps(rho=[float("inf")])}, _EXPERIMENT),
+    ("config_seed_negative", {"cfg.json": _two_sweeps(seed=-1)}, _EXPERIMENT),
+    ("fit_lepskii_C_nan", {"pts.csv": _POINTS}, [*_LEPSKII, "--C", "nan"]),
+    ("fit_lepskii_a_nan", {"pts.csv": _POINTS}, [*_LEPSKII, "--a", "nan"]),
+    ("fit_lepskii_eps_nan", {"pts.csv": _POINTS}, [*_LEPSKII, "--eps", "nan"]),
+    ("fit_lepskii_eps_negative", {"pts.csv": _POINTS}, [*_LEPSKII, "--eps", "-1"]),
+    ("fit_lepskii_eps_tiny", {"pts.csv": _POINTS}, [*_LEPSKII, "--eps", "1e-310"]),
+    ("fit_lepskii_a_huge", {"pts.csv": _POINTS}, [*_LEPSKII, "--a", "544"]),
+    ("fit_lepskii_theory_L_inf", {"pts.csv": _POINTS},
+     [*_LEPSKII, "--constants-mode", "theory", "--L", "inf"]),
+    ("fit_no_cutoff", {"pts.csv": _POINTS}, ["fit", "pts.csv", "--out", "est.json"]),
+    ("fit_adaptive_without_rho", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--adaptive", "penalized-bias", "--out", "est.json"]),
+    ("fit_bad_flag_value", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--rho", "abc", "--M", "2", "--out", "est.json"]),
+    ("fit_malformed_points", {"pts.csv": "0.5\n0.2,0.3\n"},
+     ["fit", "pts.csv", "--M", "2", "--out", "est.json"]),
+    ("sample_huge_dimension", {"u.json": json.dumps({"kind": "uniform", "d": 2**40})},
+     ["sample", "u.json", "--n", "10", "--out", "s.csv"]),
+    ("generate_huge_dimension", {},
+     ["generate-density", "--kind", "trig", "--d", "1000000", "--M-truth", "1", "--out", "t.json"]),
+    ("generate_packing_d0", {},
+     ["generate-density", "--kind", "packing", "--d", "0", "--out", "p.json"]),
 ]
 
 
@@ -166,6 +245,19 @@ def main(argv: list[str]) -> int:
     for args in ROUND_TRIP:
         cli(*args)
     (out / "stdout.txt").write_text("".join(log), encoding="utf-8")
+    (out / "failures").mkdir(exist_ok=True)
+    for name, files, args in FAILURES:
+        with tempfile.TemporaryDirectory() as tmp:
+            for file, text in files.items():
+                (Path(tmp) / file).write_text(text, encoding="utf-8")
+            cmd = [sys.executable, "-m", "privdens.cli", *args]
+            done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+            left = sorted(str(p.relative_to(tmp)) for p in Path(tmp).rglob("*")
+                          if p.is_file() and p.name not in files)
+        (out / "failures" / f"{name}.txt").write_text(
+            f"$ privdens {' '.join(args)}\nexit {done.returncode}\nleft: {left}\n{done.stderr}",
+            encoding="utf-8",
+        )
     return 0
 
 
