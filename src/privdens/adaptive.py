@@ -6,9 +6,9 @@ Lepskii risk penalization
     A grid of candidate smoothness values beta_0 > ... > beta_{k_n-1} is
     built from the sample size alone. One private estimator is fit per
     candidate, each at the tuned cut-off for its beta and each charged an
-    equal budget share rho'_n = rho eps / (log n)^2, so the composed spend
-    k_n rho'_n never exceeds rho. The selected index is the smallest m whose
-    estimator is within the penalized risk threshold
+    equal budget share rho'_n = min(rho eps / (log n)^2, rho / k_n), so the
+    composed spend k_n rho'_n never exceeds rho. The selected index is the
+    smallest m whose estimator is within the penalized risk threshold
 
         C (log n)^a r_{n,rho'_n}(beta_l)
 
@@ -54,9 +54,9 @@ from .estimator import (
 )
 from .fourier import (
     _MAX_COEFFICIENTS,
+    _check_finite,
     _cube_size,
     _is_int,
-    _is_number,
     as_points,
     empirical_coefficients,
     multi_indices,
@@ -103,6 +103,15 @@ def build_beta_grid(n, eps: float) -> tuple[float, ...]:
     return tuple((k_n - m) * step for m in range(k_n))
 
 
+def _lepskii_budget(n, rho: float, eps: float) -> tuple[tuple[float, ...], float]:
+    """The Lepskii beta grid and the budget rho'_n = min(rho eps / (log n)^2,
+    rho / k_n) each of its k_n candidates is released at."""
+    betas = build_beta_grid(n, eps)
+    ln = math.log(n)
+    # k_n is clamped up to 1 when eps > (log n)^2; rho / k_n caps the total at rho
+    return betas, min(rho * eps / (ln * ln), rho / len(betas))
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Constants of the Lepskii threshold C (log n)^a r_{n,rho'}(beta).
@@ -128,11 +137,8 @@ class PenaltyConfig:
         if self.mode not in ("practical", "theory"):
             raise ValueError(f"mode must be 'practical' or 'theory', got {self.mode!r}")
         for name in ("C", "a", "eps", "L"):
-            value = getattr(self, name)
-            if not (name == "C" and value is None) and not (
-                _is_number(value) and math.isfinite(value)
-            ):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not (name == "C" and self.C is None):
+                _check_finite(name, getattr(self, name))
         if self.a <= 0:
             raise ValueError("a must be > 0")
         if self.eps <= 0:
@@ -318,9 +324,7 @@ def lepskii_select(
             )
 
     ln = math.log(n)
-    betas = build_beta_grid(n, cfg.eps)
-    # k_n is clamped up to 1 when eps > (log n)^2; rho / k_n caps the total at rho
-    rho_prime = min(rho_v * cfg.eps / (ln * ln), rho_v / len(betas))
+    betas, rho_prime = _lepskii_budget(n, rho_v, cfg.eps)
     cutoffs = [optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in betas]
     c_val = cfg.resolved_C(d)
     try:

@@ -113,11 +113,7 @@ def _cmd_fit(args) -> int:
         if args.M is not None:
             cutoff = args.M
         elif args.beta is not None:
-            if args.rho is not None:
-                cutoff = estimator.optimal_cutoff_adaptive_form(n, args.rho, args.beta, d)
-            else:
-                # no privacy: only the sampling branch of the tuned cut-off
-                cutoff = estimator._floor_pow(float(n), 1.0 / (2.0 * args.beta + d))
+            cutoff = estimator.optimal_cutoff_adaptive_form(n, args.rho, args.beta, d)
         else:
             raise UsageError("choose a cut-off: --M, --beta, or --adaptive")
         est = fit(data, cutoff, args.rho, rng)

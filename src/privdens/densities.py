@@ -37,10 +37,11 @@ from scipy.integrate import quad
 from . import fourier
 from .fourier import (
     CoefficientGrid,
+    _check_finite,
     _field,
     _int_power,
+    _is_finite,
     _is_int,
-    _is_number,
     as_points,
     multi_indices,
     project,
@@ -77,6 +78,11 @@ _MAX_BUMPS = 2**20
 # 256 times the largest sample the tests and benchmark draw. rejection_sample
 # and ExperimentConfig refuse more before anything is drawn.
 _MAX_SAMPLE_VALUES = 2**24
+# Most proposal rounds rejection_sample runs before it gives up. A round
+# proposes (points still needed) x (sup bound), at most 2^20, and keeps about
+# (points still needed) x (mass) of them, so only a target of nearly zero
+# mass runs out.
+_MAX_ROUNDS = 1000
 
 
 def lattice_resolution(d: int) -> int:
@@ -252,8 +258,11 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
     positive-half index in lexicographic order. Coefficients are rescaled so
     the Sobolev budget sits at 80% of L^2 (of L^2 - 1 when floor(beta) = 0,
     where theta_0 contributes 1), then damped by 0.8 until the lattice
-    minimum minus Lipschitz slack certifies a lower bound >= 0.01.
+    minimum minus Lipschitz slack certifies a lower bound >= 0.01. beta and
+    L must be finite numbers.
     """
+    _check_finite("beta", beta)
+    _check_finite("L", L)
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if L <= 1:
@@ -341,25 +350,43 @@ class PackingDensity:
     """Perturbed-uniform bump density; mass is exactly 1 by construction.
 
     theta is a 0/1 vector over the m^d bump centers j/(m+1), j in {1..m}^d,
-    in lexicographic order. gamma and delta are the integrals of psi and
-    psi^2 (amplitude included); h is small enough that bump supports are
-    disjoint and stay inside the cube.
+    in lexicographic order. The geometry follows from m, beta, d, L and
+    floor_half. The amplitude is a = 0.99 L / sqrt(2^(d-2b) E_b(Psi)) with
+    b = floor(beta), which puts the order-b derivative energy of
+    psi = a Psi(./2) at (0.99 L)^2 < L^2. gamma and delta are the integrals
+    of psi and psi^2. h = min(1/(gamma (m+1)), 1/(4(m+1))) keeps the bump
+    supports disjoint and inside the cube; floor_half=True halves the first
+    term, which forces the density >= 1/2 everywhere. beta and L must be
+    finite numbers > 0.
     """
 
     theta: np.ndarray
     m: int
-    h: float
     beta: float
     d: int
     L: float
-    amplitude: float
-    gamma: float
-    delta: float
     floor_half: bool = False
+    h: float = field(init=False)
+    amplitude: float = field(init=False)
+    gamma: float = field(init=False)
+    delta: float = field(init=False)
     _centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         size = _packing_size(self.m, self.d)
+        for name in ("beta", "L"):
+            _check_finite(name, getattr(self, name))
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        self.beta, self.L = float(self.beta), float(self.L)
+        b = int(math.floor(self.beta))
+        energy = _seminorm_energy(self.d, b)
+        self.amplitude = 0.99 * self.L / math.sqrt(2.0 ** (self.d - 2 * b) * energy)
+        moments = _bump_integrals(self.d)
+        self.gamma = self.amplitude * 2.0**self.d * moments["mass"]
+        self.delta = self.amplitude * self.amplitude * 2.0**self.d * moments["sq"]
+        gamma_term = 1.0 / ((2.0 if self.floor_half else 1.0) * self.gamma * (self.m + 1))
+        self.h = min(gamma_term, 1.0 / (4.0 * (self.m + 1)))
         self.theta = np.asarray(self.theta, dtype=np.uint8).reshape(-1)
         if len(self.theta) != size:
             raise ValueError(f"theta must have length m^d = {size}")
@@ -424,38 +451,8 @@ class PackingDensity:
 
 
 def make_packing_density(theta, m, beta, d=1, L=2.0, *, floor_half=False) -> PackingDensity:
-    """Build the bump packing density for a given bit vector.
-
-    The amplitude is a = 0.99 L / sqrt(2^(d-2b) E_b(Psi)) with b = floor(beta),
-    which puts the order-b derivative energy of psi = a Psi(./2) at
-    (0.99 L)^2 < L^2. h = min(1/(gamma (m+1)), 1/(4(m+1))); floor_half=True
-    halves the first term, which forces the density >= 1/2 everywhere.
-    """
-    _packing_size(m, d)
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    if L <= 0:
-        raise ValueError("L must be > 0")
-    b = int(math.floor(beta))
-    energy = _seminorm_energy(d, b)
-    amplitude = 0.99 * L / math.sqrt(2.0 ** (d - 2 * b) * energy)
-    moments = _bump_integrals(d)
-    gamma = amplitude * 2.0**d * moments["mass"]
-    delta = amplitude * amplitude * 2.0**d * moments["sq"]
-    gamma_term = 1.0 / ((2.0 if floor_half else 1.0) * gamma * (m + 1))
-    h = min(gamma_term, 1.0 / (4.0 * (m + 1)))
-    return PackingDensity(
-        theta=theta,
-        m=m,
-        h=h,
-        beta=float(beta),
-        d=d,
-        L=float(L),
-        amplitude=amplitude,
-        gamma=gamma,
-        delta=delta,
-        floor_half=floor_half,
-    )
+    """The bump packing density for a given bit vector (see PackingDensity)."""
+    return PackingDensity(theta, m, beta, d, L, floor_half)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +489,7 @@ class ClippedDensity:
         return np.maximum(fourier.evaluate(self.grid, x), 0.0)
 
 
-def rejection_sample(density, n, rng, *, return_stats=False, max_rounds=1000):
+def rejection_sample(density, n, rng, *, return_stats=False):
     """Draw n points from `density` by rejection from uniform proposals.
 
     density must expose dim, sup_bound (B >= sup f) and evaluate(points).
@@ -501,7 +498,7 @@ def rejection_sample(density, n, rng, *, return_stats=False, max_rounds=1000):
     round size is exactly the number still needed (for the uniform density
     every proposal is accepted, so the output is the raw proposal block).
     More than _MAX_SAMPLE_VALUES coordinates (n d) are refused before any
-    draw.
+    draw, and a RuntimeError is raised after _MAX_ROUNDS rounds.
     """
     d = int(density.dim)
     bound = float(density.sup_bound)
@@ -521,7 +518,7 @@ def rejection_sample(density, n, rng, *, return_stats=False, max_rounds=1000):
     proposals_total = 0
     accepted_total = 0
     rounds = 0
-    while got < n and rounds < max_rounds:
+    while got < n and rounds < _MAX_ROUNDS:
         need = n - got
         chunk = need if bound <= 1.0 else min(int(math.ceil(need * bound)), 1 << 20)
         proposals = rng.random((chunk, d))
@@ -536,7 +533,7 @@ def rejection_sample(density, n, rng, *, return_stats=False, max_rounds=1000):
         rounds += 1
     if got < n:
         raise RuntimeError(
-            f"rejection sampling produced {got}/{n} points in {max_rounds} rounds; "
+            f"rejection sampling produced {got}/{n} points in {_MAX_ROUNDS} rounds; "
             "the target density is nearly degenerate"
         )
     points = np.vstack(blocks) if blocks else np.empty((0, d))
@@ -557,16 +554,16 @@ def rejection_sample(density, n, rng, *, return_stats=False, max_rounds=1000):
 # ---------------------------------------------------------------------------
 
 
-def quadrature_mass(density, per_axis: int | None = None) -> float:
-    """Midpoint-rule mass of a density on [0,1]^d."""
-    lattice = midpoint_lattice(density.dim, per_axis)
+def quadrature_mass(density) -> float:
+    """Midpoint-rule mass of a density on [0,1]^d, on midpoint_lattice(d)."""
+    lattice = midpoint_lattice(density.dim)
     return float(np.mean(density.evaluate(lattice)))
 
 
 def density_from_json_dict(doc: dict):
     """A density from its JSON document. Every field must have its JSON type
-    (integers for d and m, 0/1 integers for theta, true or false for
-    floor_half); nothing is coerced."""
+    (integers for d and m, finite numbers for beta, L and min_value, 0/1
+    integers for theta, true or false for floor_half); nothing is coerced."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("density document must be a JSON object with a 'kind' field")
     kind = doc["kind"]
@@ -575,7 +572,7 @@ def density_from_json_dict(doc: dict):
         return _field(doc, key, _is_int, "an integer")
 
     def number(key):
-        return float(_field(doc, key, _is_number, "a number"))
+        return float(_field(doc, key, _is_finite, "a finite number"))
 
     try:
         if kind == "uniform":

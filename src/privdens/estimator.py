@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import privacy
-from .fourier import CoefficientGrid, _field, _is_int, _is_number, as_points, empirical_coefficients
+from .fourier import (
+    CoefficientGrid,
+    _check_finite,
+    _field,
+    _is_finite,
+    _is_int,
+    as_points,
+    empirical_coefficients,
+)
 
 __all__ = [
     "ProjectionEstimate",
@@ -49,14 +57,14 @@ def _floor_pow(base: float, exponent: float) -> int:
     return int(math.floor(x * (1.0 + 1e-12)))
 
 
-def _validate_cutoff_args(n, rho, beta, d) -> float:
+def _validate_cutoff_args(n, beta, d) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_finite("beta", beta)
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if d < 1:
         raise ValueError("d must be >= 1")
-    return privacy.as_rho(rho)
 
 
 def optimal_cutoff_thm(n: int, rho, beta: float, d: int) -> int:
@@ -66,7 +74,8 @@ def optimal_cutoff_thm(n: int, rho, beta: float, d: int) -> int:
                  floor((n sqrt(rho)/2^d)^(1/(beta+d))) },
     returned as M, clamped to 0 when the floor drops below 1.
     """
-    rho_v = _validate_cutoff_args(n, rho, beta, d)
+    _validate_cutoff_args(n, beta, d)
+    rho_v = privacy.as_rho(rho)
     scale = float(2**d)
     samp = _floor_pow(n / scale, 1.0 / (2.0 * beta + d))
     priv = _floor_pow(n * math.sqrt(rho_v) / scale, 1.0 / (beta + d))
@@ -77,11 +86,14 @@ def optimal_cutoff_adaptive_form(n: int, rho, beta: float, d: int) -> int:
     """Tuned cut-off, plain convention (no 2^d factor, no -1).
 
     M = min{ floor(n^(1/(2 beta+d))), floor((n sqrt(rho))^(1/(beta+d))) },
-    clamped to 0. This is the form the adaptive selection rules use.
+    clamped to 0. This is the form the adaptive selection rules use. With
+    rho=None (not private) it is the sampling branch floor(n^(1/(2 beta+d))).
     """
-    rho_v = _validate_cutoff_args(n, rho, beta, d)
+    _validate_cutoff_args(n, beta, d)
     samp = _floor_pow(float(n), 1.0 / (2.0 * beta + d))
-    priv = _floor_pow(n * math.sqrt(rho_v), 1.0 / (beta + d))
+    if rho is None:
+        return samp
+    priv = _floor_pow(n * math.sqrt(privacy.as_rho(rho)), 1.0 / (beta + d))
     return max(0, min(samp, priv))
 
 
@@ -131,17 +143,15 @@ class ProjectionEstimate:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ProjectionEstimate":
         grid = CoefficientGrid.from_json_dict(obj)
-
-        def finite(v):
-            return _is_number(v) and math.isfinite(v)
-
         try:
             n = _field(obj, "n", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
         except KeyError as exc:
             raise ValueError(f"malformed estimate object: missing {exc}") from exc
-        sigma = _field(obj, "sigma", lambda v: finite(v) and v >= 0, "a finite number >= 0", 0.0)
+        sigma = _field(
+            obj, "sigma", lambda v: _is_finite(v) and v >= 0, "a finite number >= 0", 0.0
+        )
         rho = _field(
-            obj, "rho_spent", lambda v: v is None or (finite(v) and v > 0),
+            obj, "rho_spent", lambda v: v is None or (_is_finite(v) and v > 0),
             "null or a finite number > 0", None,
         )
         return cls(grid, n, float(sigma), None if rho is None else float(rho))
@@ -150,9 +160,12 @@ class ProjectionEstimate:
 def _rate_branches(n: int, rho, beta: float, d: int) -> tuple[float, float]:
     """The sampling rate n^(-2b/(2b+d)) and the privacy rate
     (n sqrt(rho))^(-2b/(b+d)) that make up r_{n,rho}(beta)."""
-    rho_v = _validate_cutoff_args(n, rho, beta, d)
-    sampling = float(n) ** (-2.0 * beta / (2.0 * beta + d))
-    private = (n * math.sqrt(rho_v)) ** (-2.0 * beta / (beta + d))
+    _validate_cutoff_args(n, beta, d)
+    rho_v = privacy.as_rho(rho)
+    # -2b/(2b+d) and -2b/(b+d) to the bit, arranged so that no intermediate
+    # overflows when b is near the float maximum
+    sampling = float(n) ** (-beta / (beta + d / 2.0))
+    private = (n * math.sqrt(rho_v)) ** (-2.0 * (beta / (beta + d)))
     return sampling, private
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import adaptive, densities, fourier, privacy
 from .adaptive import PenaltyConfig
 from .densities import PackingDensity, TrigDensity, rejection_sample
-from .fourier import _is_int, _is_number
+from .fourier import _is_finite, _is_int, _is_number
 from .estimator import (
     ProjectionEstimate,
     fit,
@@ -88,7 +88,7 @@ def _check_fields(v: dict, problems: list[str]):
     rhos = listed("rhos", "rho", _is_number, "a number")
     if any(not r > 0 for r in rhos):
         problems.append("every rho must be > 0")
-    elif any(math.isinf(r) for r in rhos):
+    elif not all(map(_is_finite, rhos)):
         problems.append("every rho must be finite")
     mode = v.get("mode")
     if "mode" in v and mode not in _MODES:
@@ -106,7 +106,9 @@ def _check_fields(v: dict, problems: list[str]):
     beta = typed("beta", _is_number, "a number", nullable=True)
     if mode == "oracle" and v.get("beta") is None:
         problems.append("oracle mode requires 'beta'")
-    if beta is not None and not beta > 0:
+    if beta is not None and not _is_finite(beta):
+        problems.append(f"beta must be a finite number, got {beta!r}")
+    elif beta is not None and not beta > 0:
         problems.append("beta must be > 0")
     if "cutoff_form" in v and v["cutoff_form"] not in _CUTOFF_FORMS:
         problems.append(f"cutoff_form must be one of {_CUTOFF_FORMS}")
@@ -137,6 +139,8 @@ def _check_fields(v: dict, problems: list[str]):
     time_limit = typed("time_limit_s", _is_number, "a number", nullable=True)
     if time_limit is not None and not time_limit > 0:
         problems.append("time_limit_s must be > 0 when given")
+    elif time_limit is not None and not _is_finite(time_limit):
+        problems.append(f"time_limit_s must be a finite number, got {time_limit!r}")
     typed("deterministic_timings", lambda t: isinstance(t, bool), "true or false")
     if problems:
         raise ValueError(
@@ -145,7 +149,7 @@ def _check_fields(v: dict, problems: list[str]):
     return truth
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: a truth density, lists of n and rho, and an estimator mode.
 
@@ -155,8 +159,10 @@ class ExperimentConfig:
     the fields of PenaltyConfig.
 
     Keyword and JSON construction are checked alike, every bad field in one
-    ValueError; nothing is coerced, but rhos, beta and time_limit_s are
-    stored as floats. The density is parsed once, into the truth sampled.
+    ValueError; nothing is coerced, but rhos, beta and time_limit_s must be
+    finite and are stored as floats. The density is parsed once, into the
+    truth sampled. A config is frozen, so that truth cannot go stale: vary
+    one with dataclasses.replace, which checks again.
 
     deterministic_timings=True (the default) writes wall_ms = 0 in every
     record so that identical configs give byte-identical CSV files; set it
@@ -179,10 +185,12 @@ class ExperimentConfig:
     time_limit_s: float | None = None
 
     def __post_init__(self):
-        self._truth = _check_fields(vars(self), [])
-        self.rhos = [float(v) for v in self.rhos]
-        self.beta = None if self.beta is None else float(self.beta)
-        self.time_limit_s = None if self.time_limit_s is None else float(self.time_limit_s)
+        vars(self).update(  # frozen: set once, here, past __setattr__
+            _truth=_check_fields(vars(self), []),
+            rhos=[float(v) for v in self.rhos],
+            beta=None if self.beta is None else float(self.beta),
+            time_limit_s=None if self.time_limit_s is None else float(self.time_limit_s),
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -431,9 +439,7 @@ def run_adaptivity_experiment(cfg: ExperimentConfig) -> AdaptivityResult:
         cell["best_fixed_M"] = best
         cell["best_fixed_median_mise"] = med[best]
         if cfg.mode == "lepskii":
-            pc = cfg.penalty_config()
-            ln = math.log(n)
-            rho_split = rho * pc.eps / (ln * ln)
+            _betas, rho_split = adaptive._lepskii_budget(n, rho, cfg.penalty_config().eps)
             cell["oracle_split_cutoff"] = optimal_cutoff_adaptive_form(
                 n, rho_split, cfg.beta, cfg.d
             )

@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,18 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    # abs(v) <= max, not math.isfinite(v): an integer beyond the float range
+    # is refused here instead of raising OverflowError
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _check_finite(name: str, value) -> None:
+    """Raise ValueError naming `name` unless value is a finite real number."""
+    if not _is_finite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _field(doc: dict, key: str, ok, kind: str, *default):

@@ -72,6 +72,38 @@ def test_fit_beta_cutoff_without_privacy(tmp_path):
     assert est.cutoff == 10 and est.sigma == 0.0
 
 
+@pytest.mark.parametrize("beta, rho", [("-0.5", None), ("0", None), ("-3", None), ("0", "1")])
+def test_fit_beta_must_be_positive_with_or_without_privacy(tmp_path, capsys, beta, rho):
+    data = _write(tmp_path / "pts.csv", "0.1\n0.4\n0.6\n0.9\n")
+    out = tmp_path / "est.json"
+    argv = ["fit", data, f"--beta={beta}", "--out", str(out)] + (["--rho", rho] if rho else [])
+    assert main(argv) == 1
+    assert "error: beta must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["generate-density", "--kind", "trig", "--beta", "inf"], "beta", "inf"),
+    (["generate-density", "--kind", "packing", "--beta", "inf"], "beta", "inf"),
+    (["generate-density", "--kind", "trig", "--beta", "nan"], "beta", "nan"),
+    (["generate-density", "--kind", "packing", "--beta", "nan"], "beta", "nan"),
+    (["generate-density", "--kind", "trig", "--L", "nan"], "L", "nan"),
+    (["generate-density", "--kind", "packing", "--L", "nan"], "L", "nan"),
+    (["generate-density", "--kind", "packing", "--L", "inf"], "L", "inf"),
+    (["fit", "pts.csv", "--rho", "1", "--beta", "nan"], "beta", "nan"),
+    (["fit", "pts.csv", "--beta", "inf"], "beta", "inf"),
+    (["rate-table", "--n", "100", "--rho", "1", "--beta", "nan"], "beta", "nan"),
+    (["rate-table", "--n", "100", "--rho", "1", "--beta", "inf"], "beta", "inf"),
+])
+def test_non_finite_beta_and_L_flags_rejected(tmp_path, monkeypatch, capsys, argv, name, value):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "pts.csv", "0.1\n0.4\n0.6\n0.9\n")
+    out = [] if argv[0] == "rate-table" else ["--out", "out.json"]
+    assert main(argv + out) == 1
+    assert f"error: {name} must be a finite number, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_fit_adaptive_writes_trace_and_ledger(tmp_path, capsys):
     rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(3).random(300))
     data = _write(tmp_path / "pts.csv", rows + "\n")
@@ -375,6 +407,17 @@ def test_experiment_checks_every_sweep_before_running_any(tmp_path, capsys, seco
     assert main(["experiment", cfg_path, "--out-dir", str(out_dir)]) == 1
     assert fragment in capsys.readouterr().err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_experiment_packing_with_infinite_beta_rejected(tmp_path, capsys):
+    density = {"kind": "packing", "d": 1, "m": 2, "beta": math.inf, "L": 2.0, "theta": [1, 0]}
+    cfg = {"density": density, "n": 64, "rho": 1.0, "mode": "oracle", "beta": 1.0,
+           "replicates": 1, "seed": 0, "d": 1}
+    cfg_path = _write(tmp_path / "cfg.json", json.dumps(cfg))  # writes Infinity
+    out_dir = tmp_path / "runs"
+    assert main(["experiment", cfg_path, "--out-dir", str(out_dir)]) == 1
+    assert "bad density spec: 'beta' must be a finite number, got inf" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

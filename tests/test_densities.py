@@ -282,6 +282,32 @@ def test_size_caps_do_not_form_huge_powers():
         CoefficientGrid(10**12, 1, np.ones(1, dtype=complex))
 
 
+def test_packing_derives_its_geometry():
+    # six arguments; h, amplitude, gamma and delta follow from them alone
+    theta = np.array([1, 0, 1, 1])
+    f = PackingDensity(theta, 4, 1.0, 1, 2.0, False)
+    g = make_packing_density(theta, 4, 1.0, d=1, L=2.0)
+    for name in ("h", "amplitude", "gamma", "delta"):
+        assert getattr(f, name) == getattr(g, name) > 0
+    with pytest.raises(TypeError):
+        PackingDensity(theta, 4, 1.0, 1, 2.0, False, h=0.01)
+
+
+@pytest.mark.parametrize("key", ["beta", "L"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_fixtures_refuse_non_finite_beta_and_L(key, value):
+    args = {"beta": 1.0, "L": 2.0, key: value}
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        make_packing_density(np.ones(2), 2, args["beta"], d=1, L=args["L"])
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        make_trig_density(args["beta"], args["L"], 4, rng=1)
+    # a document is refused by its loader, naming the key
+    for doc in (make_packing_density(np.ones(2), 2, 1.0).to_json_dict(),
+                make_trig_density(1.0, 2.0, 2, rng=1).to_json_dict()):
+        with pytest.raises(ValueError, match=f"'{key}' must be a finite number"):
+            density_from_json_dict({**doc, key: value})
+
+
 def test_packing_floor_half():
     f = make_packing_density(np.ones(4, dtype=int), 4, 1.0, d=1, floor_half=True)
     lattice = midpoint_lattice(1)

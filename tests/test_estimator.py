@@ -42,6 +42,27 @@ def test_cutoff_adaptive_form_examples():
         assert optimal_cutoff_adaptive_form(math.e**2, 1.0, beta, 1) == 1
 
 
+def test_cutoff_adaptive_form_without_privacy_is_the_sampling_branch():
+    # rho=None keeps floor(n^(1/(2 beta + d))) alone: floor(1024^(1/3)) = 10
+    assert optimal_cutoff_adaptive_form(1024, None, 1.0, 1) == 10
+    assert optimal_cutoff_adaptive_form(1024, 1e-6, 1.0, 1) < 10
+    for beta in (0.0, -0.5, -3.0):
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            optimal_cutoff_adaptive_form(1024, None, beta, 1)
+    # every other user of the cut-off checks still refuses a missing budget
+    for call in (optimal_cutoff_thm, theoretical_rate, rate_regime):
+        with pytest.raises(ValueError, match="rho must be a number, got None"):
+            call(1024, None, 1.0, 1)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, True,
+                                  pytest.param(10**400, id="huge-int")])
+def test_cutoff_and_rate_beta_must_be_finite(beta):
+    for call in (optimal_cutoff_adaptive_form, optimal_cutoff_thm, theoretical_rate):
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            call(1024, 1.0, beta, 1)
+
+
 def test_cutoff_conventions_differ():
     # same inputs, different conventions: 10 vs 7 (documented, unreconciled)
     n, rho, beta, d = 1024, 1.0, 1.0, 1
@@ -88,6 +109,14 @@ def test_rate_large_rho_is_sampling_term():
         r = theoretical_rate(n, 1e12, 1.0, 1)
         assert r == pytest.approx(n ** (-2.0 / 3.0), rel=1e-12)
         assert rate_regime(n, 1e12, 1.0, 1) == "sampling"
+
+
+def test_rate_for_beta_near_float_max_is_its_limit():
+    # beta -> inf gives max(1/n, 1/(n^2 rho)); forming 2 beta overflowed into NaN
+    for beta in (1e308, 1.7976931348623157e308):
+        assert theoretical_rate(100, 1.0, beta, 1) == pytest.approx(0.01, rel=1e-12)
+        assert theoretical_rate(100, 1e-3, beta, 1) == pytest.approx(0.1, rel=1e-12)
+        assert rate_regime(100, 1e-3, beta, 1) == "privacy"
 
 
 def test_rate_regime_boundary():

@@ -6,6 +6,7 @@ Full-size rate sweeps live in test_acceptance; here the runs are kept
 small so the file stays fast.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from privdens.densities import (
     midpoint_lattice,
     rejection_sample,
 )
-from privdens.estimator import ProjectionEstimate, fit
+from privdens.adaptive import lepskii_select
+from privdens.estimator import ProjectionEstimate, fit, optimal_cutoff_adaptive_form
 from privdens.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -122,6 +124,8 @@ def _keyword_cfg(**overrides):
     ({"cutoff_form": "thm-typo"}, "cutoff_form must be one of"),
     ({"ns": 512}, "'n' must be a list"),
     ({"rhos": [1.0, True]}, "every rho must be a number"),
+    ({"beta": math.inf}, "beta must be a finite number, got inf"),
+    ({"beta": math.nan}, "beta must be a finite number, got nan"),
 ])
 def test_keyword_config_checked_like_json(override, fragment):
     # construction by keyword runs the same checks as from_dict
@@ -136,6 +140,19 @@ def test_keyword_config_stores_floats_and_its_truth():
     assert isinstance(cfg.beta, float) and isinstance(cfg.time_limit_s, float)
     assert np.array_equal(cfg._truth.coefficients.values, _TRUTH.coefficients.values)
     assert "_truth" not in cfg.to_json_dict()
+
+
+def test_config_is_frozen_and_replace_checks_again():
+    cfg = _keyword_cfg()
+    for name, value in (("density", {"kind": "uniform", "d": 2}), ("mode", "bogus"),
+                        ("replicates", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg.mode == "oracle" and cfg.replicates == 2 and cfg._truth.dim == 1
+    with pytest.raises(ValueError, match="mode must be one of"):
+        dataclasses.replace(cfg, mode="bogus")
+    wider = dataclasses.replace(cfg, density={"kind": "uniform", "d": 2}, d=2)
+    assert wider._truth.dim == 2 and cfg._truth.dim == 1
 
 
 def test_config_parses_its_density_once(monkeypatch):
@@ -159,6 +176,8 @@ def test_config_parses_its_density_once(monkeypatch):
     ({"rho": [float("inf")]}, "every rho must be finite"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"n": [2**25]}, "n * d must be at most 16777216"),
+    ({"rho": [10**400]}, "every rho must be finite"),
+    ({"time_limit_s": 10**400}, "time_limit_s must be a finite number"),
 ])
 def test_config_rejects_values_that_would_fail_mid_sweep(override, fragment):
     with pytest.raises(ValueError, match="invalid experiment config") as err:
@@ -382,6 +401,19 @@ def test_adaptivity_lepskii_reports_best_fixed_cutoff():
     best = max(cell["best_fixed_M"], 1)
     within = [s <= 4 * best and best <= 4 * max(s, 1) for s in cell["selected_cutoffs"]]
     assert cell["within_factor4_fraction"] == np.mean(within)
+
+
+def test_oracle_split_cutoff_uses_the_candidates_budget():
+    # eps = 12 > (log 20)^2 clamps k_n to 1, so every Lepskii candidate is
+    # released at rho / k_n = 0.06, not at rho eps / (log n)^2 = 0.0802
+    cfg = ExperimentConfig(density={"kind": "uniform", "d": 1}, ns=[20], rhos=[0.06],
+                           mode="lepskii", replicates=2, seed=0, d=1, beta=0.5,
+                           constants={"eps": 12.0})
+    (cell,) = run_adaptivity_experiment(cfg).cells
+    data = rejection_sample(cfg._truth, 20, np.random.default_rng(0))
+    _, trace = lepskii_select(data, 0.06, cfg.penalty_config(), np.random.default_rng(1))
+    assert trace.rho_per_candidate == 0.06
+    assert cell["oracle_split_cutoff"] == optimal_cutoff_adaptive_form(20, 0.06, 0.5, 1) == 2
 
 
 def test_adaptivity_requires_adaptive_mode():

@@ -1,18 +1,21 @@
-"""Property tests of the document and config loaders and of the fit flags.
+"""Property tests of the document and config loaders and of the command-line
+flags that carry numbers.
 
 Each loader either returns a value or raises ValueError, whatever JSON-like
 value it is given; the command line returns 0, 1 or 2 and raises nothing but
 argparse's SystemExit(2). The documents are valid ones with some keys
 replaced by arbitrary JSON values, removed, or joined by unknown keys, so
-most examples get past the first check. Runs are derandomized with small
-example counts, so the suite stays deterministic and fast.
+most examples get past the first check; NaN and the infinities are also
+drawn on purpose for the smoothness beta and the radius L. A density that
+loads or is generated has a finite sup bound > 0. Runs are derandomized with
+small example counts, so the suite stays deterministic and fast.
 """
 
 import json
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from privdens.cli import main
@@ -62,12 +65,23 @@ def returns_or_value_error(load, doc):
         return None
 
 
+def non_finite_beta_and_L(test):
+    """Add, as explicit examples, every packing and trig document whose beta
+    or L is NaN or an infinity."""
+    for doc in (PACKING, TRIG):
+        for key in ("beta", "L"):
+            for value in (math.nan, math.inf, -math.inf):
+                test = example({**doc, key: value})(test)
+    return test
+
+
 @FUZZ
 @given(st.one_of(mutated(UNIFORM), mutated(PACKING), mutated(TRIG), JSON))
+@non_finite_beta_and_L
 def test_density_loader_returns_or_raises_value_error(doc):
     dens = returns_or_value_error(density_from_json_dict, doc)
     if dens is not None:
-        assert dens.dim >= 1 and dens.sup_bound > 0
+        assert dens.dim >= 1 and 0 < dens.sup_bound < math.inf
 
 
 @FUZZ
@@ -135,30 +149,101 @@ def test_keyword_config_returns_or_raises_value_error(kwargs):
 
 
 # Flag values as the shell passes them: printed floats, special values and junk.
-FLAG_VALUES = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-310", "1e308", "True", "abc", ""]),
-)
+SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-310", "1e308", "True", "abc", ""])
+FLAG_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), SPECIAL)
+
+
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses a flag value
+        assert exc.code == 2
+        return 2
+
+
+def points_file(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    data = tmp / "pts.csv"
+    data.write_text("".join(f"{x:.17g}\n" for x in np.random.default_rng(0).random(40)),
+                    encoding="utf-8")
+    return tmp, data
 
 
 @settings(FUZZ, max_examples=30)
 @given(st.dictionaries(st.sampled_from(["--C", "--a", "--eps", "--L"]), FLAG_VALUES, min_size=1),
        st.booleans())
 def test_fit_lepskii_flags_exit_cleanly(tmp_path_factory, flags, theory):
-    tmp = tmp_path_factory.mktemp("fit")
-    data = tmp / "pts.csv"
-    data.write_text("".join(f"{x:.17g}\n" for x in np.random.default_rng(0).random(40)),
-                    encoding="utf-8")
+    tmp, data = points_file(tmp_path_factory)
     argv = ["fit", str(data), "--rho", "1", "--adaptive", "lepskii", "--out", str(tmp / "e.json")]
     if theory:
         argv += ["--constants-mode", "theory"]
     for flag, value in flags.items():
         argv.append(f"{flag}={value}")
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-        assert code == 2
+    code = exit_code(argv)
     assert code in (0, 1, 2)
     if code == 0:
         assert math.isfinite(json.loads((tmp / "e.json").read_text())["rho_spent"])
+
+
+@settings(FUZZ, max_examples=40)
+@given(st.dictionaries(st.sampled_from(["--beta", "--M"]),
+                       st.one_of(FLAG_VALUES, st.integers(-3, 40).map(str)), min_size=1),
+       st.booleans())
+@example(flags={"--beta": "-0.5"}, private=False)  # 2 beta + d = 0
+@example(flags={"--beta": "0"}, private=False)
+def test_fit_cutoff_flags_exit_cleanly(tmp_path_factory, flags, private):
+    tmp, data = points_file(tmp_path_factory)
+    argv = ["fit", str(data), "--out", str(tmp / "e.json")] + (["--rho", "1"] if private else [])
+    code = exit_code(argv + [f"{flag}={value}" for flag, value in flags.items()])
+    assert code in (0, 1, 2)
+    if code == 0:
+        est = ProjectionEstimate.from_json_dict(json.loads((tmp / "e.json").read_text()))
+        assert est.cutoff >= 0 and (est.rho_spent == 1.0) == private
+        if "--M" not in flags:  # a tuned cut-off needs a smoothness in (0, inf)
+            assert 0 < float(flags["--beta"]) < math.inf
+
+
+# Small ranges for the sizes, so that no example allocates much; beta and L
+# also take NaN, the infinities and junk. A huge finite beta is left out: the
+# trig fixture's Sobolev weights take time of order floor(beta)^(d-1).
+def _small_real(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr),
+                     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "True", "abc", ""]))
+
+
+GENERATE_FLAGS = {
+    "--beta": _small_real(-1.0, 4.0),
+    "--L": _small_real(-1.0, 6.0),
+    "--M-truth": st.integers(-1, 6).map(str),
+    "--m": st.integers(-1, 6).map(str),
+    "--d": st.integers(-1, 3).map(str),
+}
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.sampled_from(["trig", "packing", "uniform"]),
+       st.fixed_dictionaries({}, optional=GENERATE_FLAGS))
+@example(kind="trig", flags={"--beta": "inf"})
+@example(kind="packing", flags={"--beta": "inf"})
+@example(kind="packing", flags={"--L": "nan"})
+def test_generate_density_flags_exit_cleanly(tmp_path_factory, kind, flags):
+    out = tmp_path_factory.mktemp("gen") / "dens.json"
+    argv = ["generate-density", "--kind", kind, "--out", str(out)]
+    code = exit_code(argv + [f"{flag}={value}" for flag, value in flags.items()])
+    assert code in (0, 1, 2)
+    if code == 0:
+        dens = density_from_json_dict(json.loads(out.read_text()))
+        assert 0 < dens.sup_bound < math.inf
+
+
+@settings(FUZZ, max_examples=40)
+@given(st.lists(FLAG_VALUES, min_size=1, max_size=3))
+def test_rate_table_beta_flags_exit_cleanly(capsys, betas):
+    capsys.readouterr()
+    code = exit_code(["rate-table", "--n", "100", "4096", "--rho", "0.01", "1", "--beta",
+                      *betas])
+    assert code in (0, 1, 2)
+    if code == 0:
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 4 * len(betas)
+        assert all(0 < float(row.split(",")[4]) < math.inf for row in rows)

@@ -8,9 +8,10 @@ Everything goes through the command line of the checkout this file sits in
 on an older commit. Into OUTDIR it writes:
 
 * `experiments/`: the CSVs and `summary.json` of the criterion 6, 7, 8 and
-  9a sweeps, of a d = 2 adaptivity sweep in both modes and of an oracle
-  sweep on a d = 2 packing (its MISE is the lattice quadrature route),
-  2 replicates each (`privdens experiment`);
+  9a sweeps, of a d = 2 adaptivity sweep in both modes, of an oracle sweep
+  on a d = 2 packing (its MISE is the lattice quadrature route) and of a
+  Lepskii sweep with eps > (log n)^2 (one candidate, at the capped budget
+  rho / k_n), 2 replicates each (`privdens experiment`);
 * a CLI round trip: three trig and one packing `generate-density`
   fixtures, `sample`, `fit --M`, `fit --adaptive penalized-bias` and
   `fit --adaptive lepskii` with `--trace`, and `sample` from the released
@@ -73,6 +74,9 @@ SWEEPS = [
      {"n": [4096], "rho": [1.0], "mode": "lepskii", "seed": 22, "beta": 2.0}),
     ("packing_d2", "packing_d2.json",
      {"n": [1024, 4096], "rho": [0.5, 4.0], "mode": "oracle", "seed": 42, "beta": 1.0}),
+    ("lepskii_eps12", "beta1.json",
+     {"n": [20], "rho": [0.06], "mode": "lepskii", "seed": 12, "beta": 0.5,
+      "constants": {"eps": 12.0}}),
 ]
 ROUND_TRIP = [
     ["sample", "beta2.json", "--n", "16384", "--seed", "0", "--out", "points.csv"],
@@ -161,6 +165,18 @@ FAILURES = [
      ["generate-density", "--kind", "trig", "--d", "1000000", "--M-truth", "1", "--out", "t.json"]),
     ("generate_packing_d0", {},
      ["generate-density", "--kind", "packing", "--d", "0", "--out", "p.json"]),
+    ("fit_beta_negative_no_rho", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--beta=-0.5", "--out", "est.json"]),
+    ("fit_beta_zero_no_rho", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--beta", "0", "--out", "est.json"]),
+    ("rate_table_beta_nan", {}, ["rate-table", "--n", "100", "--rho", "1", "--beta", "nan"]),
+    ("generate_trig_beta_inf", {},
+     ["generate-density", "--kind", "trig", "--beta", "inf", "--out", "t.json"]),
+    ("generate_packing_L_nan", {},
+     ["generate-density", "--kind", "packing", "--L", "nan", "--out", "p.json"]),
+    ("config_packing_beta_infinite", {"cfg.json": _config(density={
+        "kind": "packing", "d": 1, "m": 2, "beta": float("inf"), "L": 2.0, "theta": [1, 0]})},
+     _EXPERIMENT),
 ]
 
 
