@@ -19,8 +19,8 @@ cfg = ExperimentConfig(
     mode="oracle", replicates=10, seed=3, d=1, beta=1.0,
 )
 res = run_rate_experiment(cfg)
-for n, rho, m in res.cell_means:
-    print(f"  n = {n:>6}  mean MISE = {m:.4e}")
+for cell in res.cells:
+    print(f"  n = {cell['n']:>6}  mean MISE = {cell['mean_mise']:.4e}")
 print(f"  fitted slope vs log n: {res.slope.slope:.3f} "
       f"+- {res.slope.stderr:.3f}   (theory -2/3)\n")
 
@@ -30,8 +30,8 @@ cfg = ExperimentConfig(
     mode="oracle", replicates=10, seed=4, d=1, beta=1.0,
 )
 res = run_rate_experiment(cfg)
-for n, rho, m in res.cell_means:
-    print(f"  rho = {rho:>12.6g}  mean MISE = {m:.4e}")
+for cell in res.cells:
+    print(f"  rho = {cell['rho']:>12.6g}  mean MISE = {cell['mean_mise']:.4e}")
 print(f"  fitted slope vs log(n sqrt(rho)): {res.slope.slope:.3f} "
       f"+- {res.slope.stderr:.3f}   (theory -1; flattens once sampling error")
 print("  takes over at large rho, which pulls the small-R fit upward)")

@@ -10,7 +10,7 @@ import numpy as np
 from privdens import fit, rejection_sample
 from privdens.densities import (
     ClippedDensity,
-    density_from_json,
+    density_from_json_dict,
     make_packing_density,
     make_trig_density,
     midpoint_lattice,
@@ -47,7 +47,7 @@ print(f"  50k samples, worst coefficient error {err:.4f} "
 
 # -------------------------------------------- serialization round trip
 blob = json.dumps(trig.to_json_dict())
-back = density_from_json(blob)
+back = density_from_json_dict(json.loads(blob))
 same = np.array_equal(back.coefficients.values, trig.coefficients.values)
 print(f"JSON round trip exact: {same}")
 

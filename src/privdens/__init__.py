@@ -32,7 +32,6 @@ from .densities import (
     ClippedDensity,
     PackingDensity,
     TrigDensity,
-    density_from_json,
     density_from_json_dict,
     exact_bias,
     make_packing_density,
@@ -113,7 +112,6 @@ __all__ = [
     "make_packing_density",
     "exact_bias",
     "rejection_sample",
-    "density_from_json",
     "density_from_json_dict",
     # experiments
     "ExperimentConfig",

@@ -54,6 +54,7 @@ from .estimator import (
 )
 from .fourier import (
     _MAX_COEFFICIENTS,
+    _capped,
     _check_finite,
     _cube_size,
     _is_int,
@@ -229,11 +230,8 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
     n, d = pts.shape
     top = max(cutoffs)
     size = len(cutoffs) * _cube_size(top, d)
-    if size > _MAX_COEFFICIENTS:
-        raise ValueError(
-            f"{len(cutoffs)} candidates up to M = {top} in d = {d} hold {size} coefficients, "
-            f"more than the {_MAX_COEFFICIENTS} this package builds"
-        )
+    _capped(size, _MAX_COEFFICIENTS, lambda: (
+        f"{len(cutoffs)} candidates up to M = {top} in d = {d} hold {size} coefficients"))
     master = empirical_coefficients(pts, top)
     ledger = privacy.BudgetLedger()
     estimates = [

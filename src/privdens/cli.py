@@ -186,32 +186,11 @@ def _cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for name, cfg in configs.items():
-        if cfg.mode == "oracle":
-            res = run_rate_experiment(cfg)
-            entry = {
-                "mode": cfg.mode,
-                "cells": [
-                    {"n": n, "rho": r, "mean_mise": m} for n, r, m in res.cell_means
-                ],
-            }
-            if res.slope is not None:
-                entry["slope"] = {
-                    "value": res.slope.slope,
-                    "stderr": res.slope.stderr,
-                    "x": res.slope.x_name,
-                }
-            else:
-                entry["slope"] = None
-            records = res.records
-        else:
-            ares = run_adaptivity_experiment(cfg)
-            entry = {"mode": cfg.mode, "cells": ares.cells}
-            records = ares.records
+        res = (run_rate_experiment if cfg.mode == "oracle" else run_adaptivity_experiment)(cfg)
         csv_path = out_dir / f"{name}.csv"
-        write_csv(records, csv_path)
-        entry["csv"] = csv_path.name
-        summary[name] = entry
-        print(f"sweep {name}: {len(records)} records -> {csv_path}")
+        write_csv(res.records, csv_path)
+        summary[name] = {**res.summary, "csv": csv_path.name}
+        print(f"sweep {name}: {len(res.records)} records -> {csv_path}")
     _write_json(str(out_dir / "summary.json"), summary)
     print(f"summary -> {out_dir / 'summary.json'}")
     return 0

@@ -25,7 +25,6 @@ are drawn first, then the acceptance uniforms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,6 +36,7 @@ from scipy.integrate import quad
 from . import fourier
 from .fourier import (
     CoefficientGrid,
+    _capped,
     _check_finite,
     _field,
     _int_power,
@@ -60,7 +60,6 @@ __all__ = [
     "ClippedDensity",
     "quadrature_mass",
     "density_from_json_dict",
-    "density_from_json",
 ]
 
 # Per-axis lattice resolution used for positivity certification, mass
@@ -78,6 +77,11 @@ _MAX_BUMPS = 2**20
 # 256 times the largest sample the tests and benchmark draw. rejection_sample
 # and ExperimentConfig refuse more before anything is drawn.
 _MAX_SAMPLE_VALUES = 2**24
+# Largest smoothness order floor(beta) of a trigonometric fixture: above it
+# (2 pi)^(2 floor(beta)), the Sobolev weight of |k| = 1, overflows, and with
+# it every weight but theta_0's. The weights sum over all multi-indices of
+# that order, so the bound is checked before they are built.
+_MAX_SOBOLEV_ORDER = 193
 # Most proposal rounds rejection_sample runs before it gives up. A round
 # proposes (points still needed) x (sup bound), at most 2^20, and keeps about
 # (points still needed) x (mass) of them, so only a target of nearly zero
@@ -93,11 +97,8 @@ def midpoint_lattice(d: int, per_axis: int | None = None) -> np.ndarray:
     """Midpoint lattice ((i+1/2)/N per axis) as an (N^d, d) array."""
     n = per_axis or lattice_resolution(d)
     size = _int_power(n, d)
-    if size > _MAX_LATTICE_POINTS:
-        raise ValueError(
-            f"a midpoint lattice of {n} points per axis in d = {d} has {size} points, "
-            f"more than the {_MAX_LATTICE_POINTS} this package builds"
-        )
+    _capped(size, _MAX_LATTICE_POINTS, lambda: (
+        f"a midpoint lattice of {n} points per axis in d = {d} has {size} points"))
     axis = (np.arange(n) + 0.5) / n
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, d)
@@ -180,15 +181,22 @@ def _seminorm_energy(d: int, b: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sobolev_weights(ks: np.ndarray, b: int) -> np.ndarray:
-    # sum over multi-indices |alpha| = b of prod_i (2 pi k_i)^(2 alpha_i),
-    # i.e. the complete homogeneous symmetric polynomial of the (2 pi k_i)^2
+def _sobolev_weights(ks: np.ndarray, beta: float) -> np.ndarray:
+    # sum over multi-indices |alpha| = b = floor(beta) of prod_i (2 pi k_i)^(2 alpha_i),
+    # i.e. the complete homogeneous symmetric polynomial of the (2 pi k_i)^2;
+    # a beta past _MAX_SOBOLEV_ORDER, or whose weights overflow, is refused
+    b = int(math.floor(beta))
+    if b > _MAX_SOBOLEV_ORDER:
+        raise ValueError(f"beta must be below {_MAX_SOBOLEV_ORDER + 1}, got {beta!r}")
     if b == 0:
         return np.ones(len(ks))
     x = (2.0 * np.pi * ks.astype(float)) ** 2
     total = np.zeros(len(ks))
-    for combo in combinations_with_replacement(range(ks.shape[1]), b):
-        total += np.prod(x[:, combo], axis=1)
+    with np.errstate(over="ignore"):
+        for combo in combinations_with_replacement(range(ks.shape[1]), b):
+            total += np.prod(x[:, combo], axis=1)
+    if not np.all(np.isfinite(total)):
+        raise ValueError(f"beta = {beta!r} overflows the Sobolev weights up to |k| = {ks.max()}")
     return total
 
 
@@ -224,7 +232,7 @@ class TrigDensity:
         """sum_k (sum_{|alpha| = floor(beta)} (2 pi k)^(2 alpha)) |theta_k|^2."""
         if self.cutoff == 0 and math.isinf(self.beta):
             return 0.0
-        w = _sobolev_weights(self.coefficients.indices(), int(math.floor(self.beta)))
+        w = _sobolev_weights(self.coefficients.indices(), self.beta)
         return float(np.sum(w * np.abs(self.coefficients.values) ** 2))
 
     @classmethod
@@ -259,7 +267,8 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
     the Sobolev budget sits at 80% of L^2 (of L^2 - 1 when floor(beta) = 0,
     where theta_0 contributes 1), then damped by 0.8 until the lattice
     minimum minus Lipschitz slack certifies a lower bound >= 0.01. beta and
-    L must be finite numbers.
+    L must be finite numbers, floor(beta) at most _MAX_SOBOLEV_ORDER, and
+    the Sobolev weights of order floor(beta) finite.
     """
     _check_finite("beta", beta)
     _check_finite("L", L)
@@ -287,7 +296,7 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
         values[size - 1 - idx] = np.conj(values[idx])
 
     b = int(math.floor(beta))
-    w = _sobolev_weights(ks, b)
+    w = _sobolev_weights(ks, beta)
     tail = np.sum(w * np.abs(values) ** 2) - (w[center] * 1.0)
     target = 0.8 * (L * L - 1.0) if b == 0 else 0.8 * L * L
     if tail > 0:
@@ -337,12 +346,8 @@ def _packing_size(m: int, d: int) -> int:
     if d < 1:
         raise ValueError("d must be >= 1")
     size = _int_power(m, d)
-    if size > _MAX_BUMPS:
-        raise ValueError(
-            f"a packing with m = {m} in d = {d} has m^d = {size} bumps, "
-            f"more than the {_MAX_BUMPS} this package builds"
-        )
-    return size
+    return _capped(size, _MAX_BUMPS, lambda: (
+        f"a packing with m = {m} in d = {d} has m^d = {size} bumps"))
 
 
 @dataclass
@@ -357,7 +362,7 @@ class PackingDensity:
     of psi and psi^2. h = min(1/(gamma (m+1)), 1/(4(m+1))) keeps the bump
     supports disjoint and inside the cube; floor_half=True halves the first
     term, which forces the density >= 1/2 everywhere. beta and L must be
-    finite numbers > 0.
+    finite numbers > 0, and L small enough that delta is finite.
     """
 
     theta: np.ndarray
@@ -385,6 +390,8 @@ class PackingDensity:
         moments = _bump_integrals(self.d)
         self.gamma = self.amplitude * 2.0**self.d * moments["mass"]
         self.delta = self.amplitude * self.amplitude * 2.0**self.d * moments["sq"]
+        if not math.isfinite(self.delta):  # an infinite amplitude makes delta infinite too
+            raise ValueError(f"L = {self.L!r} overflows the bump amplitude or its square")
         gamma_term = 1.0 / ((2.0 if self.floor_half else 1.0) * self.gamma * (self.m + 1))
         self.h = min(gamma_term, 1.0 / (4.0 * (self.m + 1)))
         self.theta = np.asarray(self.theta, dtype=np.uint8).reshape(-1)
@@ -506,11 +513,9 @@ def rejection_sample(density, n, rng, *, return_stats=False):
         raise ValueError("sup bound must be > 0")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if int(n) * d > _MAX_SAMPLE_VALUES:
-        raise ValueError(
-            f"{n} points in d = {d} are {int(n) * d} coordinates, "
-            f"more than the {_MAX_SAMPLE_VALUES} this package samples"
-        )
+    size = int(n) * d
+    _capped(size, _MAX_SAMPLE_VALUES, lambda: f"{n} points in d = {d} are {size} coordinates",
+            "samples")
     rng = np.random.default_rng(rng)
 
     blocks = []
@@ -597,7 +602,3 @@ def density_from_json_dict(doc: dict):
     except KeyError as exc:
         raise ValueError(f"density document is missing field {exc}") from exc
     raise ValueError(f"unknown density kind {kind!r}")
-
-
-def density_from_json(text: str):
-    return density_from_json_dict(json.loads(text))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -44,8 +44,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "SlopeFit",
-    "RateResult",
-    "AdaptivityResult",
+    "SweepResult",
     "mise",
     "fit_slope",
     "run_rate_experiment",
@@ -149,6 +148,30 @@ def _check_fields(v: dict, problems: list[str]):
     return truth
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError("an ExperimentConfig cannot change; vary it with dataclasses.replace")
+
+
+class _FrozenList(list):  # a list of a config: copied by value, changed never
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    __reduce__ = lambda self: (type(self), (list(self),))  # noqa: E731
+
+
+class _FrozenDict(dict):  # a dict of a config: copied by value, changed never
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _refuse
+    __reduce__ = lambda self: (type(self), (dict(self),))  # noqa: E731
+
+
+def _recast(value, seq=list, mapping=dict):
+    """value with every list in it made a seq, and every dict a mapping."""
+    if isinstance(value, list):
+        return seq(_recast(v, seq, mapping) for v in value)
+    if isinstance(value, dict):
+        return mapping((k, _recast(v, seq, mapping)) for k, v in value.items())
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: a truth density, lists of n and rho, and an estimator mode.
@@ -161,8 +184,9 @@ class ExperimentConfig:
     Keyword and JSON construction are checked alike, every bad field in one
     ValueError; nothing is coerced, but rhos, beta and time_limit_s must be
     finite and are stored as floats. The density is parsed once, into the
-    truth sampled. A config is frozen, so that truth cannot go stale: vary
-    one with dataclasses.replace, which checks again.
+    truth sampled. A config is frozen, its lists and dicts too, so that
+    neither that truth nor to_json_dict can go stale: vary one with
+    dataclasses.replace, which checks again.
 
     deterministic_timings=True (the default) writes wall_ms = 0 in every
     record so that identical configs give byte-identical CSV files; set it
@@ -186,8 +210,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         vars(self).update(  # frozen: set once, here, past __setattr__
+            {key: _recast(value, _FrozenList, _FrozenDict) for key, value in vars(self).items()},
             _truth=_check_fields(vars(self), []),
-            rhos=[float(v) for v in self.rhos],
+            rhos=_FrozenList(float(v) for v in self.rhos),
             beta=None if self.beta is None else float(self.beta),
             time_limit_s=None if self.time_limit_s is None else float(self.time_limit_s),
         )
@@ -212,8 +237,7 @@ class ExperimentConfig:
         return cls(**values)
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        return {f.metadata.get("key", f.name): doc[f.name] for f in fields(self)}
+        return {f.metadata.get("key", f.name): _recast(getattr(self, f.name)) for f in fields(self)}
 
     def penalty_config(self) -> PenaltyConfig:
         return PenaltyConfig(**self.constants)
@@ -246,16 +270,19 @@ class SlopeFit:
 
 
 @dataclass
-class RateResult:
-    records: list
-    slope: SlopeFit | None
-    cell_means: list
+class SweepResult:
+    """What both runners return: the records, the slope fit of a rate sweep
+    (None when it is undefined, and for an adaptivity sweep), and the sweep's
+    summary.json entry, {"mode", "cells"} and for a rate sweep "slope"."""
 
-
-@dataclass
-class AdaptivityResult:
     records: list
-    cells: list
+    summary: dict
+    slope: SlopeFit | None = None
+
+    @property
+    def cells(self) -> list:
+        """One summary dict per cell with a completed replicate."""
+        return self.summary["cells"]
 
 
 def mise(estimate: ProjectionEstimate, truth) -> float:
@@ -359,33 +386,27 @@ def _sweep(cfg: ExperimentConfig, truth, compare: bool = False):
     return records, cells
 
 
-def run_rate_experiment(cfg: ExperimentConfig) -> RateResult:
+def run_rate_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Sweep all (n, rho) cells, R replicates each, and fit the rate slope.
 
-    The slope regressor is log n when rho is a single value, and
-    log(n sqrt(rho)) when n is a single value; with one cell the slope is
-    reported as None.
+    A cell's summary is its n, rho and mean_mise. The slope regressor is
+    log n when rho is a single value, and log(n sqrt(rho)) when n is a
+    single value; with one cell, or neither, the slope is None.
     """
     records, cells = _sweep(cfg, cfg._truth)
-    cell_means = [
-        (n, rho, float(np.mean([r.mise for r in recs]))) for n, rho, recs, _ in cells
-    ]
-
-    slope = None
-    if len(cell_means) >= 2:
-        if len(cfg.rhos) == 1:
-            xs = [math.log(n) for n, _r, _m in cell_means]
-            name = "log n"
-        elif len(cfg.ns) == 1:
-            xs = [math.log(n * math.sqrt(r)) for n, r, _m in cell_means]
-            name = "log(n sqrt(rho))"
-        else:
-            xs = None
-            name = ""
-        if xs is not None:
-            ys = [math.log(m) for _n, _r, m in cell_means]
-            slope = fit_slope(xs, ys, name)
-    return RateResult(records=records, slope=slope, cell_means=cell_means)
+    means = [(n, rho, float(np.mean([r.mise for r in recs]))) for n, rho, recs, _ in cells]
+    by_n, slope = len(cfg.rhos) == 1, None
+    if len(means) >= 2 and (by_n or len(cfg.ns) == 1):
+        xs = [math.log(n if by_n else n * math.sqrt(r)) for n, r, _m in means]
+        ys = [math.log(m) for _n, _r, m in means]
+        slope = fit_slope(xs, ys, "log n" if by_n else "log(n sqrt(rho))")
+    summary = {
+        "mode": cfg.mode,
+        "cells": [{"n": n, "rho": r, "mean_mise": m} for n, r, m in means],
+        "slope": None if slope is None else {
+            "value": slope.slope, "stderr": slope.stderr, "x": slope.x_name},
+    }
+    return SweepResult(records, summary, slope)
 
 
 def _check_adaptivity(cfg: ExperimentConfig) -> None:
@@ -396,7 +417,7 @@ def _check_adaptivity(cfg: ExperimentConfig) -> None:
         raise ValueError("adaptivity experiments need 'beta' for the oracle comparison")
 
 
-def run_adaptivity_experiment(cfg: ExperimentConfig) -> AdaptivityResult:
+def run_adaptivity_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Compare an adaptive rule against the oracle-beta estimator.
 
     Per replicate two records are written: one for the adaptive rule
@@ -418,37 +439,31 @@ def run_adaptivity_experiment(cfg: ExperimentConfig) -> AdaptivityResult:
     records, cells = _sweep(cfg, cfg._truth, compare=True)
     summaries = []
     for n, rho, recs, candidate_mises in cells:
-        adaptive_mises = [r.mise for r in recs if r.mode == cfg.mode]
-        oracle_mises = [r.mise for r in recs if r.mode == "oracle"]
+        adaptive_med = float(np.median([r.mise for r in recs if r.mode == cfg.mode]))
+        oracle_med = float(np.median([r.mise for r in recs if r.mode == "oracle"]))
         selected = [r.selected_M for r in recs if r.mode == cfg.mode]
+        med = {m_val: float(np.median(v)) for m_val, v in candidate_mises.items()}
+        best = min(med, key=med.get)
         cell = {
             "n": n,
             "rho": rho,
-            "adaptive_median_mise": float(np.median(adaptive_mises)),
-            "oracle_median_mise": float(np.median(oracle_mises)),
+            "adaptive_median_mise": adaptive_med,
+            "oracle_median_mise": oracle_med,
+            "ratio": adaptive_med / oracle_med if oracle_med > 0 else math.inf,
             "selected_cutoffs": selected,
             "oracle_cutoff": _oracle_cutoff(cfg, n, rho),
+            "candidate_median_mise": med,
+            "best_fixed_M": best,
+            "best_fixed_median_mise": med[best],
         }
-        if cell["oracle_median_mise"] > 0:
-            cell["ratio"] = cell["adaptive_median_mise"] / cell["oracle_median_mise"]
-        else:
-            cell["ratio"] = float("inf")
-        med = {m_val: float(np.median(v)) for m_val, v in candidate_mises.items()}
-        cell["candidate_median_mise"] = med
-        best = min(med, key=med.get)
-        cell["best_fixed_M"] = best
-        cell["best_fixed_median_mise"] = med[best]
         if cfg.mode == "lepskii":
             _betas, rho_split = adaptive._lepskii_budget(n, rho, cfg.penalty_config().eps)
             cell["oracle_split_cutoff"] = optimal_cutoff_adaptive_form(
-                n, rho_split, cfg.beta, cfg.d
-            )
-            within = [
-                s <= 4 * max(best, 1) and best <= 4 * max(s, 1) for s in selected
-            ]
+                n, rho_split, cfg.beta, cfg.d)
+            within = [s <= 4 * max(best, 1) and best <= 4 * max(s, 1) for s in selected]
             cell["within_factor4_fraction"] = float(np.mean(within))
         summaries.append(cell)
-    return AdaptivityResult(records=records, cells=summaries)
+    return SweepResult(records, {"mode": cfg.mode, "cells": summaries})
 
 
 def _g17(x) -> str:

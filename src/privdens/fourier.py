@@ -138,6 +138,15 @@ def _int_power(base: int, exponent: int):
     return base**exponent
 
 
+def _capped(size, cap: int, what, verb: str = "builds"):
+    """size, unless it is above cap: then ValueError "<what()>, more than the
+    <cap> this package <verb>", the one message of every size cap. what is
+    called only on refusal, so a cap checked on every grid formats nothing."""
+    if size > cap:
+        raise ValueError(f"{what()}, more than the {cap} this package {verb}")
+    return size
+
+
 def _cube_size(cutoff: int, dim: int) -> int:
     """(2M+1)^d, after checking M >= 0, d >= 1 and _MAX_COEFFICIENTS."""
     if cutoff < 0:
@@ -145,12 +154,8 @@ def _cube_size(cutoff: int, dim: int) -> int:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     size = _int_power(2 * int(cutoff) + 1, int(dim))
-    if size > _MAX_COEFFICIENTS:
-        raise ValueError(
-            f"cut-off M = {cutoff} in d = {dim} needs (2M+1)^d = {size} coefficients, "
-            f"more than the {_MAX_COEFFICIENTS} this package builds"
-        )
-    return size
+    return _capped(size, _MAX_COEFFICIENTS, lambda: (
+        f"cut-off M = {cutoff} in d = {dim} needs (2M+1)^d = {size} coefficients"))
 
 
 def multi_indices(cutoff: int, dim: int) -> np.ndarray:

@@ -151,6 +151,21 @@ def test_fit_ragged_columns_rejected(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_fit_empty_file_has_no_data_rows(tmp_path, capsys):
+    data = _write(tmp_path / "pts.csv", "\n  \n")
+    assert main(["fit", data, "--M", "1", "--out", str(tmp_path / "e.json")]) == 1
+    assert f"{data}: no data rows" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_fit_skips_blank_lines(tmp_path):
+    plain = _write(tmp_path / "plain.csv", "0.1\n0.4\n0.9\n")
+    gappy = _write(tmp_path / "gappy.csv", "\n0.1\n\n  \n0.4\n0.9\n\n")
+    for data, out in ((plain, "a.json"), (gappy, "b.json")):
+        assert main(["fit", data, "--M", "2", "--rho", "1", "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_fit_oversized_cutoff_refused(tmp_path, capsys):
     # (2M+1)^d is checked against the size cap before anything is allocated
     data = _write(tmp_path / "pts.csv", "0.5\n")
@@ -289,6 +304,28 @@ def test_generate_packing_nonpositive_dimension_rejected(tmp_path, capsys, d):
     assert main(["generate-density", "--kind", "packing", "--d", d, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "d must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generate_packing_theta_of_wrong_length_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert main(["generate-density", "--kind", "packing", "--m", "2", "--theta", "101",
+                 "--out", str(out)]) == 2
+    assert "usage error: --theta must be a string of 2 bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--kind", "trig", "--beta", "1e308"], "beta must be below 194, got 1e+308"),
+    (["--kind", "trig", "--d", "3", "--M-truth", "2", "--beta", "3000"],
+     "beta must be below 194, got 3000.0"),
+    (["--kind", "packing", "--L", "1e308"], "L = 1e+308 overflows the bump amplitude"),
+])
+def test_generate_overflowing_beta_or_L_refused_at_once(tmp_path, capsys, flags, fragment):
+    out = tmp_path / "d.json"
+    assert main(["generate-density", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ the C-infinity bumps it converges faster than any polynomial rate.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,29 @@ def test_make_trig_validation():
         make_trig_density(1.0, 1.0, 4, rng=np.random.default_rng(1))  # L must exceed 1
     with pytest.raises(ValueError):
         make_trig_density(1.0, 2.0, -1, rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("beta, M_truth, d, fragment", [
+    (1e308, 4, 1, "beta must be below 194, got 1e+308"),
+    (3000.0, 2, 3, "beta must be below 194, got 3000.0"),
+    (200.0, 2, 1, "beta must be below 194, got 200.0"),
+    (150.0, 2, 1, "beta = 150.0 overflows the Sobolev weights up to |k| = 2"),
+])
+def test_make_trig_refuses_a_beta_whose_weights_overflow(beta, M_truth, d, fragment):
+    # refused before the weight loop, or once a weight is found to overflow
+    with pytest.raises(ValueError) as err:
+        make_trig_density(beta, 2.0, M_truth, d=d, rng=0)
+    assert fragment in str(err.value)
+
+
+def test_make_trig_damps_until_positivity_is_certified(monkeypatch):
+    passes = []
+    bound = dens._lipschitz_bound
+    monkeypatch.setattr(dens, "_lipschitz_bound", lambda grid: passes.append(1) or bound(grid))
+    truth = make_trig_density(0.5, 2.0, 20, d=1, rng=0)
+    assert len(passes) == 7  # six damping rounds before the bound is certified
+    assert truth.min_value >= 0.01
+    assert truth.evaluate(midpoint_lattice(1)).min() >= truth.min_value
 
 
 def test_uniform_classmethod():
@@ -308,6 +332,15 @@ def test_fixtures_refuse_non_finite_beta_and_L(key, value):
             density_from_json_dict({**doc, key: value})
 
 
+@pytest.mark.parametrize("L", [1e308, 1e160])
+def test_packing_refuses_L_whose_geometry_overflows(L):
+    # amplitude is infinite at 1e308, and delta, the amplitude squared, at 1e160
+    with pytest.raises(ValueError, match=re.escape(f"L = {L!r} overflows the bump amplitude")):
+        make_packing_density(np.ones(4), 4, 1.0, d=1, L=L)
+    f = make_packing_density(np.ones(4), 4, 1.0, d=1, L=1e150)
+    assert math.isfinite(f.bit_distance_sq()) and math.isfinite(f.sup_bound)
+
+
 def test_packing_floor_half():
     f = make_packing_density(np.ones(4, dtype=int), 4, 1.0, d=1, floor_half=True)
     lattice = midpoint_lattice(1)
@@ -347,6 +380,30 @@ def test_rejection_deterministic():
     assert np.array_equal(a, b)
     assert a.shape == (200, 1)
     assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+def test_rejection_refuses_negative_n_and_nonpositive_bound():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        rejection_sample(TrigDensity.uniform(1), -1, np.random.default_rng(0))
+    for bound in (0.0, -1.0):
+        flat = type("Flat", (), {"dim": 1, "sup_bound": bound, "evaluate": np.ones_like})
+        with pytest.raises(ValueError, match="sup bound must be > 0"):
+            rejection_sample(flat(), 1, np.random.default_rng(0))
+
+
+def test_rejection_gives_up_after_max_rounds():
+    proposals = []
+
+    class Zero:  # a target of zero mass: no proposal is ever accepted
+        dim, sup_bound = 1, 1.0
+
+        def evaluate(self, x):
+            proposals.append(len(x))
+            return np.zeros(len(x))
+
+    with pytest.raises(RuntimeError, match="produced 0/1 points in 1000 rounds"):
+        rejection_sample(Zero(), 1, np.random.default_rng(0))
+    assert proposals == [1] * dens._MAX_ROUNDS
 
 
 def test_rejection_acceptance_rate():

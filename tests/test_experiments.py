@@ -6,6 +6,7 @@ Full-size rate sweeps live in test_acceptance; here the runs are kept
 small so the file stays fast.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -155,6 +156,28 @@ def test_config_is_frozen_and_replace_checks_again():
     assert wider._truth.dim == 2 and cfg._truth.dim == 1
 
 
+def test_config_values_cannot_change():
+    ns, density = [256], {"kind": "uniform", "d": 1}
+    cfg = _keyword_cfg(ns=ns, density=density)
+    with pytest.raises(TypeError, match="cannot change"):
+        cfg.density["d"] = 2
+    assert cfg._truth.dim == 1 and cfg.to_json_dict()["density"]["d"] == 1
+    with pytest.raises(TypeError, match="cannot change"):
+        cfg.rhos.append(-1.0)
+    trig = _keyword_cfg()
+    for change in (lambda: trig.density["coefficients"]["re"].pop(),
+                   lambda: trig.constants.update(eps=-1), lambda: trig.ns.sort()):
+        with pytest.raises(TypeError, match="cannot change"):
+            change()
+    # the caller's own lists and dicts stay theirs, and what the config reports is a copy
+    ns.append(3)
+    density["d"] = 2
+    cfg.to_json_dict()["n"].append(3)
+    assert cfg.ns == [256] and cfg.density["d"] == 1 and cfg.to_json_dict()["n"] == [256]
+    assert [r.rho for r in run_rate_experiment(cfg).records] == [1.0, 1.0]
+    assert copy.deepcopy(cfg) == cfg == dataclasses.replace(cfg)
+
+
 def test_config_parses_its_density_once(monkeypatch):
     calls = []
     parse = densities.density_from_json_dict
@@ -299,6 +322,18 @@ def test_rate_experiment_slope_axis_names():
     )
     res2 = run_rate_experiment(cfg2)
     assert res2.slope.x_name == "log(n sqrt(rho))"
+
+
+def test_rate_experiment_summary_entry():
+    cfg = ExperimentConfig.from_dict(_trig_cfg(n=[64, 128, 256], replicates=2))
+    res = run_rate_experiment(cfg)
+    means = [np.mean([r.mise for r in res.records if r.n == n]) for n in cfg.ns]
+    assert res.summary == {
+        "mode": "oracle",
+        "cells": [{"n": n, "rho": 1.0, "mean_mise": m} for n, m in zip(cfg.ns, means)],
+        "slope": {"value": res.slope.slope, "stderr": res.slope.stderr, "x": "log n"},
+    }
+    assert res.cells is res.summary["cells"]
 
 
 def test_rate_experiment_time_limit_flags_row():

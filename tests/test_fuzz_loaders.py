@@ -204,8 +204,9 @@ def test_fit_cutoff_flags_exit_cleanly(tmp_path_factory, flags, private):
 
 
 # Small ranges for the sizes, so that no example allocates much; beta and L
-# also take NaN, the infinities and junk. A huge finite beta is left out: the
-# trig fixture's Sobolev weights take time of order floor(beta)^(d-1).
+# also take NaN, the infinities and junk. A huge finite beta or L is tried
+# only as an example: below the order bound the trig fixture's Sobolev weights
+# take time of order floor(beta)^(d-1).
 def _small_real(lo, hi):
     return st.one_of(st.floats(lo, hi).map(repr),
                      st.sampled_from(["nan", "inf", "-inf", "0", "-1", "True", "abc", ""]))
@@ -226,6 +227,10 @@ GENERATE_FLAGS = {
 @example(kind="trig", flags={"--beta": "inf"})
 @example(kind="packing", flags={"--beta": "inf"})
 @example(kind="packing", flags={"--L": "nan"})
+@example(kind="trig", flags={"--beta": "1e308"})
+@example(kind="trig", flags={"--beta": "3000", "--d": "3", "--M-truth": "2"})
+@example(kind="packing", flags={"--L": "1e308"})
+@example(kind="packing", flags={"--L": "1e160"})
 def test_generate_density_flags_exit_cleanly(tmp_path_factory, kind, flags):
     out = tmp_path_factory.mktemp("gen") / "dens.json"
     argv = ["generate-density", "--kind", kind, "--out", str(out)]

@@ -177,6 +177,13 @@ FAILURES = [
     ("config_packing_beta_infinite", {"cfg.json": _config(density={
         "kind": "packing", "d": 1, "m": 2, "beta": float("inf"), "L": 2.0, "theta": [1, 0]})},
      _EXPERIMENT),
+    ("generate_trig_beta_huge", {},
+     ["generate-density", "--kind", "trig", "--beta", "1e308", "--out", "t.json"]),
+    ("generate_trig_beta_3000_d3", {},
+     ["generate-density", "--kind", "trig", "--d", "3", "--M-truth", "2", "--beta", "3000",
+      "--out", "t.json"]),
+    ("generate_packing_L_huge", {},
+     ["generate-density", "--kind", "packing", "--L", "1e308", "--out", "p.json"]),
 ]
 
 
