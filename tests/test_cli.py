@@ -251,6 +251,17 @@ def test_sample_estimate_out_of_range_rejected(tmp_path, capsys, key, bad):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sample_estimate_whose_mass_overflows_refused(tmp_path, capsys):
+    # sum |theta_k| is finite, but the clipped lattice mass overflows
+    doc = {"d": 1, "M": 0, "re": [1e308], "im": [0], "n": 5, "sigma": 0, "rho_spent": None}
+    est = _write(tmp_path / "est.json", json.dumps(doc))
+    out = tmp_path / "s.csv"
+    assert main(["sample", est, "--n", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "lattice mass inf is not in [1e-3, inf)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sample_oversized_request_refused(tmp_path, capsys):
     # 10 points in d = 2^40 would be 80 TiB of coordinates
     dens = _write(tmp_path / "u.json", json.dumps({"kind": "uniform", "d": 2**40}))
@@ -304,6 +315,16 @@ def test_generate_packing_nonpositive_dimension_rejected(tmp_path, capsys, d):
     assert main(["generate-density", "--kind", "packing", "--d", d, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "d must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generate_packing_dimension_past_the_bound_refused(tmp_path, capsys):
+    # m = 1 keeps m^d = 1 under the bump cap; gamma(d/2) would overflow at d = 400
+    out = tmp_path / "p.json"
+    assert main(["generate-density", "--kind", "packing", "--m", "1", "--d", "400", "--beta", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "packing dimension d = 400 is above 20" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ for trigonometric polynomials that rule is exact up to rounding, and for
 the C-infinity bumps it converges faster than any polynomial rate.
 """
 
+import itertools
 import json
 import math
 import re
@@ -28,7 +29,7 @@ from privdens.densities import (
     rejection_sample,
 )
 from privdens.estimator import ProjectionEstimate, fit
-from privdens.fourier import CoefficientGrid, empirical_coefficients
+from privdens.fourier import CoefficientGrid, empirical_coefficients, multi_indices
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +73,32 @@ def test_bump_symmetries():
     base = f.evaluate(0.5 + radius * u)
     assert np.allclose(f.evaluate(0.5 + radius * u * np.array([-1.0, 1.0])), base, rtol=1e-13)
     assert np.allclose(f.evaluate(0.5 + radius * u[:, ::-1]), base, rtol=1e-13)
+
+
+def _tanh_sinh(f, h=2.0**-6, t_max=3.0):
+    # the double-exponential rule on (0, 1): r = (1 + tanh(pi/2 sinh t)) / 2 and
+    # the trapezoid rule in t; the nodes past |t| = 3 lie within 2e-14 of 0 or 1
+    t = np.arange(-t_max, t_max + h / 2, h)
+    u = 0.5 * np.pi * np.sinh(t)
+    r = 0.5 * (1.0 + np.tanh(u))
+    return h * np.sum(f(r) * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2)
+
+
+def test_bump_integrals_match_an_independent_rule():
+    # Psi, Psi' and Psi'' written out again, integrated by tanh-sinh
+    def profile(r):
+        s = (1.0 - r) * (1.0 + r)
+        psi, g = np.exp(-1.0 / s), -2.0 * r / s**2
+        return psi, psi * g, psi * (g * g - (2.0 + 6.0 * r * r) / s**3)
+
+    for d in range(1, 21):
+        area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+        got = dens._bump_integrals(d)
+        for key, part, power in (("mass", 0, 1), ("sq", 0, 2), ("grad_sq", 1, 2), ("d2_sq", 2, 2)):
+            if key in got:
+                want = area * _tanh_sinh(lambda r: r ** (d - 1) * profile(r)[part] ** power)
+                assert got[key] == pytest.approx(want, rel=1e-12), (d, key)
+    assert "d2_sq" in dens._bump_integrals(1) and "d2_sq" not in dens._bump_integrals(2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +167,24 @@ def test_make_trig_refuses_a_beta_whose_weights_overflow(beta, M_truth, d, fragm
     with pytest.raises(ValueError) as err:
         make_trig_density(beta, 2.0, M_truth, d=d, rng=0)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("d, b", [(1, 1), (1, 5), (2, 3), (3, 2), (3, 4), (4, 3)])
+def test_sobolev_weights_match_brute_force(d, b):
+    # sum over every alpha with |alpha| = b of prod_i x_i^alpha_i, x = (2 pi k)^2
+    ks = multi_indices(2, d)
+    x = (2.0 * np.pi * ks) ** 2
+    brute = np.zeros(len(ks))
+    for alpha in itertools.product(range(b + 1), repeat=d):
+        if sum(alpha) == b:
+            brute += np.prod(x ** np.array(alpha), axis=1)
+    assert np.allclose(dens._sobolev_weights(ks, b + 0.5), brute, rtol=1e-13, atol=0)
+
+
+def test_sobolev_weights_of_high_order_are_not_enumerated():
+    # h_150 of four equal x is C(153, 3) x^150, a sum of 585,276 products
+    w = dens._sobolev_weights(np.ones((1, 4), dtype=int), 150.0)
+    assert w[0] == pytest.approx(math.comb(153, 3) * (2.0 * math.pi) ** 300, rel=1e-12)
 
 
 def test_make_trig_damps_until_positivity_is_certified(monkeypatch):
@@ -306,6 +351,13 @@ def test_size_caps_do_not_form_huge_powers():
         CoefficientGrid(10**12, 1, np.ones(1, dtype=complex))
 
 
+def test_packing_refuses_a_dimension_past_the_bound():
+    # m = 1 keeps m^d = 1 bump; gamma(d/2) in its geometry overflows from d = 344
+    assert make_packing_density(np.ones(1), 1, 1.0, d=dens._MAX_PACKING_DIM).d == 20
+    with pytest.raises(ValueError, match="packing dimension d = 400 is above 20"):
+        make_packing_density(np.ones(1), 1, 1.0, d=400)
+
+
 def test_packing_derives_its_geometry():
     # six arguments; h, amplitude, gamma and delta follow from them alone
     theta = np.array([1, 0, 1, 1])
@@ -385,10 +437,18 @@ def test_rejection_deterministic():
 def test_rejection_refuses_negative_n_and_nonpositive_bound():
     with pytest.raises(ValueError, match="n must be >= 0"):
         rejection_sample(TrigDensity.uniform(1), -1, np.random.default_rng(0))
-    for bound in (0.0, -1.0):
+    for bound in (0.0, -1.0, math.inf, math.nan):
         flat = type("Flat", (), {"dim": 1, "sup_bound": bound, "evaluate": np.ones_like})
-        with pytest.raises(ValueError, match="sup bound must be > 0"):
+        with pytest.raises(ValueError, match="sup bound must be > 0 and finite"):
             rejection_sample(flat(), 1, np.random.default_rng(0))
+
+
+def test_rejection_caps_the_round_of_a_huge_bound():
+    # need x bound overflows to inf; the round is capped at 2^20 proposals before int()
+    huge = type("Huge", (), {"dim": 1, "sup_bound": 1e308,
+                             "evaluate": lambda self, x: np.full(len(x), 1e308)})
+    pts, stats = rejection_sample(huge(), 3, np.random.default_rng(0), return_stats=True)
+    assert pts.shape == (3, 1) and stats["proposals"] == 2**20
 
 
 def test_rejection_gives_up_after_max_rounds():

@@ -3,10 +3,14 @@
 Every name in a layer module's `__all__` must be read somewhere in `src/`,
 `demos/`, `bench/` or `tools/` (a name or an attribute, in any file but the
 package's `__init__.py`, which only re-exports). A name read from `tests/`
-alone is test-only API: move it into the tests or delete it.
+alone is test-only API: move it into the tests or delete it. The package
+depends on numpy alone: importing the command line loads no scipy module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +47,14 @@ def test_no_public_name_is_test_only():
         for layer in LAYERS
     }
     assert not any(test_only.values()), f"exported but read only by tests: {test_only}"
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    script = ("import sys, privdens.cli\n"
+              "print([k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')])")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -24,7 +24,7 @@ on an older commit. Into OUTDIR it writes:
   case runs in a fresh temporary directory, and none aborts the script.
 
 A behaviour-preserving change leaves `diff -r OLD NEW` empty when both
-directories come from the same machine. It takes about 45 s on two cores.
+directories come from the same machine. It takes about 20-25 s on two cores.
 
 A change of floating-point arithmetic, such as a new Fourier kernel, cannot
 keep the bytes. `--compare OLD NEW` lists the byte-identical files and
@@ -113,7 +113,8 @@ def _without(*keys) -> str:
 
 _LEPSKII = ["fit", "pts.csv", "--rho", "1", "--adaptive", "lepskii", "--out", "est.json"]
 _EXPERIMENT = ["experiment", "cfg.json", "--out-dir", "runs"]
-# (name, files written first, command): malformed configs and flags.
+# (name, files written first, command): malformed configs and flags, and inputs
+# at the edge of a numeric bound, which may also succeed; the exit code is recorded.
 FAILURES = [
     ("config_mode_bogus", {"cfg.json": _config(mode="bogus")}, _EXPERIMENT),
     ("config_dimension_mismatch", {"cfg.json": _config(density={"kind": "uniform", "d": 2})},
@@ -184,6 +185,15 @@ FAILURES = [
       "--out", "t.json"]),
     ("generate_packing_L_huge", {},
      ["generate-density", "--kind", "packing", "--L", "1e308", "--out", "p.json"]),
+    ("generate_packing_m1_d400", {},
+     ["generate-density", "--kind", "packing", "--m", "1", "--d", "400", "--beta", "1",
+      "--out", "p.json"]),
+    ("generate_trig_beta_150_d4", {},
+     ["generate-density", "--kind", "trig", "--d", "4", "--M-truth", "1", "--beta", "150",
+      "--out", "t.json"]),
+    ("sample_estimate_mass_overflow", {"est.json": json.dumps(
+        {"d": 1, "M": 0, "re": [1e308], "im": [0], "n": 5, "sigma": 0, "rho_spent": None})},
+     ["sample", "est.json", "--n", "3", "--out", "s.csv"]),
 ]
 
 
