@@ -66,8 +66,9 @@ def _read_points(path: str) -> np.ndarray:
 
 
 def _write_points(path: str, pts: np.ndarray) -> None:
-    lines = [",".join(f"{x:.17g}" for x in row) for row in np.atleast_2d(pts)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    n, d = np.atleast_2d(pts).shape  # one % format over all rows; no rows give a lone "\n"
+    text = (",".join(["%.17g"] * d) + "\n") * n % tuple(np.ravel(pts).tolist()) if n else "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _write_json(path: str, obj: dict) -> None:

@@ -42,12 +42,9 @@ from .fourier import (
     _is_int,
     as_points,
     multi_indices,
-    project,
 )
 
 __all__ = [
-    "DEFAULT_LATTICE_RESOLUTION",
-    "lattice_resolution",
     "midpoint_lattice",
     "TrigDensity",
     "make_trig_density",
@@ -60,16 +57,16 @@ __all__ = [
     "density_from_json_dict",
 ]
 
-# Per-axis lattice resolution used for positivity certification, mass
-# checks, and quadrature MISE: 2^10, 2^14 and 2^15 points in d = 1, 2, 3,
-# and 32^d from d = 4 on, which _MAX_LATTICE_POINTS admits only at d = 4.
-DEFAULT_LATTICE_RESOLUTION = {1: 2**10, 2: 2**7, 3: 2**5}
+# Per-axis resolution of midpoint_lattice's default, for positivity
+# certification, mass checks and quadrature MISE: 2^10, 2^14 and 2^15 points
+# in d = 1, 2, 3, and 32^d from d = 4 on (_MAX_LATTICE_POINTS admits d = 4).
+_LATTICE_RESOLUTION = {1: 2**10, 2: 2**7, 3: 2**5}
 # Largest midpoint lattice built: 2^20 points are 8 MiB per coordinate, and
 # each evaluation on it holds a few such arrays. Larger lattices fail with
 # ValueError before anything is allocated.
 _MAX_LATTICE_POINTS = 2**20
-# Largest packing built, in bumps (m^d); its bits and centers are allocated
-# in full, 8 d + 1 bytes per bump. The command line checks it before drawing.
+# Largest packing built, in bumps (m^d); its bits are allocated in full, 1
+# byte per bump. The command line checks it before drawing.
 _MAX_BUMPS = 2**20
 # Largest packing dimension: 20 is the largest d whose m^d fits _MAX_BUMPS at
 # m = 2, and the bump integrals are checked up to it. Only m = 1 reaches past
@@ -90,13 +87,9 @@ _MAX_SOBOLEV_ORDER = 193
 _MAX_ROUNDS = 1000
 
 
-def lattice_resolution(d: int) -> int:
-    return DEFAULT_LATTICE_RESOLUTION.get(d, 2**5)
-
-
 def midpoint_lattice(d: int, per_axis: int | None = None) -> np.ndarray:
     """Midpoint lattice ((i+1/2)/N per axis) as an (N^d, d) array."""
-    n = per_axis or lattice_resolution(d)
+    n = per_axis or _LATTICE_RESOLUTION.get(d, 2**5)
     size = _int_power(n, d)
     _capped(size, _MAX_LATTICE_POINTS, lambda: (
         f"a midpoint lattice of {n} points per axis in d = {d} has {size} points"))
@@ -205,6 +198,13 @@ class TrigDensity:
     L: float
     min_value: float
 
+    def __post_init__(self):  # exactly: a real function of mass 1
+        vals = self.coefficients.values
+        if vals[vals.size // 2] != 1:
+            raise ValueError(f"trig coefficients must have theta_0 = 1, got {vals[vals.size // 2]}")
+        if not np.array_equal(vals, np.conj(vals[::-1])):
+            raise ValueError("trig coefficients must be Hermitian: theta_-k = conj(theta_k)")
+
     @property
     def dim(self) -> int:
         return self.coefficients.dim
@@ -297,7 +297,7 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
         values[center] = 1.0
 
     lattice = midpoint_lattice(d)
-    slack_step = 1.0 / (2 * lattice_resolution(d))
+    slack_step = float(lattice[0, 0])  # (0 + 1/2) / N, half the lattice spacing
     for _ in range(100):
         grid = CoefficientGrid(d, M_truth, values.copy())
         certified = float(np.min(fourier.evaluate(grid, lattice)))
@@ -318,12 +318,8 @@ def exact_bias(truth: TrigDensity, cutoff: int) -> float:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     grid = truth.coefficients
-    if cutoff >= grid.cutoff:
-        return 0.0
-    inner = project(grid, cutoff)
-    total = float(np.sum(np.abs(grid.values) ** 2))
-    kept = float(np.sum(np.abs(inner.values) ** 2))
-    return max(total - kept, 0.0)
+    outside = np.abs(grid.indices()).max(axis=1) > cutoff
+    return float(np.sum(np.abs(grid.values[outside]) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +367,6 @@ class PackingDensity:
     amplitude: float = field(init=False)
     gamma: float = field(init=False)
     delta: float = field(init=False)
-    _centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         size = _packing_size(self.m, self.d)
@@ -395,9 +390,6 @@ class PackingDensity:
             raise ValueError(f"theta must have length m^d = {size}")
         if not np.all((self.theta == 0) | (self.theta == 1)):
             raise ValueError("theta entries must be 0 or 1")
-        axis = np.arange(1, self.m + 1) / (self.m + 1)
-        mesh = np.meshgrid(*([axis] * self.d), indexing="ij")
-        self._centers = np.stack(mesh, axis=-1).reshape(-1, self.d)
 
     @property
     def dim(self) -> int:
@@ -434,8 +426,9 @@ class PackingDensity:
         # center j/(m+1) is nearest on every axis.
         j = np.rint(pts * (self.m + 1)).astype(np.int64)
         inside = np.all((j >= 1) & (j <= self.m), axis=1)
-        nearest = np.ravel_multi_index(tuple(np.clip(j, 1, self.m).T - 1), (self.m,) * self.d)
-        u = (pts - self._centers[nearest]) / (2.0 * self.h)  # psi(z) = a Psi(z/2)
+        j = np.clip(j, 1, self.m)
+        nearest = np.ravel_multi_index(tuple(j.T - 1), (self.m,) * self.d)
+        u = (pts - j / (self.m + 1)) / (2.0 * self.h)  # psi(z) = a Psi(z/2)
         r2 = np.sum(u * u, axis=1)
         mask = inside & (self.theta[nearest] == 1) & (r2 < 1.0)
         out[mask] += hb * self.amplitude * np.exp(-1.0 / (1.0 - r2[mask]))
@@ -478,10 +471,9 @@ class ClippedDensity:
         if not isinstance(grid, CoefficientGrid):
             raise TypeError("expected a CoefficientGrid or an object carrying one")
         self.grid = grid
-        lattice = midpoint_lattice(grid.dim)
         with np.errstate(over="ignore", invalid="ignore"):
             self.sup_bound = float(np.sum(np.abs(grid.values)))
-            mass = float(np.mean(np.maximum(fourier.evaluate(grid, lattice), 0.0)))
+            mass = quadrature_mass(self)
         if not 1e-3 <= mass < math.inf:
             raise ValueError(f"clipped estimate is degenerate: lattice mass {mass:.3g} is not "
                              "in [1e-3, inf)")

@@ -33,12 +33,12 @@ direct sum's by at most about 2 pi (2M + 2B) 2^-53 (5.8e-12 at M = 4096),
 plus one rounding per product; the differences average out over the n
 points. On the grid of tests/test_fourier.py, up to M = 4096 on 1024 points,
 the coefficients and the values of grids with sum |theta_k| = 1 agree with a
-direct cos/sin sum to 1e-12 or better (1.2e-13 at worst). Blocks have a
-fixed number of rows and are added in a fixed order, and a BLAS matrix
-product does not split its inner (block-row) dimension between threads, so
-the output bits depend neither on memory nor on the thread count. Grids of
-more than _MAX_COEFFICIENTS entries are refused before anything is
-allocated.
+direct cos/sin sum to 1e-12 or better (1.2e-13 at worst). Both kernels take
+their blocks from one loop, _blocks: blocks have a fixed number of rows and
+are added in a fixed order, and a BLAS matrix product does not split its
+inner (block-row) dimension between threads, so the output bits depend
+neither on memory nor on the thread count. Grids of more than
+_MAX_COEFFICIENTS entries are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -239,6 +239,9 @@ class CoefficientGrid:
             raise ValueError(f"malformed coefficient grid object: {exc}") from exc
         if re.shape != im.shape:
             raise ValueError("re and im arrays must have equal length")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.sum(np.hypot(re, im)) < math.inf:
+                raise ValueError("coefficients must have a finite sum |theta_k|")
         return cls(dim, cutoff, re + 1j * im)
 
 
@@ -300,6 +303,14 @@ def _khatri_rao(block: np.ndarray, tables, sign: float) -> np.ndarray:
     return functools.reduce(lambda a, b: (a[:, None] * b).reshape(-1, len(block)), factors)
 
 
+def _blocks(pts: np.ndarray, left, right, sign: float):
+    """(start, left factor, right factor) of each _CHUNK-row block of pts, in
+    order: the one loop that cuts points into blocks for both kernels."""
+    for start in range(0, len(pts), _CHUNK):
+        block = pts[start : start + _CHUNK]
+        yield start, _khatri_rao(block, left, sign), _khatri_rao(block, right, sign)
+
+
 def empirical_coefficients(data, cutoff: int) -> CoefficientGrid:
     """Empirical Fourier coefficients of a sample.
 
@@ -313,10 +324,7 @@ def empirical_coefficients(data, cutoff: int) -> CoefficientGrid:
     left, right, shape, width = _plan(cutoff, d)
     (j, lead), rest = left[0], left[1:]
     half = [(j, lead[lead >= 0])] + rest  # every k >= 0 in storage order
-    acc = 0
-    for start in range(0, n, _CHUNK):
-        block = pts[start : start + _CHUNK]
-        acc += _khatri_rao(block, half, -1.0) @ _khatri_rao(block, right, -1.0).T
+    acc = sum(lf @ rf.T for _, lf, rf in _blocks(pts, half, right, -1.0))
     full = np.zeros(math.prod(shape), dtype=complex)
     full[-acc.size :] = acc.reshape(-1)
     full.view(float)[:] /= n  # real division: numpy's complex one gives 161 / 161 < 1
@@ -376,11 +384,9 @@ def evaluate_complex(grid: CoefficientGrid, x) -> np.ndarray | complex:
     tensor[:, :width, :] = grid.values.reshape(shape[0], width, shape[2])
     tensor = tensor.reshape(math.prod(len(f) for _, f in left), -1)
     out = np.empty(pts.shape[0], dtype=complex)
-    for start in range(0, pts.shape[0], _CHUNK):
-        block = pts[start : start + _CHUNK]
+    for start, lf, rf in _blocks(pts, left, right, 1.0):
         # the left factor's axes contract in the matrix product, the right's in a column-wise dot
-        part = tensor.T @ _khatri_rao(block, left, 1.0)
-        out[start : start + len(block)] = np.einsum("ij,ij->j", part, _khatri_rao(block, right, 1.0))
+        out[start : start + lf.shape[1]] = np.einsum("ij,ij->j", tensor.T @ lf, rf)
     return complex(out[0]) if single else out
 
 

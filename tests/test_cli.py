@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from privdens import cli
 from privdens.cli import main
 from privdens.densities import density_from_json_dict
 from privdens.estimator import ProjectionEstimate
@@ -260,6 +261,36 @@ def test_sample_estimate_whose_mass_overflows_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "lattice mass inf is not in [1e-3, inf)" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("re,im,fragment", [
+    ([1e308], [0], "theta_0 = 1, got (1e+308+0j)"),
+    ([0.5, 2, 0.5], [0, 0, 0], "theta_0 = 1, got (2+0j)"),
+    ([0.3, 1, 0.9], [0.2, 0, 0], "must be Hermitian"),
+    ([1e308, 1, 1e308], [0, 0, 0], "finite sum |theta_k|"),
+])
+def test_sample_trig_document_must_be_a_density(tmp_path, capsys, re, im, fragment):
+    # a trig document is exactly Hermitian with theta_0 = 1 and a finite
+    # sum |theta_k|, or it is refused with a message and no warning
+    grid = {"d": 1, "M": (len(re) - 1) // 2, "re": re, "im": im}
+    doc = {"kind": "trig", "beta": 1, "L": 2, "min_value": 0.5, "coefficients": grid}
+    dens = _write(tmp_path / "t.json", json.dumps(doc))
+    out = tmp_path / "s.csv"
+    assert main(["sample", dens, "--n", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 5, 2**14])
+def test_write_points_keeps_the_bytes_of_one_format_per_float(tmp_path, d, n):
+    pts = np.random.default_rng(n + d).random((n, d))
+    pts.ravel()[:3] = [0.0, 1.0, 1e-300][: pts.size]
+    cli._write_points(str(tmp_path / "p.csv"), pts)
+    lines = [",".join(f"{x:.17g}" for x in row) for row in np.atleast_2d(pts)]
+    assert (tmp_path / "p.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_sample_oversized_request_refused(tmp_path, capsys):

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from privdens.densities import (
     rejection_sample,
 )
 from privdens.estimator import ProjectionEstimate, fit
-from privdens.fourier import CoefficientGrid, empirical_coefficients, multi_indices
+from privdens.fourier import (
+    CoefficientGrid,
+    empirical_coefficients,
+    l2_distance_sq,
+    multi_indices,
+    project,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +243,15 @@ def test_exact_bias_sobolev_bound_beta2_fixture():
         assert exact_bias(truth, M) <= bound
 
 
+@pytest.mark.parametrize("d,M_truth,seed", [(2, 8, 21), (3, 4, 5)])
+def test_exact_bias_is_the_distance_to_the_projection(d, M_truth, seed):
+    truth = make_trig_density(2.0, 2.0, M_truth=M_truth, d=d, rng=seed)
+    for M in (0, 1, M_truth - 1, M_truth, M_truth + 2):
+        ref = l2_distance_sq(project(truth.coefficients, M), truth.coefficients)
+        assert exact_bias(truth, M) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert (ref > 0) == (M < M_truth)
+
+
 # ---------------------------------------------------------------------------
 # packing densities
 # ---------------------------------------------------------------------------
@@ -287,9 +303,15 @@ def test_packing_one_bit_distance():
     assert quad == pytest.approx(f1.bit_distance_sq() - mass_shift**2, rel=1e-9)
     # away from the flipped bump (disjoint supports) only the constant
     # offset difference remains
-    center = f1._centers[3]
+    center = _centers(f1)[3]
     mask = np.abs(lattice[:, 0] - center[0]) > 2.0 * f1.h
     assert np.allclose(diff[mask], mass_shift, atol=1e-14)
+
+
+def _centers(f):
+    """The m^d bump centers j/(m+1), j in {1..m}^d, in lexicographic order."""
+    axis = np.arange(1, f.m + 1) / (f.m + 1)
+    return np.stack(np.meshgrid(*([axis] * f.d), indexing="ij"), axis=-1).reshape(-1, f.d)
 
 
 def _packing_by_loop(f, pts):
@@ -297,7 +319,7 @@ def _packing_by_loop(f, pts):
     evaluation that visits only each point's nearest center."""
     out = np.full(len(pts), 1.0 - f.offset)
     hb = f.h**f.beta
-    for bit, center in zip(f.theta, f._centers):
+    for bit, center in zip(f.theta, _centers(f)):
         if bit:
             u = (pts - center) / (2.0 * f.h)
             r2 = np.sum(u * u, axis=1)
@@ -315,14 +337,27 @@ def test_packing_evaluate_matches_loop_over_centers(d, m, beta, floor_half):
     f = make_packing_density(rng.integers(0, 2, size=m**d), m, beta, d=d, floor_half=floor_half)
     # points on the rim of each support: just inside, on it and just outside,
     # plus the points half way between centers and the faces of the cube
-    u = rng.normal(size=(len(f._centers), d))
+    centers = _centers(f)
+    u = rng.normal(size=(len(centers), d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rim = [f._centers + 2.0 * f.h * s * u for s in (1 - 1e-3, 1 - 1e-12, 1.0, 1 + 1e-12)]
+    rim = [centers + 2.0 * f.h * s * u for s in (1 - 1e-3, 1 - 1e-12, 1.0, 1 + 1e-12)]
     halfway = (np.arange(m + 1) + 0.5) / (m + 1)
     axis = np.concatenate([halfway, [0.0, 1.0]])
     cross = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
     for pts in (midpoint_lattice(d), rng.random((5000, d)), np.clip(np.vstack(rim), 0, 1), cross):
         assert np.array_equal(f.evaluate(pts), _packing_by_loop(f, pts))
+
+
+def test_packing_at_the_bump_cap_holds_one_byte_per_bump():
+    # 2^20 bumps in d = 20: the bits are the only table, 1 MiB
+    tracemalloc.start()
+    try:
+        f = make_packing_density(np.ones(2**20, np.uint8), 2, 1.0, d=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.active_count == 2**20
+    assert peak < 8 * 2**20
 
 
 def test_size_caps_refuse_before_allocating():

@@ -7,12 +7,15 @@ argparse's SystemExit(2). The documents are valid ones with some keys
 replaced by arbitrary JSON values, removed, or joined by unknown keys, so
 most examples get past the first check; NaN and the infinities are also
 drawn on purpose for the smoothness beta and the radius L. A density that
-loads or is generated has a finite sup bound > 0. Runs are derandomized with
-small example counts, so the suite stays deterministic and fast.
+loads or is generated has a finite sup bound > 0. `privdens sample` also
+runs on trig and estimate documents with extreme finite coefficients, with
+every warning made an error. Runs are derandomized with small example
+counts, so the suite stays deterministic and fast.
 """
 
 import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -252,3 +255,43 @@ def test_rate_table_beta_flags_exit_cleanly(capsys, betas):
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 4 * len(betas)
         assert all(0 < float(row.split(",")[4]) < math.inf for row in rows)
+
+
+# Coefficients at the extremes of the finite floats, signed, and any finite float.
+EXTREME = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-308, 1e-3, 0.5, 1.0, 2.0, 1e150, 1e300, 8.9e307, 1e308,
+                     1.7976931348623157e308]).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def coefficient_grids(draw):
+    """A coefficient grid document with extreme finite values; half of them
+    made a valid trig grid, exactly Hermitian with theta_0 = 1."""
+    d, cutoff = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    size = (2 * cutoff + 1) ** d
+    re, im = (draw(st.lists(EXTREME, min_size=size, max_size=size)) for _ in range(2))
+    if draw(st.booleans()):
+        re[size // 2], im[size // 2] = 1.0, 0.0
+        for k in range(size // 2):
+            re[size - 1 - k], im[size - 1 - k] = re[k], -im[k]
+    return {"d": d, "M": cutoff, "re": re, "im": im}
+
+
+@settings(FUZZ, max_examples=30)
+@given(coefficient_grids(), st.booleans())
+def test_sample_of_extreme_documents_exits_cleanly(tmp_path_factory, grid, trig):
+    # `privdens sample` of a trig density or an estimate document either
+    # writes its points or refuses the document: it never raises and never
+    # warns (every warning is turned into an error here)
+    tmp = tmp_path_factory.mktemp("sample")
+    doc = ({"kind": "trig", "beta": 1.0, "L": 2.0, "min_value": 0.5, "coefficients": grid}
+           if trig else {**grid, "n": 5, "sigma": 0.0, "rho_spent": None})
+    (tmp / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = exit_code(["sample", str(tmp / "doc.json"), "--n", "3", "--out", str(tmp / "s.csv")])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert len((tmp / "s.csv").read_text().splitlines()) == 3

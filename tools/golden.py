@@ -30,8 +30,10 @@ A change of floating-point arithmetic, such as a new Fourier kernel, cannot
 keep the bytes. `--compare OLD NEW` lists the byte-identical files and
 passes each other file only if its text outside numbers is identical and
 every pair of numbers satisfies |x - y| <= 1e-9 max(|x|, |y|) + 1e-12;
-integers, such as a selected cut-off, must therefore match exactly. It
-exits 1 if a file fails or exists on one side only.
+integers, such as a selected cut-off, must therefore match exactly. A
+file under `failures/` that exists in NEW only is a FAILURES case the newer
+checkout added: it is listed as "added" and does not fail. It exits 1 if a
+file fails, exists in OLD only, or exists in NEW only outside `failures/`.
 """
 
 from __future__ import annotations
@@ -111,7 +113,14 @@ def _without(*keys) -> str:
     return json.dumps({k: v for k, v in _OK.items() if k not in keys})
 
 
+def _trig(re: list, im: list) -> str:
+    """A trig density document with the given coefficients, M = (len(re) - 1) / 2."""
+    grid = {"d": 1, "M": (len(re) - 1) // 2, "re": re, "im": im}
+    return json.dumps({"kind": "trig", "beta": 1, "L": 2, "min_value": 0.5, "coefficients": grid})
+
+
 _LEPSKII = ["fit", "pts.csv", "--rho", "1", "--adaptive", "lepskii", "--out", "est.json"]
+_SAMPLE_TRIG = ["sample", "t.json", "--n", "3", "--out", "s.csv"]
 _EXPERIMENT = ["experiment", "cfg.json", "--out-dir", "runs"]
 # (name, files written first, command): malformed configs and flags, and inputs
 # at the edge of a numeric bound, which may also succeed; the exit code is recorded.
@@ -194,6 +203,11 @@ FAILURES = [
     ("sample_estimate_mass_overflow", {"est.json": json.dumps(
         {"d": 1, "M": 0, "re": [1e308], "im": [0], "n": 5, "sigma": 0, "rho_spent": None})},
      ["sample", "est.json", "--n", "3", "--out", "s.csv"]),
+    ("sample_trig_theta0_huge", {"t.json": _trig([1e308], [0])}, _SAMPLE_TRIG),
+    ("sample_trig_theta0_two", {"t.json": _trig([0.5, 2, 0.5], [0, 0, 0])}, _SAMPLE_TRIG),
+    ("sample_trig_not_hermitian", {"t.json": _trig([0.3, 1, 0.9], [0.2, 0, 0])}, _SAMPLE_TRIG),
+    ("sample_trig_sum_overflow", {"t.json": _trig([1e308, 1, 1e308], [0, 0, 0])},
+     _SAMPLE_TRIG),
 ]
 
 
@@ -221,8 +235,15 @@ def compare(old: Path, new: Path) -> int:
     files = {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
     identical, failed = [], 0
     for rel in sorted(files):
-        if not (old / rel).is_file() or not (new / rel).is_file():
-            print(f"FAIL {rel}: present on one side only")
+        if not (old / rel).is_file():
+            if rel.parts[0] == "failures":  # a new FAILURES case
+                print(f"added {rel}")
+            else:
+                print(f"FAIL {rel}: present in NEW only")
+                failed += 1
+            continue
+        if not (new / rel).is_file():
+            print(f"FAIL {rel}: present in OLD only")
             failed += 1
             continue
         a, b = (old / rel).read_bytes(), (new / rel).read_bytes()
