@@ -57,14 +57,6 @@ __all__ = [
     "density_from_json_dict",
 ]
 
-# Per-axis resolution of midpoint_lattice's default, for positivity
-# certification, mass checks and quadrature MISE: 2^10, 2^14 and 2^15 points
-# in d = 1, 2, 3, and 32^d from d = 4 on (_MAX_LATTICE_POINTS admits d = 4).
-_LATTICE_RESOLUTION = {1: 2**10, 2: 2**7, 3: 2**5}
-# Largest midpoint lattice built: 2^20 points are 8 MiB per coordinate, and
-# each evaluation on it holds a few such arrays. Larger lattices fail with
-# ValueError before anything is allocated.
-_MAX_LATTICE_POINTS = 2**20
 # Largest packing built, in bumps (m^d); its bits are allocated in full, 1
 # byte per bump. The command line checks it before drawing.
 _MAX_BUMPS = 2**20
@@ -89,11 +81,7 @@ _MAX_ROUNDS = 1000
 
 def midpoint_lattice(d: int, per_axis: int | None = None) -> np.ndarray:
     """Midpoint lattice ((i+1/2)/N per axis) as an (N^d, d) array."""
-    n = per_axis or _LATTICE_RESOLUTION.get(d, 2**5)
-    size = _int_power(n, d)
-    _capped(size, _MAX_LATTICE_POINTS, lambda: (
-        f"a midpoint lattice of {n} points per axis in d = {d} has {size} points"))
-    axis = (np.arange(n) + 0.5) / n
+    axis = fourier._lattice_axis(d, per_axis)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, d)
 
@@ -122,11 +110,6 @@ def _profile_d2(r):
     return _profile(r) * (g * g + gp)
 
 
-def _sphere_area(d: int) -> float:
-    # surface area of the unit sphere in R^d
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
 @lru_cache(maxsize=None)
 def _bump_integrals(d: int) -> dict:
     """Radial integrals of the unit bump: mass, squared mass, gradient
@@ -136,7 +119,8 @@ def _bump_integrals(d: int) -> dict:
     agrees with the 256- and 1024-node rules to 1.1e-14 relative."""
     x, w = np.polynomial.legendre.leggauss(128)
     r = 0.5 * (x + 1.0)
-    w = 0.5 * _sphere_area(d) * w * r ** (d - 1)
+    sphere_area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)  # of the unit sphere in R^d
+    w = 0.5 * sphere_area * w * r ** (d - 1)
     psi = _profile(r)
     integrands = {"mass": psi, "sq": psi**2, "grad_sq": _profile_d1(r) ** 2}
     if d == 1:
@@ -296,11 +280,11 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
         values *= scale
         values[center] = 1.0
 
-    lattice = midpoint_lattice(d)
-    slack_step = float(lattice[0, 0])  # (0 + 1/2) / N, half the lattice spacing
+    axis = fourier._lattice_axis(d)
+    slack_step = float(axis[0])  # (0 + 1/2) / N, half the lattice spacing
     for _ in range(100):
         grid = CoefficientGrid(d, M_truth, values.copy())
-        certified = float(np.min(fourier.evaluate(grid, lattice)))
+        certified = float(np.min(fourier.evaluate_lattice(grid, len(axis)).real))
         certified -= _lipschitz_bound(grid) * slack_step
         if certified >= 0.01:
             return TrigDensity(grid, beta=float(beta), L=float(L), min_value=certified)
@@ -461,9 +445,10 @@ class ClippedDensity:
 
     Rejection sampling does not need the normalizing constant, so the
     clipped function is used as-is; this is pure post-processing of an
-    already-released estimate and costs no privacy budget. Construction
-    fails when the clipped function is degenerate: its lattice mass is below
-    1e-3, where rejection would almost never accept, or overflows.
+    already-released estimate and costs no privacy budget. The sampling bound
+    is the sum of |(theta_k + conj(theta_-k)) / 2|, the coefficients of Re f.
+    Construction fails when the clipped function is degenerate: its lattice
+    mass is below 1e-3, where rejection would almost never accept, or overflows.
     """
 
     def __init__(self, source):
@@ -472,7 +457,7 @@ class ClippedDensity:
             raise TypeError("expected a CoefficientGrid or an object carrying one")
         self.grid = grid
         with np.errstate(over="ignore", invalid="ignore"):
-            self.sup_bound = float(np.sum(np.abs(grid.values)))
+            self.sup_bound = float(np.sum(np.abs(grid.values + np.conj(grid.values[::-1]))) / 2)
             mass = quadrature_mass(self)
         if not 1e-3 <= mass < math.inf:
             raise ValueError(f"clipped estimate is degenerate: lattice mass {mass:.3g} is not "
@@ -513,8 +498,7 @@ def rejection_sample(density, n, rng, *, return_stats=False):
     got = 0
     proposals_total = 0
     accepted_total = 0
-    rounds = 0
-    while got < n and rounds < _MAX_ROUNDS:
+    while got < n and len(blocks) < _MAX_ROUNDS:  # one block per round
         need = n - got
         chunk = need if bound <= 1.0 else int(math.ceil(min(need * bound, 1 << 20)))
         proposals = rng.random((chunk, d))
@@ -526,7 +510,6 @@ def rejection_sample(density, n, rng, *, return_stats=False):
         got += len(taken)
         proposals_total += chunk
         accepted_total += int(accept.sum())
-        rounds += 1
     if got < n:
         raise RuntimeError(
             f"rejection sampling produced {got}/{n} points in {_MAX_ROUNDS} rounds; "
@@ -538,7 +521,7 @@ def rejection_sample(density, n, rng, *, return_stats=False):
     stats = {
         "proposals": proposals_total,
         "accepted": accepted_total,
-        "rounds": rounds,
+        "rounds": len(blocks),
         "acceptance_rate": accepted_total / proposals_total if proposals_total else 0.0,
         "bound": bound,
     }
@@ -551,9 +534,12 @@ def rejection_sample(density, n, rng, *, return_stats=False):
 
 
 def quadrature_mass(density) -> float:
-    """Midpoint-rule mass of a density on [0,1]^d, on midpoint_lattice(d)."""
-    lattice = midpoint_lattice(density.dim)
-    return float(np.mean(density.evaluate(lattice)))
+    """Midpoint-rule mass on midpoint_lattice(d), from the grid of a grid-backed density."""
+    if isinstance(density, TrigDensity):
+        return float(np.mean(fourier.evaluate_lattice(density.coefficients).real))
+    if isinstance(density, ClippedDensity):
+        return float(np.mean(np.maximum(fourier.evaluate_lattice(density.grid).real, 0.0)))
+    return float(np.mean(density.evaluate(midpoint_lattice(density.dim))))
 
 
 def density_from_json_dict(doc: dict):

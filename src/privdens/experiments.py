@@ -296,7 +296,7 @@ def mise(estimate: ProjectionEstimate, truth) -> float:
         return fourier.l2_distance_sq(estimate.coefficients, truth.coefficients)
     if isinstance(truth, PackingDensity):
         lattice = densities.midpoint_lattice(truth.dim)
-        diff = truth.evaluate(lattice) - fourier.evaluate(estimate.coefficients, lattice)
+        diff = truth.evaluate(lattice) - fourier.evaluate_lattice(estimate.coefficients).real
         return float(np.mean(diff * diff))
     raise TypeError(f"no MISE route for truth of type {type(truth).__name__}")
 
@@ -466,10 +466,6 @@ def run_adaptivity_experiment(cfg: ExperimentConfig) -> SweepResult:
     return SweepResult(records, {"mode": cfg.mode, "cells": summaries})
 
 
-def _g17(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(records, path) -> None:
     """Write records in the fixed column order with a mandatory header.
 
@@ -478,7 +474,8 @@ def write_csv(records, path) -> None:
     """
     columns = [(f.name, f.type == "float") for f in fields(ExperimentRecord)]
     lines = [CSV_HEADER] + [
-        ",".join(_g17(getattr(r, key)) if real else str(getattr(r, key)) for key, real in columns)
+        ",".join(f"{float(getattr(r, key)):.17g}" if real else str(getattr(r, key))
+                 for key, real in columns)
         for r in records
     ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ check exit codes 1 (runtime) and 2 (usage) and the message text.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -261,6 +262,21 @@ def test_sample_estimate_whose_mass_overflows_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "lattice mass inf is not in [1e-3, inf)" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_sample_estimate_whose_real_part_cancels(tmp_path, capsys):
+    # theta_-1 = 1e300 and theta_1 = -1e300 cancel in Re f: the bound on the
+    # real part is |theta_0| = 0.01, where sum |theta_k| would be 2e300 and
+    # every round of 2^20 proposals would accept almost nothing
+    doc = {"d": 1, "M": 1, "re": [1e300, 0.01, -1e300], "im": [0, 0, 0], "n": 5, "sigma": 0,
+           "rho_spent": None}
+    est = _write(tmp_path / "est.json", json.dumps(doc))
+    out = tmp_path / "s.csv"
+    start = time.perf_counter()
+    assert main(["sample", est, "--n", "3", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "bound 0.01)" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 3
 
 
 @pytest.mark.filterwarnings("error")

@@ -535,6 +535,21 @@ def test_clipped_density_nonnegative_and_samplable():
     assert pts.shape == (100, 1)
 
 
+def test_clipped_density_bound_is_on_the_real_part():
+    # sum |(theta_k + conj(theta_-k)) / 2| bounds Re f, is never above
+    # sum |theta_k|, and equals it bit for bit on a Hermitian grid
+    rng = np.random.default_rng(17)
+    for d, M in ((1, 6), (2, 3), (3, 2)):
+        size = (2 * M + 1) ** d
+        values = 0.3 * (rng.normal(size=size) + 1j * rng.normal(size=size))
+        values[size // 2] = 1.0
+        clipped = ClippedDensity(CoefficientGrid(d, M, values))
+        dense = midpoint_lattice(d, {1: 2**14, 2: 2**9, 3: 2**6}[d])
+        assert clipped.evaluate(dense).max() <= clipped.sup_bound < np.abs(values).sum()
+        hermitian = (values + np.conj(values[::-1])) / 2
+        assert ClippedDensity(CoefficientGrid(d, M, hermitian)).sup_bound == np.abs(hermitian).sum()
+
+
 def test_clipped_density_degenerate_rejected():
     # an estimate that is negative everywhere clips to zero mass
     grid = CoefficientGrid(1, 0, np.array([-1.0 + 0.0j]))

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from privdens.fourier import (
     empirical_coefficients,
     evaluate,
     evaluate_complex,
+    evaluate_lattice,
     l2_distance_sq,
     multi_indices,
     project,
@@ -263,18 +265,71 @@ def test_kernel_evaluation_matches_direct_sum(d, M):
         assert np.abs(evaluate_complex(grid, x) - _direct_values(grid.values, M, x)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("d,M", sorted({(d, M) for d, M, _ in KERNEL_CASES if d >= 2}))
+def test_lattice_evaluation_matches_direct_sum(d, M):
+    # axis by axis on a midpoint lattice of about 1000 points, for a grid
+    # with sum |theta_k| = 1
+    rng = np.random.default_rng(3000 * d + M)
+    size = (2 * M + 1) ** d
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    grid = CoefficientGrid(d, M, values / np.abs(values).sum())
+    per_axis = round(1000 ** (1 / d))
+    direct = _direct_values(grid.values, M, densities.midpoint_lattice(d, per_axis))
+    assert np.abs(evaluate_lattice(grid, per_axis) - direct).max() <= 1e-12
+
+
+def test_lattice_evaluation_is_in_midpoint_lattice_order():
+    # a grid with no symmetry between its axes or between k and -k, on a
+    # lattice with an odd number of points per axis: any other order of the
+    # output, such as the lattice axes reversed, gives other values
+    rng = np.random.default_rng(31)
+    values = rng.normal(size=5**3) + 1j * rng.normal(size=5**3)
+    grid = CoefficientGrid(3, 2, values / np.abs(values).sum())
+    got = evaluate_lattice(grid, 5)
+    want = _direct_values(grid.values, 2, densities.midpoint_lattice(3, 5))
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got.reshape(5, 5, 5).transpose(2, 1, 0).reshape(-1) - want).max() > 0.1
+    # d = 1 is the point kernel, bit for bit
+    grid = CoefficientGrid(1, 7, values[:15])
+    assert np.array_equal(evaluate_lattice(grid, 9),
+                          evaluate_complex(grid, densities.midpoint_lattice(1, 9)))
+
+
+def test_lattice_evaluation_cap_refuses_before_allocating():
+    # 2^11 points per axis in d = 2 are 2^22 lattice points: the same refusal
+    # as midpoint_lattice's, before the table or any tensor is built
+    grid = CoefficientGrid(2, 1, np.ones(9, dtype=complex))
+    with pytest.raises(ValueError) as lattice_error:
+        densities.midpoint_lattice(2, 2**11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as error:
+            evaluate_lattice(grid, 2**11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(error.value) == str(lattice_error.value)
+    assert "midpoint lattice of 2048 points per axis in d = 2" in str(error.value)
+    assert peak < 2**20
+
+
 def test_kernel_bits_do_not_depend_on_blas_threads():
     # The byte-reproducible outputs rest on BLAS matrix products; one thread,
-    # two threads and the default must give the same bytes.
+    # two threads and the default must give the same bytes. The lattice
+    # route's contractions are matrix products too, whose inner dimension is
+    # the contracted frequency axis.
     script = (
         "import hashlib, numpy as np\n"
-        "from privdens.fourier import CoefficientGrid, empirical_coefficients, evaluate_complex\n"
+        "from privdens.fourier import (CoefficientGrid, empirical_coefficients,\n"
+        "                              evaluate_complex, evaluate_lattice)\n"
         "rng = np.random.default_rng(3)\n"
         "h = hashlib.sha256()\n"
         "for d, M in ((1, 843), (1, 4096), (2, 17), (3, 6)):\n"
         "    grid = empirical_coefficients(rng.random((3000, d)), M)\n"
         "    h.update(grid.values.tobytes())\n"
         "    h.update(evaluate_complex(grid, rng.random((3000, d))).tobytes())\n"
+        "    if d >= 2:\n"
+        "        h.update(evaluate_lattice(grid).tobytes())\n"
         "print(h.hexdigest())\n"
     )
     src = str(Path(fourier.__file__).resolve().parent.parent)

@@ -12,10 +12,11 @@ on an older commit. Into OUTDIR it writes:
   on a d = 2 packing (its MISE is the lattice quadrature route) and of a
   Lepskii sweep with eps > (log n)^2 (one candidate, at the capped budget
   rho / k_n), 2 replicates each (`privdens experiment`);
-* a CLI round trip: three trig and one packing `generate-density`
-  fixtures, `sample`, `fit --M`, `fit --adaptive penalized-bias` and
-  `fit --adaptive lepskii` with `--trace`, and `sample` from the released
-  estimate;
+* a CLI round trip: four trig (one in d = 2, one in d = 3) and one packing
+  `generate-density` fixtures, `sample`, `fit --M`, `fit --adaptive
+  penalized-bias` and `fit --adaptive lepskii` with `--trace`, and `sample`
+  from the released estimate; then `sample`, `fit --M` and `sample` on the
+  d = 2 trig fixture, whose estimate's clipped mass is a d = 2 lattice sum;
 * `rates.csv` from `rate-table`, and the default config of `print-config`;
 * `stdout.txt`: what each command printed, run from inside OUTDIR with
   relative paths so that it does not depend on where OUTDIR is;
@@ -56,6 +57,8 @@ FIXTURES = {
     "beta2.json": ["--kind", "trig", "--beta", "2", "--L", "2", "--M-truth", "20", "--seed", "7"],
     "trig_d2.json": ["--kind", "trig", "--d", "2", "--beta", "2", "--L", "2", "--M-truth", "8",
                      "--seed", "21"],
+    "trig_d3.json": ["--kind", "trig", "--d", "3", "--beta", "2", "--L", "2", "--M-truth", "4",
+                     "--seed", "31"],
     "packing_d2.json": ["--kind", "packing", "--d", "2", "--m", "4", "--beta", "1", "--seed", "41"],
 }
 # (sweep name, fixture, config); criteria 6 to 9a keep the seeds of tests/test_acceptance.py
@@ -88,6 +91,9 @@ ROUND_TRIP = [
     ["fit", "points.csv", "--rho", "1", "--adaptive", "lepskii", "--seed", "2",
      "--out", "lepskii.json", "--trace", "lepskii_trace.json"],
     ["sample", "fixed.json", "--n", "1000", "--seed", "3", "--out", "synthetic.csv"],
+    ["sample", "trig_d2.json", "--n", "4096", "--seed", "4", "--out", "points_d2.csv"],
+    ["fit", "points_d2.csv", "--rho", "1", "--M", "4", "--out", "fixed_d2.json"],
+    ["sample", "fixed_d2.json", "--n", "1000", "--seed", "5", "--out", "synthetic_d2.csv"],
     ["rate-table", "--n", "100", "4096", "1000000", "--rho", "0.001", "1", "1000",
      "--beta", "0.5", "1", "2.5", "--d", "2", "--out", "rates.csv"],
     ["rate-table", "--n", "1000", "--rho", "0.01", "1", "--beta", "1", "2"],
