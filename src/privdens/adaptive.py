@@ -29,7 +29,7 @@ Penalized estimated bias
 Both rules run one driver, _select: it computes the master coefficients,
 releases every candidate (so every call is private and needs a seeded
 generator), hands the candidates to the rule's score function and picks the
-winner with the rule's decision on that evidence, the same code
+winner with the rule's decision on what that measured, the same code
 SelectionTrace.replay() runs. Both return the chosen estimate together with
 a SelectionTrace holding the release and the rule's evidence, so the choice
 can be replayed and audited offline. A release of more than _MAX_CANDIDATES
@@ -170,8 +170,11 @@ class SelectionTrace:
       thresholds, accepted;
     * penalized-bias: proj_distances, lambda1, lambda2, bias_sq, criterion.
 
-    `replay()` runs the rule's decision on the stored evidence, the code the
-    selector itself decided by, so it reproduces `selected_index` exactly.
+    accepted, bias_sq and criterion are derived: the rule's decision
+    computes them from the others, once, and the selector stores them.
+    `replay()` runs that decision on the stored evidence, the code the
+    selector itself decided by, so it reproduces `selected_index` exactly
+    and follows any edit of what was measured.
     Candidate estimates are attached for in-process consumers but excluded
     from JSON.
     """
@@ -194,7 +197,7 @@ class SelectionTrace:
     def replay(self) -> int:
         if self.method not in _DECISIONS:
             raise ValueError(f"unknown method {self.method!r}")
-        return _DECISIONS[self.method](self.evidence, self.sigmas, self.cutoffs, self.d)
+        return _DECISIONS[self.method](self.evidence, self.sigmas, self.cutoffs, self.d)[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,11 +222,11 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
 
     Candidate m is the release (estimator._release) of project(master,
     cutoffs[m]) at rho_prime, draws consumed in candidate order, charged to
-    one fresh ledger as label.format(m=m, cutoff=M). score(candidate_matrix,
-    sigmas) receives the candidates as rows, each zero-padded to the largest
-    cut-off, and returns the evidence; the method's decision picks the
-    winner from it, which is returned with rho_spent = spent and the ledger
-    alongside the trace.
+    one fresh ledger as label.format(m=m, cutoff=M). score(candidate_matrix)
+    receives the candidates as rows, each zero-padded to the largest
+    cut-off, and returns what the rule measures; the method's decision picks
+    the winner from it and derives the rest of the evidence. The winner is
+    returned with rho_spent = spent and the ledger alongside the trace.
     """
     if rng is None:
         raise ValueError("a seeded rng is required for a private selection")
@@ -240,11 +243,12 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
         for m, cutoff in enumerate(cutoffs)
     ]
     sigmas = [e.sigma for e in estimates]
-    evidence = score(np.vstack([project(e.coefficients, top).values for e in estimates]), sigmas)
-    selected = _DECISIONS[method](evidence, sigmas, cutoffs, d)
+    measured = score(np.vstack([project(e.coefficients, top).values for e in estimates]))
+    selected, derived = _DECISIONS[method](measured, sigmas, cutoffs, d)
     trace = SelectionTrace(
         method=method, n=n, d=d, rho=rho, rho_per_candidate=rho_prime, rho_spent=spent,
-        constants=constants, cutoffs=list(cutoffs), sigmas=sigmas, evidence=evidence,
+        constants=constants, cutoffs=list(cutoffs), sigmas=sigmas,
+        evidence={**measured, **derived},
         selected_index=selected, selected_cutoff=cutoffs[selected], ledger=ledger,
         candidates=estimates,
     )
@@ -259,27 +263,25 @@ def _pairwise_sq_distances(a: np.ndarray) -> np.ndarray:
     return np.maximum(dist, 0.0)
 
 
-def _lepskii_accepted(distances, thresholds, sigmas, cutoffs, d: int) -> list[bool]:
-    """accepted[m]: for every l >= m, distances[m, l] minus the two
-    candidates' expected noise energy 2 sigma^2 (2M+1)^d is at most
-    thresholds[l]."""
+def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
+    """The first accepted index, and accepted: accepted[m] when, for every
+    l >= m, distances[m, l] minus the two candidates' expected noise energy
+    2 sigma^2 (2M+1)^d is at most thresholds[l]."""
     noise = np.array([2.0 * s * s * (2 * c + 1) ** d for s, c in zip(sigmas, cutoffs)])
-    excess = np.asarray(distances) - noise[:, None] - noise[None, :]
-    return [
-        bool(np.all(excess[m, m:] <= thresholds[m:])) for m in range(len(cutoffs))
-    ]
-
-
-def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> int:
+    excess = np.asarray(evidence["distances"]) - noise[:, None] - noise[None, :]
+    thresholds = evidence["thresholds"]
+    accepted = [bool(np.all(excess[m, m:] <= thresholds[m:])) for m in range(len(cutoffs))]
     # The last candidate is always accepted (distance to itself is 0, the
     # offset is nonnegative), so the search cannot fall off the end.
-    accepted = _lepskii_accepted(evidence["distances"], evidence["thresholds"], sigmas, cutoffs, d)
-    return accepted.index(True)
+    return accepted.index(True), {"accepted": accepted}
 
 
-def _penalized_decision(evidence, sigmas, cutoffs, d: int) -> int:
-    # argmin takes the first (smallest M) on ties
-    return int(np.argmin(evidence["bias_sq"] + evidence["lambda2"]))
+def _penalized_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
+    """The index minimizing criterion = bias_sq + lambda2, the first (smallest
+    M) on ties, and both: bias_sq[i] = max_j (proj_distances[i, j] - lambda1[j])."""
+    bias_sq = (evidence["proj_distances"] - evidence["lambda1"][None, :]).max(axis=1)
+    criterion = bias_sq + evidence["lambda2"]
+    return int(np.argmin(criterion)), {"bias_sq": bias_sq, "criterion": criterion}
 
 
 _DECISIONS = {"lepskii": _lepskii_decision, "penalized-bias": _penalized_decision}
@@ -331,12 +333,9 @@ def lepskii_select(
         scale = math.inf
     thresholds = np.array([scale * theoretical_rate(n, rho_prime, beta, d) for beta in betas])
 
-    def score(cands, sigmas):
-        dist = _pairwise_sq_distances(cands)
-        accepted = _lepskii_accepted(dist, thresholds, sigmas, cutoffs, d)
-        return dict(
-            betas=list(betas), distances=dist, thresholds=thresholds, accepted=accepted
-        )
+    def score(cands):
+        return dict(betas=list(betas), distances=_pairwise_sq_distances(cands),
+                    thresholds=thresholds)
 
     # Report the exact composition k_n * rho' rather than the float sum of the
     # ledger entries; the two agree to rounding and the former is the figure
@@ -406,7 +405,7 @@ def penalized_bias_select(
     g = len(grid)
     rho_prime = rho_v / g
 
-    def score(cands, sigmas):
+    def score(cands):
         normmax = np.abs(multi_indices(max(grid), d)).max(axis=1)
         masks = np.array([normmax <= m for m in grid])  # (g, K) restriction masks
         proj_dist = np.empty((g, g))
@@ -415,11 +414,7 @@ def penalized_bias_select(
             proj_dist[i] = np.sum(diff.real**2 + diff.imag**2, axis=1)
         lam1 = np.array([penalty_lambda1(m, n, rho_prime, d) for m in grid])
         lam2 = np.array([penalty_lambda2(m, n, rho_prime, d) for m in grid])
-        bias_sq = (proj_dist - lam1[None, :]).max(axis=1)
-        return dict(
-            proj_distances=proj_dist, lambda1=lam1, lambda2=lam2, bias_sq=bias_sq,
-            criterion=bias_sq + lam2,
-        )
+        return dict(proj_distances=proj_dist, lambda1=lam1, lambda2=lam2)
 
     # g equal shares of rho/g add up to exactly rho; report that figure
     # (the ledger keeps the per-candidate entries for audit).

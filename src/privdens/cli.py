@@ -38,25 +38,34 @@ class UsageError(ValueError):
     """Bad flag combination detected after argparse; exits with code 2."""
 
 
+def _read_file(path: str, parse=str):
+    """parse(text) of an input file read as UTF-8 with universal newlines (a
+    line ends at LF, CR LF or a lone CR only); an error decoding the file, or
+    parsing it as JSON, too deep a nesting included, names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_points(path: str) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
-                )
-            rows.append(row)
+    for lineno, raw in enumerate(_read_file(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} columns, got {len(row)}"
+            )
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     try:
@@ -126,7 +135,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    doc = _read_file(args.input, json.loads)
     if isinstance(doc, dict) and "kind" in doc:
         target = density_from_json_dict(doc)
     else:
@@ -167,7 +176,7 @@ def _cmd_generate_density(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    doc = _read_file(args.config, json.loads)
     sweep_docs = doc["sweeps"] if isinstance(doc, dict) and "sweeps" in doc else {"sweep": doc}
     if not isinstance(sweep_docs, dict):
         raise ValueError("'sweeps' must be an object that maps sweep names to configs")
@@ -310,7 +319,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, RuntimeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

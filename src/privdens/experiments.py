@@ -140,7 +140,6 @@ def _check_fields(v: dict, problems: list[str]):
         problems.append("time_limit_s must be > 0 when given")
     elif time_limit is not None and not _is_finite(time_limit):
         problems.append(f"time_limit_s must be a finite number, got {time_limit!r}")
-    typed("deterministic_timings", lambda t: isinstance(t, bool), "true or false")
     if problems:
         raise ValueError(
             "invalid experiment config:\n" + "\n".join(f"  - {p}" for p in problems)
@@ -187,11 +186,6 @@ class ExperimentConfig:
     truth sampled. A config is frozen, its lists and dicts too, so that
     neither that truth nor to_json_dict can go stale: vary one with
     dataclasses.replace, which checks again.
-
-    deterministic_timings=True (the default) writes wall_ms = 0 in every
-    record so that identical configs give byte-identical CSV files; set it
-    to False to record real wall-clock milliseconds at the price of
-    nondeterministic bytes in that one column.
     """
 
     density: dict
@@ -205,7 +199,6 @@ class ExperimentConfig:
     cutoff_form: str = "adaptive"
     constants: dict = field(default_factory=dict)
     grid: list[int] | None = None
-    deterministic_timings: bool = True
     time_limit_s: float | None = None
 
     def __post_init__(self):
@@ -254,7 +247,6 @@ class ExperimentRecord:
     selected_M: int
     rho_spent: float
     mise: float
-    wall_ms: float
 
 
 # The CSV columns are the record's fields, in order (write_csv).
@@ -359,28 +351,25 @@ def _sweep(cfg: ExperimentConfig, truth, compare: bool = False):
                 and time.perf_counter() - cell_start > cfg.time_limit_s
             ):
                 records.append(
-                    ExperimentRecord(n, rho, beta_nom, cfg.d, cfg.mode, -1, -1, 0.0, math.nan, 0.0)
+                    ExperimentRecord(n, rho, beta_nom, cfg.d, cfg.mode, -1, -1, 0.0, math.nan)
                 )
                 break
             rng = privacy.derived_rng(cfg.seed, cell_idx, rep)
             fits = [(cfg.mode, rng)]
             if compare:
                 fits.append(("oracle", privacy.derived_rng(cfg.seed, cell_idx, rep, 1)))
-            t0 = time.perf_counter()
             data = rejection_sample(truth, n, rng)
             for mode, fit_rng in fits:
                 est, trace = _run_one(cfg, mode, data, rho, fit_rng)
                 err = mise(est, truth)
-                wall = 0.0 if cfg.deterministic_timings else (time.perf_counter() - t0) * 1e3
                 rec = ExperimentRecord(
-                    n, rho, beta_nom, cfg.d, mode, rep, est.cutoff, est.rho_spent, err, wall
+                    n, rho, beta_nom, cfg.d, mode, rep, est.cutoff, est.rho_spent, err
                 )
                 records.append(rec)
                 cell_records.append(rec)
                 if compare and trace is not None:
                     for m_val, cand in zip(trace.cutoffs, trace.candidates):
                         candidate_mises.setdefault(m_val, []).append(mise(cand, truth))
-                t0 = time.perf_counter()
         if cell_records:
             cells.append((n, rho, cell_records, candidate_mises))
     return records, cells
@@ -470,7 +459,7 @@ def write_csv(records, path) -> None:
     """Write records in the fixed column order with a mandatory header.
 
     Floats use 17 significant digits so a re-run of the same config is
-    byte-identical (given deterministic_timings).
+    byte-identical.
     """
     columns = [(f.name, f.type == "float") for f in fields(ExperimentRecord)]
     lines = [CSV_HEADER] + [

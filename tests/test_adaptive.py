@@ -21,7 +21,7 @@ from privdens.adaptive import (
 )
 from privdens.estimator import fit, optimal_cutoff_adaptive_form
 from privdens.fourier import CoefficientGrid
-from privdens.densities import TrigDensity, rejection_sample
+from privdens.densities import TrigDensity, make_trig_density, rejection_sample
 from theory_checks import risk_series_bound, risk_series_sum
 
 
@@ -377,6 +377,22 @@ def test_penalized_bias_lower_bound_and_replay():
         assert np.all(bias_sq >= -lam1.min() - 1e-12)
         assert np.all(np.isfinite(bias_sq))
         assert trace.replay() == trace.selected_index
+
+
+def test_penalized_replay_rederives_its_choice_from_what_was_measured():
+    # bias_sq and criterion are derived from proj_distances and the penalties,
+    # so an edit of the winner's measured distances must move the replay
+    truth = make_trig_density(2.0, 2.0, 20, rng=np.random.default_rng(7))
+    data = rejection_sample(truth, 4096, np.random.default_rng(7))
+    _est, trace = penalized_bias_select(data, 1.0, None, np.random.default_rng(1))
+    ev = trace.evidence
+    lam1, lam2 = ev["lambda1"], ev["lambda2"]
+    assert np.array_equal(ev["bias_sq"], (ev["proj_distances"] - lam1[None, :]).max(axis=1))
+    assert np.array_equal(ev["criterion"], ev["bias_sq"] + lam2)
+    won = trace.selected_index
+    ev["proj_distances"][won] += 1e6
+    bias_sq = (ev["proj_distances"] - lam1[None, :]).max(axis=1)
+    assert trace.replay() == int(np.argmin(bias_sq + lam2)) != won
 
 
 def test_penalized_deterministic():

@@ -141,6 +141,36 @@ def test_fit_malformed_row_names_line(tmp_path, capsys):
     assert ":2:" in err and "malformed" in err
 
 
+@pytest.mark.parametrize("name, content, argv, reason", [
+    ("pts.csv", b"0.5\xff\n", ["fit", "{}", "--M", "1", "--out", "e.json"],
+     "'utf-8' codec can't decode byte 0xff in position 3"),
+    ("t.json", b'{"kind": ', ["sample", "{}", "--n", "3", "--out", "s.csv"],
+     "Expecting value: line 1 column 10 (char 9)"),
+    ("cfg.json", b'{"kind": ', ["experiment", "{}", "--out-dir", "runs"],
+     "Expecting value: line 1 column 10 (char 9)"),
+    ("deep.json", b"[" * 10**5 + b"]" * 10**5, ["sample", "{}", "--n", "3", "--out", "s.csv"],
+     "maximum recursion depth exceeded"),
+], ids=["fit-not-utf8", "sample-not-json", "experiment-not-json", "sample-json-too-deep"])
+def test_unreadable_input_file_is_named(tmp_path, capsys, name, content, argv, reason):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main([str(path) if a == "{}" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {reason}") and "Traceback" not in err
+
+
+def test_fit_line_ends_are_universal_newlines_only(tmp_path, capsys):
+    # \r\n and a lone \r end a line as \n does; \x85 and a form feed do not
+    out = [tmp_path / f"{i}.json" for i in range(3)]
+    for text, est in (("0.1\n0.4\n", out[0]), ("0.1\r\n0.4\r\n", out[1]), ("0.1\r0.4", out[2])):
+        assert main(["fit", _write(tmp_path / "p.csv", text), "--M", "2", "--out", str(est)]) == 0
+    assert out[0].read_bytes() == out[1].read_bytes() == out[2].read_bytes()
+    for sep in ("\x85", "\x0c"):
+        data = _write(tmp_path / "p.csv", f"0.1{sep}0.4\n")
+        assert main(["fit", data, "--M", "2", "--out", str(tmp_path / "e.json")]) == 1
+        assert ":1: malformed row" in capsys.readouterr().err
+
+
 def test_fit_out_of_range_coordinate(tmp_path, capsys):
     data = _write(tmp_path / "pts.csv", "0.5\n1.5\n")
     assert main(["fit", data, "--M", "1", "--out", str(tmp_path / "e.json")]) == 1
@@ -489,6 +519,17 @@ def test_experiment_unknown_key_rejected(tmp_path, capsys):
     assert main(["experiment", cfg_path, "--out-dir", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert "zap" in err
+
+
+def test_experiment_refuses_the_retired_timing_key(tmp_path, capsys):
+    # sweep CSVs hold no timing, so the key that zeroed one is unknown
+    cfg = {"density": {"kind": "uniform", "d": 1}, "n": 64, "rho": 1.0, "mode": "oracle",
+           "beta": 1.0, "replicates": 1, "seed": 0, "d": 1, "deterministic_timings": True}
+    cfg_path = _write(tmp_path / "cfg.json", json.dumps(cfg))
+    out_dir = tmp_path / "runs"
+    assert main(["experiment", cfg_path, "--out-dir", str(out_dir)]) == 1
+    assert "unknown key 'deterministic_timings'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_experiment_sweeps_list_rejected(tmp_path, capsys):

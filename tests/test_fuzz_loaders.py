@@ -8,8 +8,10 @@ replaced by arbitrary JSON values, removed, or joined by unknown keys, so
 most examples get past the first check; NaN and the infinities are also
 drawn on purpose for the smoothness beta and the radius L. A density that
 loads or is generated has a finite sup bound > 0. `privdens sample` also
-runs on trig and estimate documents with extreme finite coefficients, with
-every warning made an error. Runs are derandomized with small example
+runs on trig and estimate documents with extreme finite coefficients, and
+`privdens fit` on generated points files (blank lines, ragged rows, Python
+float spellings, a BOM, line ends of every kind, bytes that are not UTF-8),
+with every warning made an error. Runs are derandomized with small example
 counts, so the suite stays deterministic and fast.
 """
 
@@ -134,7 +136,6 @@ KEYWORDS = {
         JSON,
     ),
     "grid": st.one_of(st.just([1, 2]), JSON),
-    "deterministic_timings": st.one_of(st.booleans(), JSON),
     "time_limit_s": st.one_of(st.just(2.0), JSON),
 }
 
@@ -295,3 +296,48 @@ def test_sample_of_extreme_documents_exits_cleanly(tmp_path_factory, grid, trig)
     assert code in (0, 1, 2)
     if code == 0:
         assert len((tmp / "s.csv").read_text().splitlines()) == 3
+
+
+# Points-file text, token by token: cells that parse, cells float() takes but
+# a decimal CSV reader would not, and cells nothing takes.
+CELLS = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(["0", "1", "0.5", "1.5", "-0.1", "1_0", "0.2_5", " nan", "nan", "1e999",
+                     "-inf", "\u0660.\u0665", "\u0660\u066b\u0665", "", " ", "abc"]),
+)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\x0c"])
+LINES = st.one_of(
+    st.sampled_from(["", " ", "\t  "]),  # blank and whitespace-only
+    st.tuples(st.lists(CELLS, min_size=1, max_size=3), st.booleans()).map(
+        lambda row: ",".join(row[0]) + ("," if row[1] else "")),  # ragged, trailing comma
+)
+
+
+@st.composite
+def points_files(draw):
+    """The bytes of a points file: lines with mixed line ends, maybe a BOM,
+    maybe a byte that is not UTF-8 put anywhere."""
+    lines = draw(st.lists(st.tuples(LINES, LINE_ENDS), min_size=1, max_size=6))
+    text = ("\ufeff" if draw(st.booleans()) else "") + "".join(a + b for a, b in lines)
+    data = text.encode("utf-8")
+    bad = draw(st.sampled_from([b"", b"", b"\xff", b"\x80", b"\xc3"]))
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + bad + data[at:]
+
+
+@settings(FUZZ, max_examples=60)
+@given(points_files())
+@example(data=b"0.5\xff\n")
+@example(data=b"\xef\xbb\xbf0.5\r\n0.25\r0.75\x0c\n")
+def test_fit_of_generated_points_files_exits_cleanly(tmp_path_factory, data):
+    # `privdens fit` on any points file writes its estimate or refuses the
+    # file: it never raises and never warns
+    tmp = tmp_path_factory.mktemp("fit")
+    (tmp / "pts.csv").write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = exit_code(["fit", str(tmp / "pts.csv"), "--M", "2", "--rho", "1",
+                          "--out", str(tmp / "e.json")])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert ProjectionEstimate.from_json_dict(json.loads((tmp / "e.json").read_text())).n >= 1

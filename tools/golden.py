@@ -20,7 +20,7 @@ on an older commit. Into OUTDIR it writes:
 * `rates.csv` from `rate-table`, and the default config of `print-config`;
 * `stdout.txt`: what each command printed, run from inside OUTDIR with
   relative paths so that it does not depend on where OUTDIR is;
-* `failures/NAME.txt`, one per malformed config or flag set in FAILURES:
+* `failures/NAME.txt`, one per malformed input file or flag set in FAILURES:
   the command, its exit code, the files it left behind and its stderr. Each
   case runs in a fresh temporary directory, and none aborts the script.
 
@@ -128,7 +128,7 @@ def _trig(re: list, im: list) -> str:
 _LEPSKII = ["fit", "pts.csv", "--rho", "1", "--adaptive", "lepskii", "--out", "est.json"]
 _SAMPLE_TRIG = ["sample", "t.json", "--n", "3", "--out", "s.csv"]
 _EXPERIMENT = ["experiment", "cfg.json", "--out-dir", "runs"]
-# (name, files written first, command): malformed configs and flags, and inputs
+# (name, files written first, command): malformed files and flags, and inputs
 # at the edge of a numeric bound, which may also succeed; the exit code is recorded.
 FAILURES = [
     ("config_mode_bogus", {"cfg.json": _config(mode="bogus")}, _EXPERIMENT),
@@ -214,6 +214,10 @@ FAILURES = [
     ("sample_trig_not_hermitian", {"t.json": _trig([0.3, 1, 0.9], [0.2, 0, 0])}, _SAMPLE_TRIG),
     ("sample_trig_sum_overflow", {"t.json": _trig([1e308, 1, 1e308], [0, 0, 0])},
      _SAMPLE_TRIG),
+    ("fit_points_not_utf8", {"pts.csv": b"0.5\xff\n"},
+     ["fit", "pts.csv", "--M", "2", "--out", "est.json"]),
+    ("sample_density_not_json", {"t.json": '{"kind": '}, _SAMPLE_TRIG),
+    ("config_not_json", {"cfg.json": '{"kind": '}, _EXPERIMENT),
 ]
 
 
@@ -308,8 +312,9 @@ def main(argv: list[str]) -> int:
     (out / "failures").mkdir(exist_ok=True)
     for name, files, args in FAILURES:
         with tempfile.TemporaryDirectory() as tmp:
-            for file, text in files.items():
-                (Path(tmp) / file).write_text(text, encoding="utf-8")
+            for file, text in files.items():  # bytes for a file that is not UTF-8
+                data = text if isinstance(text, bytes) else text.encode("utf-8")
+                (Path(tmp) / file).write_bytes(data)
             cmd = [sys.executable, "-m", "privdens.cli", *args]
             done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
             left = sorted(str(p.relative_to(tmp)) for p in Path(tmp).rglob("*")
