@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +50,41 @@ def _read_file(path: str, parse=str):
 
 
 def _read_points(path: str) -> np.ndarray:
+    """The points of a CSV file. np.loadtxt reads it when it can; it refuses
+    every cell and row that _parse_rows refuses, and reads the others to the
+    same bits. On any refusal, or no rows, _parse_rows reads the file again,
+    so every message about a row names its file and line."""
+    lines = _read_file(path).split("\n")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a blank file warns "input contained no data"
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except (ValueError, Warning):
+        rows = np.empty((0, 0))
+    if not rows.size:
+        rows = _parse_rows(path, lines)
+    try:
+        return as_points(rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_rows(path: str, lines: list[str]) -> list[list[float]]:
+    """Rows of comma-separated decimal floats; blank lines are skipped. A
+    cell may carry whitespace around it, but no underscore and nothing that
+    is not ASCII: float() would read "0.2_5" as 0.25 and Arabic-Indic digits
+    as their values, which np.loadtxt refuses."""
     rows = []
     width = None
-    for lineno, raw in enumerate(_read_file(path).split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
+        cells = [tok.strip() for tok in line.split(",")]
         try:
-            row = [float(tok) for tok in line.split(",")]
+            if "_" in line or not all(map(str.isascii, cells)):
+                raise ValueError
+            row = [float(cell) for cell in cells]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
         if width is None:
@@ -68,10 +96,7 @@ def _read_points(path: str) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    try:
-        return as_points(rows)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return rows
 
 
 def _write_points(path: str, pts: np.ndarray) -> None:

@@ -77,6 +77,14 @@ _MAX_SOBOLEV_ORDER = 193
 # (points still needed) x (mass) of them, so only a target of nearly zero
 # mass runs out.
 _MAX_ROUNDS = 1000
+# Error of the lattice values of Re f (ClippedDensity's Bernstein bound), per
+# unit of M d and of the coefficient sum: each term's phase 2 pi k.x carries
+# about 2.4 ulp of relative error (two products and math.pi) on a phase of at
+# most 2 pi M d, and every sum adds one ulp per term. Against a long-double
+# direct sum with exact phases (d = 1 and 2, M from 1 to 41000, on random,
+# decaying and all-ones grids) the worst error was 1.3 eps M d times the sum;
+# the all-ones grid, whose terms all align, came within 2x of it at every M.
+_LATTICE_ROUNDING = 16 * np.finfo(float).eps
 
 
 def midpoint_lattice(d: int, per_axis: int | None = None) -> np.ndarray:
@@ -445,8 +453,18 @@ class ClippedDensity:
 
     Rejection sampling does not need the normalizing constant, so the
     clipped function is used as-is; this is pure post-processing of an
-    already-released estimate and costs no privacy budget. The sampling bound
-    is the sum of |(theta_k + conj(theta_-k)) / 2|, the coefficients of Re f.
+    already-released estimate and costs no privacy budget.
+
+    The sampling bound is the smaller of two certified bounds on sup |Re f|:
+    the sum of |(theta_k + conj(theta_-k)) / 2|, the coefficients of Re f,
+    and a Bernstein bound. Re f is a real trig polynomial of degree M in
+    each coordinate, so |d Re f / dx_j| <= 2 pi M sup |Re f|, and every point
+    is within 1/(2N) of a midpoint of the N-per-axis lattice in each
+    coordinate: sup |Re f| <= (max_lattice |Re f| + r) / (1 - pi M d / N).
+    N is the smallest power of two with pi M d / N <= 1/8. The lattice is
+    evaluated from the coefficients of Re f, and r = _LATTICE_ROUNDING M d
+    times their sum covers its floating-point error. M = 0, and a lattice
+    past _MAX_LATTICE_POINTS, keep the coefficient sum.
     Construction fails when the clipped function is degenerate: its lattice
     mass is below 1e-3, where rejection would almost never accept, or overflows.
     """
@@ -457,7 +475,7 @@ class ClippedDensity:
             raise TypeError("expected a CoefficientGrid or an object carrying one")
         self.grid = grid
         with np.errstate(over="ignore", invalid="ignore"):
-            self.sup_bound = float(np.sum(np.abs(grid.values + np.conj(grid.values[::-1]))) / 2)
+            self.sup_bound = _real_part_bound(grid)
             mass = quadrature_mass(self)
         if not 1e-3 <= mass < math.inf:
             raise ValueError(f"clipped estimate is degenerate: lattice mass {mass:.3g} is not "
@@ -469,6 +487,22 @@ class ClippedDensity:
 
     def evaluate(self, x):
         return np.maximum(fourier.evaluate(self.grid, x), 0.0)
+
+
+def _real_part_bound(grid: CoefficientGrid) -> float:
+    """min(coefficient sum, Bernstein bound) of sup |Re f| (ClippedDensity)."""
+    m, d = grid.cutoff, grid.dim
+    real_part = CoefficientGrid(d, m, (grid.values + np.conj(grid.values[::-1])) / 2)
+    coef_sum = float(np.sum(np.abs(real_part.values)))
+    per_axis = 1
+    while per_axis < 8 * math.pi * m * d:  # the smallest power of two with pi M d / N <= 1/8
+        per_axis *= 2
+    if not m or _int_power(per_axis, d) > fourier._MAX_LATTICE_POINTS:
+        return coef_sum
+    top = float(np.max(np.abs(fourier.evaluate_lattice(real_part, per_axis).real)))
+    slack = _LATTICE_ROUNDING * m * d * coef_sum
+    bernstein = (top + slack) / (1 - math.pi * m * d / per_axis)
+    return bernstein if bernstein < coef_sum else coef_sum  # a NaN lattice keeps the sum
 
 
 def rejection_sample(density, n, rng, *, return_stats=False):

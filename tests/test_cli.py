@@ -141,6 +141,31 @@ def test_fit_malformed_row_names_line(tmp_path, capsys):
     assert ":2:" in err and "malformed" in err
 
 
+@pytest.mark.parametrize("text", ["0.2_5\n0.3\n", "\u0660.\u0665\n0.3\n", "0.3,1_0\n"],
+                         ids=["underscore", "arabic-indic-digits", "underscore-second-cell"])
+def test_fit_refuses_what_float_alone_would_read(tmp_path, capsys, text):
+    # float() reads "0.2_5" as 0.25 and Arabic-Indic digits as their values;
+    # a points file holds ASCII decimal floats only
+    data = _write(tmp_path / "pts.csv", text)
+    assert main(["fit", data, "--M", "1", "--out", str(tmp_path / "e.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data}:1: malformed row")
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_fit_reads_clean_files_without_the_line_parser(tmp_path, monkeypatch):
+    # np.loadtxt reads a clean file; a whitespace-only line sends it back to
+    # the line parser, with the same estimate
+    calls = []
+    parse = cli._parse_rows
+    monkeypatch.setattr(cli, "_parse_rows", lambda *a: calls.append(1) or parse(*a))
+    for name, text in (("a", "0.1,0.2\n0.4,0.5\n\n0.9,0.3\n"),
+                       ("b", "0.1,0.2\n0.4,0.5\n \n0.9,0.3")):
+        data = _write(tmp_path / f"{name}.csv", text)
+        assert main(["fit", data, "--M", "2", "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert calls == [1]
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 @pytest.mark.parametrize("name, content, argv, reason", [
     ("pts.csv", b"0.5\xff\n", ["fit", "{}", "--M", "1", "--out", "e.json"],
      "'utf-8' codec can't decode byte 0xff in position 3"),

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from privdens import densities as dens
+from privdens import fourier
 from privdens.densities import (
     ClippedDensity,
     PackingDensity,
@@ -536,8 +537,8 @@ def test_clipped_density_nonnegative_and_samplable():
 
 
 def test_clipped_density_bound_is_on_the_real_part():
-    # sum |(theta_k + conj(theta_-k)) / 2| bounds Re f, is never above
-    # sum |theta_k|, and equals it bit for bit on a Hermitian grid
+    # the bound is on Re f, whose coefficient sum |(theta_k + conj(theta_-k)) / 2|
+    # is below sum |theta_k|; on a Hermitian grid it is at most that sum
     rng = np.random.default_rng(17)
     for d, M in ((1, 6), (2, 3), (3, 2)):
         size = (2 * M + 1) ** d
@@ -547,7 +548,65 @@ def test_clipped_density_bound_is_on_the_real_part():
         dense = midpoint_lattice(d, {1: 2**14, 2: 2**9, 3: 2**6}[d])
         assert clipped.evaluate(dense).max() <= clipped.sup_bound < np.abs(values).sum()
         hermitian = (values + np.conj(values[::-1])) / 2
-        assert ClippedDensity(CoefficientGrid(d, M, hermitian)).sup_bound == np.abs(hermitian).sum()
+        bound = ClippedDensity(CoefficientGrid(d, M, hermitian)).sup_bound
+        assert bound <= np.abs(hermitian).sum()
+
+
+def _bernstein_per_axis(M, d):
+    # the smallest power of two N with pi M d / N <= 1/8
+    return 1 << math.ceil(math.log2(8 * math.pi * M * d))
+
+
+@pytest.mark.parametrize("d, M", [(1, 4), (1, 32), (1, 128), (2, 1), (2, 2), (2, 4), (3, 1),
+                                  (3, 2)])
+def test_clipped_density_bound_is_certified(d, M):
+    # a noisy release: its |Re f| on a much denser lattice <= the bound <= the
+    # coefficient sum of Re f; where the Bernstein lattice fits, the bound is
+    # within 8/7 of the supremum that the dense lattice certifies (plus the
+    # rounding allowance)
+    data = np.random.default_rng(10 * d + M).random((4096, d))
+    grid = fit(data, M, budget=1.0, rng=np.random.default_rng(d)).coefficients
+    real_part = (grid.values + np.conj(grid.values[::-1])) / 2
+    coef_sum = float(np.sum(np.abs(real_part)))
+    dense = {1: 2**18, 2: 2**10, 3: 2**6}[d]
+    top = float(np.max(np.abs(fourier.evaluate_lattice(grid, dense).real)))
+    bound = ClippedDensity(grid).sup_bound
+    assert top <= bound <= coef_sum
+    if _bernstein_per_axis(M, d) ** d <= fourier._MAX_LATTICE_POINTS:
+        sup = top / (1 - math.pi * M * d / dense)
+        slack = dens._LATTICE_ROUNDING * M * d * coef_sum
+        assert bound <= (sup + slack) * 8 / 7 * (1 + 1e-12)
+    else:
+        assert bound == coef_sum
+
+
+@pytest.mark.parametrize("d, M, value", [(1, 0, 0.7 + 0.2j), (2, 0, 1.5 - 3j), (2, 21, None),
+                                         (3, 1, None)])
+def test_clipped_density_bound_falls_back_to_the_coefficient_sum(d, M, value):
+    # M = 0 (a constant) and a Bernstein lattice past _MAX_LATTICE_POINTS
+    # (2048^2 and 128^3 points) keep the coefficient sum of Re f, exactly
+    size = (2 * M + 1) ** d
+    values = 0.05 * np.random.default_rng(M).normal(size=size) + 0j
+    values[size // 2] = 1.0 if value is None else value
+    real_part = (values + np.conj(values[::-1])) / 2
+    assert ClippedDensity(CoefficientGrid(d, M, values)).sup_bound == np.sum(np.abs(real_part))
+
+
+@pytest.mark.parametrize("d, M", [(1, 1024), (2, 20)])
+def test_lattice_rounding_allowance_covers_the_kernel(d, M):
+    # the all-ones grid, whose terms all align, is the kernel's worst case; on
+    # the bound's lattice its values stay within the rounding allowance of a
+    # long-double direct sum with exactly reduced phases
+    n = _bernstein_per_axis(M, d)
+    grid = CoefficientGrid(d, M, np.ones((2 * M + 1) ** d, dtype=complex))
+    got = fourier.evaluate_lattice(grid, n).real
+    idx = np.unique(np.concatenate([np.arange(64), np.argsort(-got)[:64],
+                                    np.random.default_rng(0).integers(0, n**d, 128)]))
+    coords = np.stack(np.unravel_index(idx, (n,) * d), axis=-1)
+    phase = (2 * coords + 1) @ multi_indices(M, d).T % (2 * n)  # x = (2i + 1) / (2N), exactly
+    exact = np.cos(phase.astype(np.longdouble) * (np.longdouble(np.pi) / n)).sum(axis=1)
+    err = float(np.max(np.abs(got[idx] - exact)))
+    assert err <= dens._LATTICE_ROUNDING * M * d * grid.size
 
 
 def test_clipped_density_degenerate_rejected():

@@ -11,8 +11,10 @@ loads or is generated has a finite sup bound > 0. `privdens sample` also
 runs on trig and estimate documents with extreme finite coefficients, and
 `privdens fit` on generated points files (blank lines, ragged rows, Python
 float spellings, a BOM, line ends of every kind, bytes that are not UTF-8),
-with every warning made an error. Runs are derandomized with small example
-counts, so the suite stays deterministic and fast.
+with every warning made an error; on the same kind of text the points
+reader's np.loadtxt fast path agrees with its line parser. Runs are
+derandomized with small example counts, so the suite stays deterministic
+and fast.
 """
 
 import json
@@ -23,10 +25,12 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from privdens import cli
 from privdens.cli import main
 from privdens.densities import density_from_json_dict
 from privdens.estimator import ProjectionEstimate
 from privdens.experiments import ExperimentConfig
+from privdens.fourier import as_points
 
 FUZZ = settings(
     derandomize=True, database=None, max_examples=60, deadline=None,
@@ -341,3 +345,79 @@ def test_fit_of_generated_points_files_exits_cleanly(tmp_path_factory, data):
     assert code in (0, 1, 2)
     if code == 0:
         assert ProjectionEstimate.from_json_dict(json.loads((tmp / "e.json").read_text())).n >= 1
+
+
+# Cells whose surrounding whitespace float() and np.loadtxt might strip
+# differently: non-ASCII spaces, and the ASCII separators that str.strip()
+# takes for whitespace and float() does not; and a comment, which loadtxt's
+# default comments="#" would strip.
+SPACED = st.tuples(st.sampled_from(["", " ", "\xa0", "\u2003", "\x1c", "\x0b"]), CELLS,
+                   st.sampled_from(["", " ", "\xa0", "\x85", "\x1f", " # x"])).map("".join)
+
+
+def _mostly(common, rare, odds=8):
+    """common, except one draw in `odds` from rare."""
+    return st.integers(0, odds - 1).flatmap(lambda i: rare if i == 0 else common)
+
+
+@st.composite
+def points_texts(draw):
+    """The text of a points file: rows of one width, mostly of clean cells, and
+    now and then a spaced or odd cell, a ragged or blank line, a trailing
+    comma, a line end that is not one, or a BOM."""
+    width = draw(st.integers(1, 3))
+    cell = _mostly(st.floats(0.0, 1.0).map(repr), st.one_of(CELLS, SPACED), odds=16)
+    end = _mostly(st.sampled_from(["\n", "\r\n", "\r"]), LINE_ENDS, odds=16)
+    text = draw(_mostly(st.just(""), st.just("\ufeff")))
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            line = draw(st.sampled_from(["", " ", "\t  "]))
+        else:
+            cells = draw(st.lists(cell, min_size=width, max_size=width + (kind == 1)))
+            line = ",".join(cells) + ("," if kind == 2 else "")
+        text += line + draw(end)
+    return text
+
+
+def _by_line_parser(path: str):
+    """The points, or the message, that the line parser alone gives."""
+    try:
+        rows = cli._parse_rows(path, cli._read_file(path).split("\n"))
+    except ValueError as exc:
+        return str(exc)
+    try:
+        return as_points(rows)
+    except ValueError as exc:
+        return f"{path}: {exc}"
+
+
+@settings(FUZZ, max_examples=100)
+@given(points_texts())
+@example(text="0.25,0.5\n0.5\x1c,0.75\n")
+@example(text="0.5 # x\n0.25\n")
+@example(text="\ufeff0.5\r\n\n0.25\r0.75\xa0\n")
+def test_points_readers_agree(tmp_path_factory, text):
+    # whenever np.loadtxt returns rows, the line parser returns the same bits;
+    # whatever it does, _read_points gives the line parser's points or message
+    path = tmp_path_factory.mktemp("read") / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    lines = cli._read_file(str(path)).split("\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fast = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        except (ValueError, Warning):
+            fast = None
+        if fast is not None and fast.size:
+            slow = np.asarray(cli._parse_rows(str(path), lines), dtype=float)
+            assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+        want = _by_line_parser(str(path))
+        try:
+            got = cli._read_points(str(path))
+        except ValueError as exc:
+            got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -216,6 +216,10 @@ FAILURES = [
      _SAMPLE_TRIG),
     ("fit_points_not_utf8", {"pts.csv": b"0.5\xff\n"},
      ["fit", "pts.csv", "--M", "2", "--out", "est.json"]),
+    ("fit_points_underscore", {"pts.csv": "0.2_5\n0.3\n"},
+     ["fit", "pts.csv", "--M", "2", "--out", "est.json"]),
+    ("fit_points_arabic_indic", {"pts.csv": "\u0660.\u0665\n0.3\n"},
+     ["fit", "pts.csv", "--M", "2", "--out", "est.json"]),
     ("sample_density_not_json", {"t.json": '{"kind": '}, _SAMPLE_TRIG),
     ("config_not_json", {"cfg.json": '{"kind": '}, _EXPERIMENT),
 ]
