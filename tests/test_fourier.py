@@ -211,6 +211,52 @@ def _direct_values(values, M, x):
     return np.concatenate(out)
 
 
+def _reduced_exp(x, freqs, sign):
+    """exp(sign 2 pi i (f x mod 1)) with f x mod 1 reduced exactly, up to one
+    final rounding. x = hi + lo with hi a multiple of 2^-40: f hi, for
+    |f| < 2^13, is an exact double and so is its fraction; f lo is below
+    2^-28 and rounds by at most 2^-81."""
+    assert np.abs(freqs).max() < 2**13
+    hi = np.round(x * 2.0**40) / 2.0**40
+    f = freqs[:, None].astype(float)
+    return np.exp(sign * 2j * np.pi * (np.modf(f * hi)[0] + f * (x - hi)))
+
+
+_SPLIT_LEFT, _SPLIT_RIGHT, _, _ = fourier._plan(4096, 1)
+_Q, _R = _SPLIT_LEFT[0][1], _SPLIT_RIGHT[0][1]
+
+# (frequencies, bound). Row f is w^|f/step| for w = exp(sign 2 pi i step x),
+# so its phase error is w's, about 2 pi |step| 2^-53, times |f/step|, plus one
+# rounding per multiply: the bound follows the largest |f|, not the row count.
+EXP_TABLE_CASES = (
+    pytest.param(np.arange(-4, 5), 1e-13, id="-4..4"),
+    pytest.param(np.arange(-64, 65), 1e-13, id="-64..64"),
+    # more negative frequencies than positive: built from the end
+    pytest.param(np.arange(-9, 4), 1e-13, id="-9..3"),
+    # the M = 4096 split: q has 91 rows of step 91 with |f| up to 4095, its
+    # k >= 0 half has its zero in row 0, r is -1..89
+    pytest.param(_Q, 8e-12, id="split-q"),
+    pytest.param(_Q[_Q >= 0], 8e-12, id="split-q-half"),
+    pytest.param(_R, 1e-13, id="split-r"),
+    pytest.param(np.array([0]), 0.0, id="one-row"),
+    # the longest d >= 2 lattice table
+    pytest.param(np.arange(-2048, 2049), 4e-12, id="-2048..2048"),
+)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("freqs,bound", EXP_TABLE_CASES)
+def test_exp_table_matches_reduced_phase(freqs, bound, sign):
+    x = np.random.default_rng(len(freqs)).random(1024)
+    table = fourier._exp_table(x, freqs, sign)
+    assert np.abs(table - _reduced_exp(x, freqs, sign)).max() <= bound
+    row = {f: i for i, f in enumerate(freqs.tolist())}
+    assert np.all(table[row[0]] == 1.0)
+    for f, i in row.items():  # the mirrored side is the bit-exact conjugate
+        if -f in row:
+            assert np.array_equal(table[row[-f]], np.conj(table[i]))
+
+
 # (d, M, n): every n = 1 case and n = 1537, which is not a multiple of the
 # kernel's block of 1024 points; M = 4096 on one block of points
 KERNEL_CASES = (
@@ -265,7 +311,8 @@ def test_kernel_evaluation_matches_direct_sum(d, M):
         assert np.abs(evaluate_complex(grid, x) - _direct_values(grid.values, M, x)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("d,M", sorted({(d, M) for d, M, _ in KERNEL_CASES if d >= 2}))
+# (2, 64) adds a 129-row lattice table, longer than any that KERNEL_CASES reach
+@pytest.mark.parametrize("d,M", sorted({(d, M) for d, M, _ in KERNEL_CASES if d >= 2} | {(2, 64)}))
 def test_lattice_evaluation_matches_direct_sum(d, M):
     # axis by axis on a midpoint lattice of about 1000 points, for a grid
     # with sum |theta_k| = 1
