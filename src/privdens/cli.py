@@ -5,9 +5,10 @@ writes (JSON objects are dumped with sorted keys, CSV floats with 17
 significant digits). Exit codes: 0 success, 2 usage error, 1 runtime error.
 
 Input points files are headerless CSV with d columns of decimal floats, one
-point per row, all coordinates in [0,1]. Nothing is rescaled: silently
-moving points would change what "neighboring datasets" means and thereby
-the privacy guarantee, so out-of-range input is an error instead.
+point per row, all coordinates in [0,1]; np.loadtxt alone parses them.
+Nothing is rescaled: silently moving points would change what "neighboring
+datasets" means and thereby the privacy guarantee, so out-of-range input is
+an error instead.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,53 +50,35 @@ def _read_file(path: str, parse=str):
 
 
 def _read_points(path: str) -> np.ndarray:
-    """The points of a CSV file. np.loadtxt reads it when it can; it refuses
-    every cell and row that _parse_rows refuses, and reads the others to the
-    same bits. On any refusal, or no rows, _parse_rows reads the file again,
-    so every message about a row names its file and line."""
+    """The points of a CSV file of comma-separated ASCII decimal floats,
+    whitespace around a cell allowed, every line parsed by np.loadtxt alone:
+    it refuses an underscore, digits that are not ASCII and, with
+    comments=None, a comment. Blank and whitespace-only lines are skipped.
+    If it refuses the file, the same call on each line in turn names the
+    first line it refuses, or the first whose width differs."""
     lines = _read_file(path).split("\n")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a blank file warns "input contained no data"
-            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-    except (ValueError, Warning):
-        rows = np.empty((0, 0))
-    if not rows.size:
-        rows = _parse_rows(path, lines)
-    try:
-        return as_points(rows)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _parse_rows(path: str, lines: list[str]) -> list[list[float]]:
-    """Rows of comma-separated decimal floats; blank lines are skipped. A
-    cell may carry whitespace around it, but no underscore and nothing that
-    is not ASCII: float() would read "0.2_5" as 0.25 and Arabic-Indic digits
-    as their values, which np.loadtxt refuses."""
-    rows = []
-    width = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cells = [tok.strip() for tok in line.split(",")]
-        try:
-            if "_" in line or not all(map(str.isascii, cells)):
-                raise ValueError
-            row = [float(cell) for cell in cells]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(
-                f"{path}:{lineno}: expected {width} columns, got {len(row)}"
-            )
-        rows.append(row)
+    rows = list(filter(str.strip, lines))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    try:
+        points = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        width = None
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                got = np.loadtxt([line], delimiter=",", ndmin=2, comments=None).shape[1]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}") from None
+            width = width or got
+            if got != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns, got {got}")
+        raise
+    try:
+        return as_points(points)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_points(path: str, pts: np.ndarray) -> None:
@@ -127,6 +109,8 @@ def _print_ledger(ledger: privacy.BudgetLedger, requested) -> None:
 
 
 def _cmd_fit(args) -> int:
+    if args.trace is not None and args.adaptive is None:
+        raise UsageError("--trace requires --adaptive")
     data = _read_points(args.data)
     n, d = data.shape
     rng = np.random.default_rng(args.seed)
@@ -279,16 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("data", help="points CSV: d columns, no header, values in [0,1]")
     p_fit.add_argument("--out", required=True, help="output estimate JSON path")
     p_fit.add_argument("--rho", type=float, default=None, help="zCDP budget (omit for non-private)")
-    p_fit.add_argument("--M", type=int, default=None, help="explicit cut-off")
-    p_fit.add_argument("--beta", type=float, default=None, help="smoothness for the tuned cut-off")
-    p_fit.add_argument(
+    cut = p_fit.add_mutually_exclusive_group()
+    cut.add_argument("--M", type=int, default=None, help="explicit cut-off")
+    cut.add_argument("--beta", type=float, default=None, help="smoothness for the tuned cut-off")
+    cut.add_argument(
         "--adaptive",
         choices=["lepskii", "penalized-bias"],
         default=None,
         help="data-driven cut-off selection",
     )
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--trace", default=None, help="write the selection trace JSON here")
+    p_fit.add_argument("--trace", default=None, help="selection trace JSON path (--adaptive)")
     p_fit.add_argument(
         "--constants-mode", choices=["practical", "theory"], default="practical"
     )

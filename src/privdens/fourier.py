@@ -88,6 +88,8 @@ _MAX_LATTICE_POINTS = 2**20
 # Type checks shared by every loader of JSON documents and user parameters:
 # a bool is neither an integer nor a number, and nothing is coerced.
 def _is_int(value) -> bool:
+    if type(value) is int:  # the ABC check costs about 1 us; every grid's M and d come here
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -159,11 +161,12 @@ def _capped(size, cap: int, what, verb: str = "builds"):
 
 
 def _cube_size(cutoff: int, dim: int) -> int:
-    """(2M+1)^d, after checking M >= 0, d >= 1 and _MAX_COEFFICIENTS."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    """(2M+1)^d, after checking that M >= 0 and d >= 1 are integers (a bool
+    is not one) and that the size is within _MAX_COEFFICIENTS."""
+    if not (_is_int(cutoff) and cutoff >= 0):
+        raise ValueError(f"cutoff must be an integer >= 0, got {cutoff!r}")
+    if not (_is_int(dim) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     size = _int_power(2 * int(cutoff) + 1, int(dim))
     return _capped(size, _MAX_COEFFICIENTS, lambda: (
         f"cut-off M = {cutoff} in d = {dim} needs (2M+1)^d = {size} coefficients"))
@@ -214,6 +217,8 @@ class CoefficientGrid:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         expected = _cube_size(self.cutoff, self.dim)
+        # Python ints: a NumPy integer does not dump to JSON
+        self.dim, self.cutoff = int(self.dim), int(self.cutoff)
         if vals.shape != (expected,):
             raise ValueError(
                 f"values must have shape ({expected},) for cutoff {self.cutoff}, "

@@ -18,8 +18,9 @@ Both routes are implemented separately (coefficient_sensitivity passed to
 gaussian_sigma, and sigma_for_cutoff) and the test suite checks they agree to
 a couple of ulp; do not collapse one into the other.
 
-Budgets and scales are plain floats, rejected unless finite (and a budget
-positive, a scale nonnegative). zCDP parameters add under composition, so a
+Budgets and scales are Python or NumPy reals, rejected unless finite (and a
+budget positive, a scale nonnegative); n, M and d are integers. A bool or a
+string is refused, never coerced. zCDP parameters add under composition, so a
 BudgetLedger's total is the sum of its charges.
 
 RNG contract
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from .fourier import CoefficientGrid, _is_number
+from .fourier import CoefficientGrid, _cube_size, _is_finite, _is_int, _is_number
 
 __all__ = [
     "BudgetLedger",
@@ -62,6 +63,22 @@ def as_rho(budget) -> float:
     return rho
 
 
+def _check_sizes(n, cutoff, dim) -> None:
+    """Refuse all but an integer n >= 1 and integers M >= 0, d >= 1 whose cube
+    (2M+1)^d a grid can hold: no release reaches a larger one, which overflows."""
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _cube_size(cutoff, dim)
+
+
+def _scale(name: str, value) -> float:
+    """value as a float, refused unless a nonnegative, finite Python or NumPy
+    real (a bool or a string is not one)."""
+    if not (_is_finite(value) and value >= 0):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+    return float(value)
+
+
 def coefficient_sensitivity(n: int, cutoff: int, dim: int) -> float:
     """l2 sensitivity of the stacked real/imaginary coefficient vector.
 
@@ -69,18 +86,13 @@ def coefficient_sensitivity(n: int, cutoff: int, dim: int) -> float:
     coefficient by at most 2/n, across (2M+1)^d coefficients with two real
     coordinates each.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if cutoff < 0 or dim < 1:
-        raise ValueError("need cutoff >= 0 and dim >= 1")
+    _check_sizes(n, cutoff, dim)
     return (2.0 / n) * math.sqrt(2.0 * (2 * cutoff + 1) ** dim)
 
 
 def gaussian_sigma(sensitivity, budget) -> float:
     """Gaussian-mechanism scale Delta_2 / sqrt(2 rho) for a rho-zCDP release."""
-    sens = float(sensitivity)
-    if not (math.isfinite(sens) and sens >= 0):
-        raise ValueError(f"sensitivity must be nonnegative and finite, got {sens}")
+    sens = _scale("sensitivity", sensitivity)
     rho = as_rho(budget)
     return sens / math.sqrt(2.0 * rho)
 
@@ -92,10 +104,7 @@ def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> float:
     gaussian_sigma(coefficient_sensitivity(n, cutoff, dim), rho); kept as an
     independent computation so the two can be cross-checked.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if cutoff < 0 or dim < 1:
-        raise ValueError("need cutoff >= 0 and dim >= 1")
+    _check_sizes(n, cutoff, dim)
     rho = as_rho(budget)
     return 2.0 * math.sqrt((2 * cutoff + 1) ** dim) / (n * math.sqrt(rho))
 
@@ -108,9 +117,7 @@ def add_noise(grid: CoefficientGrid, sigma, rng: np.random.Generator) -> Coeffic
     the call does not depend on the scale; with sigma == 0 the output values
     equal the input exactly.
     """
-    s = float(sigma)
-    if not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"sigma must be nonnegative and finite, got {s}")
+    s = _scale("sigma", sigma)
     draws = rng.standard_normal((grid.size, 2))
     noisy = grid.values + s * (draws[:, 0] + 1j * draws[:, 1])
     return CoefficientGrid(grid.dim, grid.cutoff, noisy)

@@ -141,6 +141,15 @@ def test_fit_malformed_row_names_line(tmp_path, capsys):
     assert ":2:" in err and "malformed" in err
 
 
+def test_fit_malformed_last_row_of_a_large_file_names_its_line(tmp_path, capsys):
+    # a refused file is parsed again line by line, down to its last line
+    rows = "".join(f"{x:.17g}\n" for x in np.random.default_rng(0).random(2**14 - 1))
+    data = _write(tmp_path / "pts.csv", rows + "0.5,\n")
+    assert main(["fit", data, "--M", "1", "--out", str(tmp_path / "e.json")]) == 1
+    assert capsys.readouterr().err == f"error: {data}:16384: malformed row '0.5,'\n"
+    assert not (tmp_path / "e.json").exists()
+
+
 @pytest.mark.parametrize("text", ["0.2_5\n0.3\n", "\u0660.\u0665\n0.3\n", "0.3,1_0\n"],
                          ids=["underscore", "arabic-indic-digits", "underscore-second-cell"])
 def test_fit_refuses_what_float_alone_would_read(tmp_path, capsys, text):
@@ -150,20 +159,6 @@ def test_fit_refuses_what_float_alone_would_read(tmp_path, capsys, text):
     assert main(["fit", data, "--M", "1", "--out", str(tmp_path / "e.json")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {data}:1: malformed row")
     assert not (tmp_path / "e.json").exists()
-
-
-def test_fit_reads_clean_files_without_the_line_parser(tmp_path, monkeypatch):
-    # np.loadtxt reads a clean file; a whitespace-only line sends it back to
-    # the line parser, with the same estimate
-    calls = []
-    parse = cli._parse_rows
-    monkeypatch.setattr(cli, "_parse_rows", lambda *a: calls.append(1) or parse(*a))
-    for name, text in (("a", "0.1,0.2\n0.4,0.5\n\n0.9,0.3\n"),
-                       ("b", "0.1,0.2\n0.4,0.5\n \n0.9,0.3")):
-        data = _write(tmp_path / f"{name}.csv", text)
-        assert main(["fit", data, "--M", "2", "--out", str(tmp_path / f"{name}.json")]) == 0
-    assert calls == [1]
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 @pytest.mark.parametrize("name, content, argv, reason", [
@@ -216,11 +211,14 @@ def test_fit_empty_file_has_no_data_rows(tmp_path, capsys):
 
 
 def test_fit_skips_blank_lines(tmp_path):
-    plain = _write(tmp_path / "plain.csv", "0.1\n0.4\n0.9\n")
-    gappy = _write(tmp_path / "gappy.csv", "\n0.1\n\n  \n0.4\n0.9\n\n")
-    for data, out in ((plain, "a.json"), (gappy, "b.json")):
-        assert main(["fit", data, "--M", "2", "--rho", "1", "--out", str(tmp_path / out)]) == 0
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # blank and whitespace-only lines change no estimate, in d = 1 and d = 2
+    for plain, gappy in (("0.1\n0.4\n0.9\n", "\n0.1\n\n  \n0.4\n0.9\n\n"),
+                         ("0.1,0.2\n0.4,0.5\n\n0.9,0.3\n", "0.1,0.2\n0.4,0.5\n \n0.9,0.3")):
+        for name, text in (("a", plain), ("b", gappy)):
+            data = _write(tmp_path / f"{name}.csv", text)
+            out = str(tmp_path / f"{name}.json")
+            assert main(["fit", data, "--M", "2", "--rho", "1", "--out", out]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_fit_oversized_cutoff_refused(tmp_path, capsys):
@@ -241,6 +239,19 @@ def test_fit_usage_errors(tmp_path, capsys):
     assert main(["fit", data, "--adaptive", "lepskii",
                  "--out", str(tmp_path / "e.json")]) == 2
     assert "--rho" in capsys.readouterr().err
+    # a trace without an adaptive selection would be silently dropped
+    assert main(["fit", data, "--M", "1", "--rho", "1", "--trace", str(tmp_path / "t.json"),
+                 "--out", str(tmp_path / "e.json")]) == 2
+    assert "usage error: --trace requires --adaptive" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "t.json").exists()
+    # --M, --beta and --adaptive each choose the cut-off; only one may be given
+    for flags in (["--M", "3", "--beta", "2"], ["--M", "3", "--adaptive", "penalized-bias"],
+                  ["--beta", "2", "--adaptive", "lepskii"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", data, "--rho", "1", *flags, "--out", str(tmp_path / "e.json")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ bias-variance decomposition against the uniform truth (whose bias is zero,
 so the bound reduces to pure variance arithmetic).
 """
 
+import json
 import math
 
 import numpy as np
@@ -176,6 +177,9 @@ def test_fit_private_requires_rng():
 def test_fit_empty_data_rejected():
     with pytest.raises(ValueError):
         fit(np.empty((0, 1)), 1)
+    # a bool cut-off would be written as "M": true, which no loader reads
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        fit(np.full((4, 1), 0.5), True, 1.0, np.random.default_rng(0))
 
 
 def test_fit_zero_noise_path_equals_non_private():
@@ -208,6 +212,9 @@ def test_estimate_json_roundtrip():
     plain = fit(data, 2)
     back2 = ProjectionEstimate.from_json_dict(plain.to_json_dict())
     assert back2.rho_spent is None
+    # a NumPy integer cut-off is stored as a Python int, so the document dumps
+    doc = json.loads(json.dumps(fit(data, np.int64(2)).to_json_dict()))
+    assert doc == plain.to_json_dict()
 
 
 def test_bias_variance_bound_uniform_truth():

@@ -61,10 +61,13 @@ def test_multi_indices_count(M, d):
 
 
 def test_multi_indices_validation():
-    with pytest.raises(ValueError):
-        multi_indices(-1, 1)
-    with pytest.raises(ValueError):
-        multi_indices(2, 0)
+    # a size is an integer: a bool, a float or a string is refused, not coerced
+    for cutoff, dim in ((-1, 1), (2, 0), (True, 1), (1, True), (np.bool_(True), 1), (2.0, 1),
+                        (1, 1.0), ("2", 1)):
+        with pytest.raises(ValueError):
+            multi_indices(cutoff, dim)
+        with pytest.raises(ValueError):
+            CoefficientGrid(dim, cutoff, np.ones(3))
 
 
 # ---------------------------------------------------------------------------

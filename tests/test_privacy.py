@@ -39,12 +39,16 @@ def test_sensitivity_examples():
 
 
 def test_sensitivity_validation():
-    with pytest.raises(ValueError):
-        coefficient_sensitivity(0, 1, 1)
-    with pytest.raises(ValueError):
-        coefficient_sensitivity(10, -1, 1)
-    with pytest.raises(ValueError):
-        coefficient_sensitivity(10, 1, 0)
+    # n, M and d are integers: a bool, a float or a string is refused by both
+    # routes to the noise scale, not coerced; so is a cube 3^1000 beyond the
+    # float range
+    for n, cutoff, dim in ((0, 1, 1), (10, -1, 1), (10, 1, 0), (2.5, 1, 1), (True, 1, 1),
+                           ("10", 1, 1), (10, True, 1), (10, 1.0, 1), (10, 1, True),
+                           (10, 1, 1.0), (10, 1, 1000)):
+        with pytest.raises(ValueError):
+            coefficient_sensitivity(n, cutoff, dim)
+        with pytest.raises(ValueError):
+            sigma_for_cutoff(n, 1.0, cutoff, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +70,7 @@ def test_gaussian_sigma_validation():
         gaussian_sigma(1.0, 0.0)
     with pytest.raises(ValueError):
         gaussian_sigma(1.0, -2.0)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), True, "0.5", None, 10**400):
         with pytest.raises(ValueError):
             gaussian_sigma(bad, 1.0)
 
@@ -184,7 +188,7 @@ def test_add_noise_negative_sigma_rejected():
 def test_noise_scale_validation():
     # the scale is checked where it is used: a scale that is negative or not
     # finite would release NaN or inf
-    for bad in (-0.1, float("nan"), float("inf")):
+    for bad in (-0.1, float("nan"), float("inf"), True, np.bool_(True), "0.5", None):
         with pytest.raises(ValueError):
             add_noise(_toy_grid(), bad, np.random.default_rng(0))
 

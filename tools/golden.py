@@ -171,6 +171,11 @@ FAILURES = [
     ("fit_no_cutoff", {"pts.csv": _POINTS}, ["fit", "pts.csv", "--out", "est.json"]),
     ("fit_adaptive_without_rho", {"pts.csv": _POINTS},
      ["fit", "pts.csv", "--adaptive", "penalized-bias", "--out", "est.json"]),
+    ("fit_trace_without_adaptive", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--M", "3", "--rho", "1", "--trace", "tr.json", "--out", "est.json"]),
+    ("fit_cutoff_flags_together", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--M", "3", "--beta", "2", "--adaptive", "penalized-bias", "--rho", "1",
+      "--out", "est.json"]),
     ("fit_bad_flag_value", {"pts.csv": _POINTS},
      ["fit", "pts.csv", "--rho", "abc", "--M", "2", "--out", "est.json"]),
     ("fit_malformed_points", {"pts.csv": "0.5\n0.2,0.3\n"},
