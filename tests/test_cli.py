@@ -221,6 +221,23 @@ def test_fit_skips_blank_lines(tmp_path):
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_fit_reads_clean_files_without_the_line_parser(tmp_path, monkeypatch):
+    # one np.loadtxt call reads a clean file, whitespace-only lines included;
+    # only a refused file is read again line by line to name the bad line
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    for name, text in (("a", "0.1,0.2\n0.4,0.5\n\n0.9,0.3\n"),
+                       ("b", "0.1,0.2\n0.4,0.5\n \n0.9,0.3")):
+        data = _write(tmp_path / f"{name}.csv", text)
+        assert main(["fit", data, "--M", "2", "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert calls == [1, 1]
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    data = _write(tmp_path / "c.csv", "0.1,0.2\n0.4,x\n")
+    assert main(["fit", data, "--M", "2", "--out", str(tmp_path / "c.json")]) == 1
+    assert len(calls) == 2 + 1 + 2
+
+
 def test_fit_oversized_cutoff_refused(tmp_path, capsys):
     # (2M+1)^d is checked against the size cap before anything is allocated
     data = _write(tmp_path / "pts.csv", "0.5\n")
