@@ -55,9 +55,11 @@ from .estimator import (
 from .fourier import (
     _MAX_COEFFICIENTS,
     _capped,
-    _check_finite,
     _cube_size,
+    _integer,
     _is_int,
+    _real,
+    _require,
     as_points,
     empirical_coefficients,
     multi_indices,
@@ -86,11 +88,8 @@ def build_beta_grid(n, eps: float) -> tuple[float, ...]:
     n may be any real >= 3; sample sizes are integers in practice but the
     grid is pure arithmetic in log n. More than _MAX_CANDIDATES values are
     refused."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    ln = math.log(n)
+    ln = math.log(_real("n", n, 3))
+    _real("eps", eps, 0, strict=True)
     # Tolerant floor: mathematically integer arguments (n = e^2 and friends)
     # land a few ulp low and must not lose a grid point.
     size = (ln * ln / eps) * (1.0 + 1e-12)
@@ -135,19 +134,11 @@ class PenaltyConfig:
     L: float = 2.0
 
     def __post_init__(self):
-        if self.mode not in ("practical", "theory"):
-            raise ValueError(f"mode must be 'practical' or 'theory', got {self.mode!r}")
-        for name in ("C", "a", "eps", "L"):
-            if not (name == "C" and self.C is None):
-                _check_finite(name, getattr(self, name))
-        if self.a <= 0:
-            raise ValueError("a must be > 0")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
-        if self.L <= 0:
-            raise ValueError("L must be > 0")
-        if self.C is not None and self.C < 1:
-            raise ValueError("C must be >= 1")
+        _require(self.mode in ("practical", "theory"), "mode", "'practical' or 'theory'", self.mode)
+        if self.C is not None:
+            _real("C", self.C, 1)
+        for name in ("a", "eps", "L"):
+            _real(name, getattr(self, name), 0, strict=True)
 
     def theory_floor(self, d: int) -> float:
         return max(8.0 * self.L * self.L, float(2 ** (2 * d + 9)))
@@ -307,8 +298,7 @@ def lepskii_select(
     cfg = cfg or PenaltyConfig()
     pts = as_points(data)
     n, d = pts.shape
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    _require(n >= 3, "n", ">= 3", n)
     rho_v = privacy.as_rho(rho)
     if cfg.mode == "theory":
         if cfg.a < 1:
@@ -350,15 +340,17 @@ def lepskii_select(
 def penalty_lambda1(cutoff: int, n: int, rho_prime, d: int) -> float:
     """Variance penalty: 96 (2M+1)^d / n + 96 (2M+1)^(2d) / (n^2 rho')."""
     rho_p = privacy.as_rho(rho_prime)
-    size = float((2 * cutoff + 1) ** d)
+    n = _integer("n", n, 1)
+    size = float((2 * _integer("cutoff", cutoff, 0) + 1) ** _integer("d", d, 1))
     return 96.0 * size / n + 96.0 * size * size / (n * n * rho_p)
 
 
 def penalty_lambda2(cutoff: int, n: int, rho_prime, d: int) -> float:
     """Selection penalty: Lambda^(1) plus 16 (2M+1)^(2d) / (n^2 rho')."""
+    lambda1 = penalty_lambda1(cutoff, n, rho_prime, d)  # checks the arguments
     rho_p = privacy.as_rho(rho_prime)
     size = float((2 * cutoff + 1) ** d)
-    return penalty_lambda1(cutoff, n, rho_p, d) + 16.0 * size * size / (n * n * rho_p)
+    return lambda1 + 16.0 * size * size / (n * n * rho_p)
 
 
 def dyadic_cutoff_grid(n: int, d: int) -> list[int]:
@@ -367,8 +359,8 @@ def dyadic_cutoff_grid(n: int, d: int) -> list[int]:
     Guarantees (2 max + 1)^d <= n. Returns [1] when n is too small for the
     formula to produce anything.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    _integer("n", n, 1)
+    _integer("d", d, 1)
     x = (float(n) ** (1.0 / d) - 1.0) / 2.0
     if x < 1.0:
         return [1]

@@ -35,11 +35,13 @@ from . import fourier
 from .fourier import (
     CoefficientGrid,
     _capped,
-    _check_finite,
     _field,
     _int_power,
+    _integer,
     _is_finite,
     _is_int,
+    _real,
+    _require,
     as_points,
     multi_indices,
 )
@@ -164,8 +166,7 @@ def _sobolev_weights(ks: np.ndarray, beta: float) -> np.ndarray:
     # built one coordinate at a time: h_o(x_1..x_j) = h_o(x_1..x_{j-1}) + x_j h_{o-1}(x_1..x_j);
     # a beta past _MAX_SOBOLEV_ORDER, or whose weights overflow, is refused
     b = int(math.floor(beta))
-    if b > _MAX_SOBOLEV_ORDER:
-        raise ValueError(f"beta must be below {_MAX_SOBOLEV_ORDER + 1}, got {beta!r}")
+    _require(b <= _MAX_SOBOLEV_ORDER, "beta", f"below {_MAX_SOBOLEV_ORDER + 1}", beta)
     h = np.zeros((b + 1, len(ks)))
     h[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,14 +255,10 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
     L must be finite numbers, floor(beta) at most _MAX_SOBOLEV_ORDER, and
     the Sobolev weights of order floor(beta) finite.
     """
-    _check_finite("beta", beta)
-    _check_finite("L", L)
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    if L <= 1:
-        raise ValueError("L must be > 1")
-    if M_truth < 0:
-        raise ValueError("M_truth must be >= 0")
+    _real("beta", beta, 0, strict=True)
+    _real("L", L, 1, strict=True)
+    _integer("M_truth", M_truth, 0)
+    _integer("d", d, 1)
     if M_truth == 0:
         grid = CoefficientGrid(d, 0, np.ones(1, dtype=complex))
         return TrigDensity(grid, beta=float(beta), L=float(L), min_value=1.0)
@@ -307,8 +304,7 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
 def exact_bias(truth: TrigDensity, cutoff: int) -> float:
     """Energy of truth outside {-M..M}^d, i.e. the exact squared bias of the
     cut-off-M projection (Parseval). Zero once M >= M_truth."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    cutoff = _integer("cutoff", cutoff, 0)
     grid = truth.coefficients
     outside = np.abs(grid.indices()).max(axis=1) > cutoff
     return float(np.sum(np.abs(grid.values[outside]) ** 2))
@@ -321,11 +317,7 @@ def exact_bias(truth: TrigDensity, cutoff: int) -> float:
 
 def _packing_size(m: int, d: int) -> int:
     """m^d, the bumps of a packing, after checking m, d, _MAX_BUMPS and _MAX_PACKING_DIM."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    size = _int_power(m, d)
+    size = _int_power(_integer("m", m, 1), _integer("d", d, 1))
     _capped(size, _MAX_BUMPS, lambda: (
         f"a packing with m = {m} in d = {d} has m^d = {size} bumps"))
     if d > _MAX_PACKING_DIM:
@@ -362,11 +354,9 @@ class PackingDensity:
 
     def __post_init__(self):
         size = _packing_size(self.m, self.d)
-        for name in ("beta", "L"):
-            _check_finite(name, getattr(self, name))
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        self.beta, self.L = float(self.beta), float(self.L)
+        self.m, self.d = int(self.m), int(self.d)  # a NumPy integer does not dump to JSON
+        self.beta = _real("beta", self.beta, 0, strict=True)
+        self.L = _real("L", self.L, 0, strict=True)
         b = int(math.floor(self.beta))
         energy = _seminorm_energy(self.d, b)
         self.amplitude = 0.99 * self.L / math.sqrt(2.0 ** (self.d - 2 * b) * energy)
@@ -519,11 +509,8 @@ def rejection_sample(density, n, rng, *, return_stats=False):
     """
     d = int(density.dim)
     bound = float(density.sup_bound)
-    if not 0 < bound < math.inf:
-        raise ValueError(f"sup bound must be > 0 and finite, got {bound!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    size = int(n) * d
+    _require(0 < bound < math.inf, "sup bound", "> 0 and finite", bound)
+    size = _integer("n", n, 0) * d
     _capped(size, _MAX_SAMPLE_VALUES, lambda: f"{n} points in d = {d} are {size} coordinates",
             "samples")
     rng = np.random.default_rng(rng)

@@ -26,10 +26,11 @@ import numpy as np
 from . import privacy
 from .fourier import (
     CoefficientGrid,
-    _check_finite,
     _field,
+    _integer,
     _is_finite,
     _is_int,
+    _real,
     as_points,
     empirical_coefficients,
 )
@@ -58,13 +59,10 @@ def _floor_pow(base: float, exponent: float) -> int:
 
 
 def _validate_cutoff_args(n, beta, d) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_finite("beta", beta)
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    # n is a real: the rate formulas are arithmetic in n
+    _real("n", n, 1)
+    _real("beta", beta, 0, strict=True)
+    _integer("d", d, 1)
 
 
 def optimal_cutoff_thm(n: int, rho, beta: float, d: int) -> int:

@@ -85,28 +85,49 @@ _LATTICE_RESOLUTION = {1: 2**10, 2: 2**7, 3: 2**5}
 _MAX_LATTICE_POINTS = 2**20
 
 
-# Type checks shared by every loader of JSON documents and user parameters:
-# a bool is neither an integer nor a number, and nothing is coerced.
+# One argument rule for parameters and JSON fields: a bool is neither an
+# integer nor a number, a real is finite, NumPy scalars pass, nothing is
+# coerced. Exact types are answered first: an ABC check costs about 1 us.
 def _is_int(value) -> bool:
-    if type(value) is int:  # the ABC check costs about 1 us; every grid's M and d come here
+    if type(value) is int:
         return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
+    if type(value) is float:
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:
-    # abs(v) <= max, not math.isfinite(v): an integer beyond the float range
-    # is refused here instead of raising OverflowError
+    # an exact rational (an integer) compares by abs, where math.isfinite would
+    # overflow; abs(v) <= max on a NumPy float32 would cast max down and warn
+    if type(value) is float or not isinstance(value, numbers.Rational):
+        return _is_number(value) and math.isfinite(value)
     return _is_number(value) and abs(value) <= sys.float_info.max
 
 
-def _check_finite(name: str, value) -> None:
-    """Raise ValueError naming `name` unless value is a finite real number."""
-    if not _is_finite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+def _require(ok, name: str, kind: str, value) -> None:
+    """ValueError "{name} must be {kind}, got {value!r}" unless ok."""
+    if not ok:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _integer(name: str, value, low: int) -> int:
+    """value as an int, refused unless an integer >= low."""
+    if type(value) is int and value >= low:
+        return value
+    _require(_is_int(value) and value >= low, name, f"an integer >= {low}", value)
+    return int(value)
+
+
+def _real(name: str, value, low: float = -math.inf, strict: bool = False) -> float:
+    """value as a float, refused unless a finite real >= low, or > low if strict."""
+    _require(_is_finite(value), name, "a finite number", value)
+    real, op = float(value), ">" if strict else ">="
+    _require(real > low if strict else real >= low, name, f"{op} {low}", value)
+    return real
 
 
 def _field(doc: dict, key: str, ok, kind: str, *default):
@@ -115,8 +136,7 @@ def _field(doc: dict, key: str, ok, kind: str, *default):
     if default and key not in doc:
         return default[0]
     value = doc[key]
-    if not ok(value):
-        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
+    _require(ok(value), repr(key), kind, value)
     return value
 
 
@@ -161,20 +181,17 @@ def _capped(size, cap: int, what, verb: str = "builds"):
 
 
 def _cube_size(cutoff: int, dim: int) -> int:
-    """(2M+1)^d, after checking that M >= 0 and d >= 1 are integers (a bool
-    is not one) and that the size is within _MAX_COEFFICIENTS."""
-    if not (_is_int(cutoff) and cutoff >= 0):
-        raise ValueError(f"cutoff must be an integer >= 0, got {cutoff!r}")
-    if not (_is_int(dim) and dim >= 1):
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-    size = _int_power(2 * int(cutoff) + 1, int(dim))
+    """(2M+1)^d, after checking that M >= 0 and d >= 1 are integers and that
+    the size is within _MAX_COEFFICIENTS."""
+    size = _int_power(2 * _integer("cutoff", cutoff, 0) + 1, _integer("dim", dim, 1))
     return _capped(size, _MAX_COEFFICIENTS, lambda: (
         f"cut-off M = {cutoff} in d = {dim} needs (2M+1)^d = {size} coefficients"))
 
 
 def _lattice_axis(d: int, per_axis: int | None = None) -> np.ndarray:
-    """(i + 1/2)/N, N = per_axis or d's default, after the cap on N^d."""
-    n = per_axis or _LATTICE_RESOLUTION.get(d, 2**5)
+    """(i + 1/2)/N, N = per_axis or, if None, d's default, after the cap on N^d."""
+    d = _integer("d", d, 1)
+    n = _LATTICE_RESOLUTION.get(d, 2**5) if per_axis is None else _integer("per_axis", per_axis, 1)
     size = _int_power(n, d)
     _capped(size, _MAX_LATTICE_POINTS, lambda: (
         f"a midpoint lattice of {n} points per axis in d = {d} has {size} points"))

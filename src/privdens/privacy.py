@@ -18,10 +18,10 @@ Both routes are implemented separately (coefficient_sensitivity passed to
 gaussian_sigma, and sigma_for_cutoff) and the test suite checks they agree to
 a couple of ulp; do not collapse one into the other.
 
-Budgets and scales are Python or NumPy reals, rejected unless finite (and a
-budget positive, a scale nonnegative); n, M and d are integers. A bool or a
-string is refused, never coerced. zCDP parameters add under composition, so a
-BudgetLedger's total is the sum of its charges.
+Arguments follow fourier._integer and _real: budgets and scales are finite
+Python or NumPy reals, a budget > 0 and a scale >= 0; n, M, d and the seeds of
+derived_rng are integers. A bool or a string is refused, never coerced. zCDP
+parameters add under composition, so a BudgetLedger's total is their sum.
 
 RNG contract
 ------------
@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .fourier import CoefficientGrid, _cube_size, _is_finite, _is_int, _is_number
+from .fourier import CoefficientGrid, _cube_size, _integer, _real
 
 __all__ = [
     "BudgetLedger",
@@ -53,30 +53,8 @@ __all__ = [
 
 
 def as_rho(budget) -> float:
-    """A zCDP budget as a float, rejected unless a positive, finite Python or
-    NumPy real (a bool or a string is not one)."""
-    if not _is_number(budget):
-        raise ValueError(f"rho must be a number, got {budget!r}")
-    rho = float(budget)
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    return rho
-
-
-def _check_sizes(n, cutoff, dim) -> None:
-    """Refuse all but an integer n >= 1 and integers M >= 0, d >= 1 whose cube
-    (2M+1)^d a grid can hold: no release reaches a larger one, which overflows."""
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    _cube_size(cutoff, dim)
-
-
-def _scale(name: str, value) -> float:
-    """value as a float, refused unless a nonnegative, finite Python or NumPy
-    real (a bool or a string is not one)."""
-    if not (_is_finite(value) and value >= 0):
-        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
-    return float(value)
+    """A zCDP budget as a float, rejected unless a finite real > 0."""
+    return _real("rho", budget, 0, strict=True)
 
 
 def coefficient_sensitivity(n: int, cutoff: int, dim: int) -> float:
@@ -86,13 +64,14 @@ def coefficient_sensitivity(n: int, cutoff: int, dim: int) -> float:
     coefficient by at most 2/n, across (2M+1)^d coefficients with two real
     coordinates each.
     """
-    _check_sizes(n, cutoff, dim)
+    _integer("n", n, 1)
+    _cube_size(cutoff, dim)  # refuses a cube no grid holds, which overflows a float
     return (2.0 / n) * math.sqrt(2.0 * (2 * cutoff + 1) ** dim)
 
 
 def gaussian_sigma(sensitivity, budget) -> float:
     """Gaussian-mechanism scale Delta_2 / sqrt(2 rho) for a rho-zCDP release."""
-    sens = _scale("sensitivity", sensitivity)
+    sens = _real("sensitivity", sensitivity, 0)
     rho = as_rho(budget)
     return sens / math.sqrt(2.0 * rho)
 
@@ -104,7 +83,8 @@ def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> float:
     gaussian_sigma(coefficient_sensitivity(n, cutoff, dim), rho); kept as an
     independent computation so the two can be cross-checked.
     """
-    _check_sizes(n, cutoff, dim)
+    _integer("n", n, 1)
+    _cube_size(cutoff, dim)
     rho = as_rho(budget)
     return 2.0 * math.sqrt((2 * cutoff + 1) ** dim) / (n * math.sqrt(rho))
 
@@ -117,7 +97,7 @@ def add_noise(grid: CoefficientGrid, sigma, rng: np.random.Generator) -> Coeffic
     the call does not depend on the scale; with sigma == 0 the output values
     equal the input exactly.
     """
-    s = _scale("sigma", sigma)
+    s = _real("sigma", sigma, 0)
     draws = rng.standard_normal((grid.size, 2))
     noisy = grid.values + s * (draws[:, 0] + 1j * draws[:, 1])
     return CoefficientGrid(grid.dim, grid.cutoff, noisy)
@@ -128,9 +108,10 @@ def derived_rng(seed: int, *indices: int) -> np.random.Generator:
 
     Mixing function: numpy SeedSequence entropy hashing of the integer tuple.
     Distinct tuples give statistically independent streams; the same tuple
-    always gives the same stream.
+    always gives the same stream. Seed and indices are integers >= 0.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, indices)]))
+    entropy = [_integer("seed", seed, 0), *(_integer("indices", i, 0) for i in indices)]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 class BudgetLedger:

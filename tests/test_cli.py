@@ -444,7 +444,7 @@ def test_generate_packing_nonpositive_dimension_rejected(tmp_path, capsys, d):
     out = tmp_path / "d.json"
     assert main(["generate-density", "--kind", "packing", "--d", d, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "d must be >= 1" in err and "Traceback" not in err
+    assert "d must be an integer >= 1, got" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -265,6 +265,14 @@ def test_packing_all_zeros_is_uniform():
     assert f.offset == 0.0
 
 
+def test_packing_numpy_sizes_dump_to_json():
+    # m and d are stored as Python ints, as a grid's M and d are
+    f = make_packing_density([1, 0, 0, 1], np.int64(2), 1.0, d=np.int32(2))
+    assert type(f.m) is int and type(f.d) is int
+    assert json.dumps(f.to_json_dict()) == json.dumps(
+        make_packing_density([1, 0, 0, 1], 2, 1.0, d=2).to_json_dict())
+
+
 def test_packing_mass_and_positivity():
     rng = np.random.default_rng(6)
     theta = rng.integers(0, 2, size=4)
@@ -471,7 +479,7 @@ def test_rejection_deterministic():
 
 
 def test_rejection_refuses_negative_n_and_nonpositive_bound():
-    with pytest.raises(ValueError, match="n must be >= 0"):
+    with pytest.raises(ValueError, match="n must be an integer >= 0, got -1"):
         rejection_sample(TrigDensity.uniform(1), -1, np.random.default_rng(0))
     for bound in (0.0, -1.0, math.inf, math.nan):
         flat = type("Flat", (), {"dim": 1, "sup_bound": bound, "evaluate": np.ones_like})

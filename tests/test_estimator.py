@@ -52,7 +52,7 @@ def test_cutoff_adaptive_form_without_privacy_is_the_sampling_branch():
             optimal_cutoff_adaptive_form(1024, None, beta, 1)
     # every other user of the cut-off checks still refuses a missing budget
     for call in (optimal_cutoff_thm, theoretical_rate, rate_regime):
-        with pytest.raises(ValueError, match="rho must be a number, got None"):
+        with pytest.raises(ValueError, match="rho must be a finite number, got None"):
             call(1024, None, 1.0, 1)
 
 

@@ -221,12 +221,14 @@ def test_split_compose_roundtrip():
 
 
 def test_privacy_budget_validation():
-    for bad in (0.0, -1.0, float("inf"), float("nan"), True, "0.5", None):
+    for bad in (0.0, -1.0, float("inf"), float("nan"), True, "0.5", None,
+                np.float32("inf"), np.float16("nan"), np.float16(0.0), np.float32(-1.0)):
         with pytest.raises(ValueError):
             as_rho(bad)
         with pytest.raises(ValueError):
             BudgetLedger().charge("bad", bad)
     assert as_rho(np.float32(0.5)) == 0.5 and as_rho(np.int64(2)) == 2.0  # NumPy reals pass
+    assert as_rho(np.float16(0.5)) == 0.5 and as_rho(np.float16(65504.0)) == 65504.0
 
 
 def test_budget_ledger():
