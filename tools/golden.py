@@ -16,7 +16,9 @@ on an older commit. Into OUTDIR it writes:
   `generate-density` fixtures, `sample`, `fit --M`, `fit --adaptive
   penalized-bias` and `fit --adaptive lepskii` with `--trace`, and `sample`
   from the released estimate; then `sample`, `fit --M` and `sample` on the
-  d = 2 trig fixture, whose estimate's clipped mass is a d = 2 lattice sum;
+  d = 2 trig fixture, whose estimate's clipped mass is a d = 2 lattice sum,
+  and on the d = 3 trig fixture, whose points go through the kernel's split
+  middle coordinate;
 * `rates.csv` from `rate-table`, and the default config of `print-config`;
 * `stdout.txt`: what each command printed, run from inside OUTDIR with
   relative paths so that it does not depend on where OUTDIR is;
@@ -94,6 +96,9 @@ ROUND_TRIP = [
     ["sample", "trig_d2.json", "--n", "4096", "--seed", "4", "--out", "points_d2.csv"],
     ["fit", "points_d2.csv", "--rho", "1", "--M", "4", "--out", "fixed_d2.json"],
     ["sample", "fixed_d2.json", "--n", "1000", "--seed", "5", "--out", "synthetic_d2.csv"],
+    ["sample", "trig_d3.json", "--n", "4096", "--seed", "6", "--out", "points_d3.csv"],
+    ["fit", "points_d3.csv", "--rho", "1", "--M", "2", "--out", "fixed_d3.json"],
+    ["sample", "fixed_d3.json", "--n", "1000", "--seed", "7", "--out", "synthetic_d3.csv"],
     ["rate-table", "--n", "100", "4096", "1000000", "--rho", "0.001", "1", "1000",
      "--beta", "0.5", "1", "2.5", "--d", "2", "--out", "rates.csv"],
     ["rate-table", "--n", "1000", "--rho", "0.01", "1", "--beta", "1", "2"],
