@@ -55,7 +55,7 @@ from .estimator import (
 from .fourier import (
     _MAX_COEFFICIENTS,
     _capped,
-    _cube_size,
+    _cube,
     _integer,
     _is_int,
     _real,
@@ -89,7 +89,7 @@ def build_beta_grid(n, eps: float) -> tuple[float, ...]:
     grid is pure arithmetic in log n. More than _MAX_CANDIDATES values are
     refused."""
     ln = math.log(_real("n", n, 3))
-    _real("eps", eps, 0, strict=True)
+    eps = _real("eps", eps, 0, strict=True)
     # Tolerant floor: mathematically integer arguments (n = e^2 and friends)
     # land a few ulp low and must not lose a grid point.
     size = (ln * ln / eps) * (1.0 + 1e-12)
@@ -223,7 +223,7 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
         raise ValueError("a seeded rng is required for a private selection")
     n, d = pts.shape
     top = max(cutoffs)
-    size = len(cutoffs) * _cube_size(top, d)
+    size = len(cutoffs) * _cube(top, d)[2]
     _capped(size, _MAX_COEFFICIENTS, lambda: (
         f"{len(cutoffs)} candidates up to M = {top} in d = {d} hold {size} coefficients"))
     master = empirical_coefficients(pts, top)
@@ -348,8 +348,8 @@ def penalty_lambda1(cutoff: int, n: int, rho_prime, d: int) -> float:
 def penalty_lambda2(cutoff: int, n: int, rho_prime, d: int) -> float:
     """Selection penalty: Lambda^(1) plus 16 (2M+1)^(2d) / (n^2 rho')."""
     lambda1 = penalty_lambda1(cutoff, n, rho_prime, d)  # checks the arguments
-    rho_p = privacy.as_rho(rho_prime)
-    size = float((2 * cutoff + 1) ** d)
+    rho_p, n = privacy.as_rho(rho_prime), int(n)  # the int that _integer returned
+    size = float((2 * int(cutoff) + 1) ** int(d))
     return lambda1 + 16.0 * size * size / (n * n * rho_p)
 
 
@@ -359,8 +359,7 @@ def dyadic_cutoff_grid(n: int, d: int) -> list[int]:
     Guarantees (2 max + 1)^d <= n. Returns [1] when n is too small for the
     formula to produce anything.
     """
-    _integer("n", n, 1)
-    _integer("d", d, 1)
+    n, d = _integer("n", n, 1), _integer("d", d, 1)
     x = (float(n) ** (1.0 / d) - 1.0) / 2.0
     if x < 1.0:
         return [1]

@@ -255,13 +255,11 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
     L must be finite numbers, floor(beta) at most _MAX_SOBOLEV_ORDER, and
     the Sobolev weights of order floor(beta) finite.
     """
-    _real("beta", beta, 0, strict=True)
-    _real("L", L, 1, strict=True)
-    _integer("M_truth", M_truth, 0)
-    _integer("d", d, 1)
+    beta, L = _real("beta", beta, 0, strict=True), _real("L", L, 1, strict=True)
+    M_truth, d = _integer("M_truth", M_truth, 0), _integer("d", d, 1)
     if M_truth == 0:
         grid = CoefficientGrid(d, 0, np.ones(1, dtype=complex))
-        return TrigDensity(grid, beta=float(beta), L=float(L), min_value=1.0)
+        return TrigDensity(grid, beta=beta, L=L, min_value=1.0)
     rng = np.random.default_rng(rng)
 
     ks = multi_indices(M_truth, d)
@@ -289,10 +287,10 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
     slack_step = float(axis[0])  # (0 + 1/2) / N, half the lattice spacing
     for _ in range(100):
         grid = CoefficientGrid(d, M_truth, values.copy())
-        certified = float(np.min(fourier.evaluate_lattice(grid, len(axis)).real))
+        certified = float(np.min(fourier.evaluate_lattice(grid, len(axis))))
         certified -= _lipschitz_bound(grid) * slack_step
         if certified >= 0.01:
-            return TrigDensity(grid, beta=float(beta), L=float(L), min_value=certified)
+            return TrigDensity(grid, beta=beta, L=L, min_value=certified)
         values *= 0.8
         values[center] = 1.0
     raise ValueError(
@@ -451,10 +449,10 @@ class ClippedDensity:
     each coordinate, so |d Re f / dx_j| <= 2 pi M sup |Re f|, and every point
     is within 1/(2N) of a midpoint of the N-per-axis lattice in each
     coordinate: sup |Re f| <= (max_lattice |Re f| + r) / (1 - pi M d / N).
-    N is the smallest power of two with pi M d / N <= 1/8. The lattice is
-    evaluated from the coefficients of Re f, and r = _LATTICE_ROUNDING M d
-    times their sum covers its floating-point error. M = 0, and a lattice
-    past _MAX_LATTICE_POINTS, keep the coefficient sum.
+    N is the smallest power of two with pi M d / N <= 1/8, and r =
+    _LATTICE_ROUNDING M d times the coefficient sum covers the lattice's
+    floating-point error. M = 0, and a lattice past _MAX_LATTICE_POINTS, keep
+    the coefficient sum.
     Construction fails when the clipped function is degenerate: its lattice
     mass is below 1e-3, where rejection would almost never accept, or overflows.
     """
@@ -482,14 +480,13 @@ class ClippedDensity:
 def _real_part_bound(grid: CoefficientGrid) -> float:
     """min(coefficient sum, Bernstein bound) of sup |Re f| (ClippedDensity)."""
     m, d = grid.cutoff, grid.dim
-    real_part = CoefficientGrid(d, m, (grid.values + np.conj(grid.values[::-1])) / 2)
-    coef_sum = float(np.sum(np.abs(real_part.values)))
+    coef_sum = float(np.sum(np.abs((grid.values + np.conj(grid.values[::-1])) / 2)))  # of Re f
     per_axis = 1
     while per_axis < 8 * math.pi * m * d:  # the smallest power of two with pi M d / N <= 1/8
         per_axis *= 2
     if not m or _int_power(per_axis, d) > fourier._MAX_LATTICE_POINTS:
         return coef_sum
-    top = float(np.max(np.abs(fourier.evaluate_lattice(real_part, per_axis).real)))
+    top = float(np.max(np.abs(fourier.evaluate_lattice(grid, per_axis))))
     slack = _LATTICE_ROUNDING * m * d * coef_sum
     bernstein = (top + slack) / (1 - math.pi * m * d / per_axis)
     return bernstein if bernstein < coef_sum else coef_sum  # a NaN lattice keeps the sum
@@ -557,9 +554,9 @@ def rejection_sample(density, n, rng, *, return_stats=False):
 def quadrature_mass(density) -> float:
     """Midpoint-rule mass on midpoint_lattice(d), from the grid of a grid-backed density."""
     if isinstance(density, TrigDensity):
-        return float(np.mean(fourier.evaluate_lattice(density.coefficients).real))
+        return float(np.mean(fourier.evaluate_lattice(density.coefficients)))
     if isinstance(density, ClippedDensity):
-        return float(np.mean(np.maximum(fourier.evaluate_lattice(density.grid).real, 0.0)))
+        return float(np.mean(np.maximum(fourier.evaluate_lattice(density.grid), 0.0)))
     return float(np.mean(density.evaluate(midpoint_lattice(density.dim))))
 
 

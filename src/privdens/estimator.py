@@ -58,11 +58,9 @@ def _floor_pow(base: float, exponent: float) -> int:
     return int(math.floor(x * (1.0 + 1e-12)))
 
 
-def _validate_cutoff_args(n, beta, d) -> None:
+def _cutoff_args(n, beta, d) -> tuple[float, float, int]:
     # n is a real: the rate formulas are arithmetic in n
-    _real("n", n, 1)
-    _real("beta", beta, 0, strict=True)
-    _integer("d", d, 1)
+    return _real("n", n, 1), _real("beta", beta, 0, strict=True), _integer("d", d, 1)
 
 
 def optimal_cutoff_thm(n: int, rho, beta: float, d: int) -> int:
@@ -72,7 +70,7 @@ def optimal_cutoff_thm(n: int, rho, beta: float, d: int) -> int:
                  floor((n sqrt(rho)/2^d)^(1/(beta+d))) },
     returned as M, clamped to 0 when the floor drops below 1.
     """
-    _validate_cutoff_args(n, beta, d)
+    n, beta, d = _cutoff_args(n, beta, d)
     rho_v = privacy.as_rho(rho)
     scale = float(2**d)
     samp = _floor_pow(n / scale, 1.0 / (2.0 * beta + d))
@@ -87,8 +85,8 @@ def optimal_cutoff_adaptive_form(n: int, rho, beta: float, d: int) -> int:
     clamped to 0. This is the form the adaptive selection rules use. With
     rho=None (not private) it is the sampling branch floor(n^(1/(2 beta+d))).
     """
-    _validate_cutoff_args(n, beta, d)
-    samp = _floor_pow(float(n), 1.0 / (2.0 * beta + d))
+    n, beta, d = _cutoff_args(n, beta, d)
+    samp = _floor_pow(n, 1.0 / (2.0 * beta + d))
     if rho is None:
         return samp
     priv = _floor_pow(n * math.sqrt(privacy.as_rho(rho)), 1.0 / (beta + d))
@@ -158,11 +156,11 @@ class ProjectionEstimate:
 def _rate_branches(n: int, rho, beta: float, d: int) -> tuple[float, float]:
     """The sampling rate n^(-2b/(2b+d)) and the privacy rate
     (n sqrt(rho))^(-2b/(b+d)) that make up r_{n,rho}(beta)."""
-    _validate_cutoff_args(n, beta, d)
+    n, beta, d = _cutoff_args(n, beta, d)
     rho_v = privacy.as_rho(rho)
     # -2b/(2b+d) and -2b/(b+d) to the bit, arranged so that no intermediate
     # overflows when b is near the float maximum
-    sampling = float(n) ** (-beta / (beta + d / 2.0))
+    sampling = n ** (-beta / (beta + d / 2.0))
     private = (n * math.sqrt(rho_v)) ** (-2.0 * (beta / (beta + d)))
     return sampling, private
 

@@ -288,7 +288,7 @@ def mise(estimate: ProjectionEstimate, truth) -> float:
         return fourier.l2_distance_sq(estimate.coefficients, truth.coefficients)
     if isinstance(truth, PackingDensity):
         lattice = densities.midpoint_lattice(truth.dim)
-        diff = truth.evaluate(lattice) - fourier.evaluate_lattice(estimate.coefficients).real
+        diff = truth.evaluate(lattice) - fourier.evaluate_lattice(estimate.coefficients)
         return float(np.mean(diff * diff))
     raise TypeError(f"no MISE route for truth of type {type(truth).__name__}")
 

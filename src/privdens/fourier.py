@@ -10,37 +10,35 @@ Coefficient vectors are stored densely in lexicographic multi-index order
 the noise generator, byte-reproducible under a fixed seed.
 
 Empirical coefficients and evaluation at points share one separable kernel.
-The basis factors over the coordinates, phi_k(x) = prod_j exp(i 2 pi k_j x_j).
-The kernel cuts the frequency cube into two factors of about sqrt(K)
-frequencies each, K = (2M+1)^d: the first half of the coordinates against
-the second, and in odd d the middle coordinate split as k + M = qB + r with
-B = ceil(sqrt(2M+1)) (in d = 1 that split is the whole cut). A block of
-points gets one (frequencies, points) exp table per coordinate or part of
-one; the Khatri-Rao product of each factor's tables along the frequency axis
-is a (~sqrt(K), rows) matrix, and the coefficients are one matrix product per
-block, L R^T. Evaluation is theta^T L, then a column-wise dot with R. A table
-takes one exp: the row f = 0 is exactly 1, the row one step from 0 is
-w = exp(sign 2 pi i step x), each further row on the longer side of 0 is the
-row before times w, and the shorter side is the conjugate of the longer.
-Coefficients are computed only in the rows whose leading left-factor
-frequency is >= 0, which hold every k >= 0 in storage order, and the rest
-mirrored, values[:K//2] = conj(values[:K//2:-1]): the output is exactly
-Hermitian, and theta_0 (n products 1 * 1, divided by n) exactly 1.
+The basis factors over the coordinates, phi_k(x) = prod_j w_j^k_j with
+w_j = exp(i 2 pi x_j). The kernel cuts the frequency cube into two factors
+of about sqrt(K) frequencies each, K = (2M+1)^d: the first half of the
+coordinates against the second, and in odd d the middle coordinate split as
+k + M = qB + r with B = ceil(sqrt(2M+1)) (in d = 1 that split is the whole
+cut). A block of points takes one exp per point and coordinate, w_j, and one
+(frequencies, points) table of its powers per coordinate or part of one: the
+row f = 0 is exactly 1, each further row on the longer side of 0 is the row
+before times w, and the shorter side is the conjugate of the longer; the q
+table steps by w^B, the r table's last row over its first (w^b / w^-a, with
+a + b + 1 = B) times w. The Khatri-Rao products of each factor's tables are
+(~sqrt(K), rows) matrices L and R, and both kernels take only the rows of L
+whose leading frequency is >= 0, which hold every k >= 0. Coefficients
+are L R^T per block on those, the rest mirrored, values[:K//2] =
+conj(values[:K//2:-1]): exactly Hermitian, with theta_0 (n products 1 * 1,
+divided by n) exactly 1. Evaluation gives Re f, the only part any caller
+uses, from c_0 = theta_0 and c_k = theta_k + conj(theta_-k) for k > 0: per
+block c^T L, then Re of a column-wise dot with R as two real dots. On the
+midpoint lattice in d >= 2, evaluate_lattice contracts c one frequency axis
+at a time with one (2M+1, N) table, the first over k_1 >= 0.
 
-The midpoint lattice is a product grid: in d >= 2, evaluate_lattice contracts
-the coefficient tensor one frequency axis at a time with one (2M+1, N) table,
-each new lattice axis last, through intermediates of (2M+1)^d to N^d entries.
-
-Accuracy: row f is w^|f/step|, so its phase error is w's (rounded as in a
-direct sum) times |f/step|, about 2 pi |f| 2^-53, plus one rounding per
-multiply: on 1024 points, 4.4e-14 at -64..64 and 1.4e-12 at -2048..2048. A
-term's phase differs from the direct sum's by at most about 2 pi (2M + 2B)
-2^-53 (5.8e-12 at M = 4096), and the differences average out over the n
-points. On the grid of tests/test_fourier.py, up to M = 4096 on 1024 points,
-the coefficients and the values of grids with sum |theta_k| = 1 agree with a
-direct cos/sin sum to 1e-12 or better (1.2e-13 at worst, 5.5e-16 on the
-lattice). Both kernels take their blocks from one loop, _blocks: blocks have
-a fixed number of rows and are added in a fixed order, and a BLAS matrix
+Accuracy: row f is w^|f/step|, so its phase error is w's, about 2 pi |f|
+2^-53, plus one rounding per multiply: on 1024 points, 4.3e-14 at -64..64,
+1.4e-12 at -2048..2048, and 6.2e-14 for w^B at B = 91 (8.4e-14 from its own
+exp). On the grid of tests/test_fourier.py, up to M = 4096 on 1024 points,
+the coefficients, and Re f and f of grids with sum |theta_k| = 1, Hermitian
+or not, agree with a direct cos/sin sum to 1e-12 or better (9.4e-14 at
+worst). Both kernels take their blocks from one loop, _blocks: blocks have a
+fixed number of rows and are added in a fixed order, and a BLAS matrix
 product does not split its inner dimension between threads, so the output
 bits depend neither on memory nor on the thread count. Grids of more than
 _MAX_COEFFICIENTS entries are refused before anything is allocated.
@@ -180,12 +178,13 @@ def _capped(size, cap: int, what, verb: str = "builds"):
     return size
 
 
-def _cube_size(cutoff: int, dim: int) -> int:
-    """(2M+1)^d, after checking that M >= 0 and d >= 1 are integers and that
-    the size is within _MAX_COEFFICIENTS."""
-    size = _int_power(2 * _integer("cutoff", cutoff, 0) + 1, _integer("dim", dim, 1))
-    return _capped(size, _MAX_COEFFICIENTS, lambda: (
-        f"cut-off M = {cutoff} in d = {dim} needs (2M+1)^d = {size} coefficients"))
+def _cube(cutoff: int, dim: int) -> tuple[int, int, int]:
+    """(M, d, (2M+1)^d) as ints, after checking that M >= 0 and d >= 1 are
+    integers and that the size is within _MAX_COEFFICIENTS."""
+    m, d = _integer("cutoff", cutoff, 0), _integer("dim", dim, 1)
+    return m, d, _capped(_int_power(2 * m + 1, d), _MAX_COEFFICIENTS, lambda: (
+        f"cut-off M = {cutoff} in d = {dim} needs (2M+1)^d = {_int_power(2 * m + 1, d)} "
+        "coefficients"))
 
 
 def _lattice_axis(d: int, per_axis: int | None = None) -> np.ndarray:
@@ -205,7 +204,7 @@ def multi_indices(cutoff: int, dim: int) -> np.ndarray:
     sorted lexicographically (first coordinate slowest). Row r of this array
     indexes entry r of every CoefficientGrid with the same cutoff and dim.
     """
-    _cube_size(cutoff, dim)
+    cutoff, dim, _ = _cube(cutoff, dim)
     axis = np.arange(-cutoff, cutoff + 1)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, dim)
@@ -233,9 +232,8 @@ class CoefficientGrid:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        expected = _cube_size(self.cutoff, self.dim)
         # Python ints: a NumPy integer does not dump to JSON
-        self.dim, self.cutoff = int(self.dim), int(self.cutoff)
+        self.cutoff, self.dim, expected = _cube(self.cutoff, self.dim)
         if vals.shape != (expected,):
             raise ValueError(
                 f"values must have shape ({expected},) for cutoff {self.cutoff}, "
@@ -294,7 +292,8 @@ def _plan(cutoff: int, dim: int):
     the two factors as (coordinate, frequencies) pairs. The row-wise
     Khatri-Rao products of their exp tables, earlier tables slower, index the
     rows and the columns of one matrix; reshaped to shape = (a, w, c) that
-    matrix holds the grid, in storage order, in its [:, :width, :] block.
+    matrix holds the grid, in storage order, in its [:, :width, :] block;
+    left keeps only the last rows, where its leading frequency is >= 0.
 
     Even d: the first d/2 coordinates against the others. Odd d: the middle
     coordinate is split as k + M = qB + r with B = ceil(sqrt(2M+1)),
@@ -308,39 +307,37 @@ def _plan(cutoff: int, dim: int):
     full = np.arange(-cutoff, cutoff + 1)
     half = dim // 2
     if dim % 2 == 0:
-        left = [(j, full) for j in range(half)]
+        left = [(0, full[cutoff:])] + [(j, full) for j in range(1, half)]
         return left, [(j, full) for j in range(half, dim)], (1, width**dim, 1), width**dim
     b = math.isqrt(width - 1) + 1
     q = (np.arange(-(-width // b)) - cutoff // b) * b
     left = [(j, full) for j in range(half)] + [(half, q)]
+    left[0] = (left[0][0], left[0][1][left[0][1] >= 0])
     right = [(half, np.arange(b) - cutoff % b)] + [(j, full) for j in range(half + 1, dim)]
     return left, right, (width**half, len(q) * b, width**half), width
 
 
-def _exp_table(x: np.ndarray, freqs: np.ndarray, sign: float) -> np.ndarray:
-    """exp(sign 2 pi i f x), one row per f in freqs, an arithmetic progression
-    through 0, from one exp and one multiply per further row (module docstring)."""
-    table = np.empty((len(freqs), len(x)), dtype=complex)
+def _powers(unit: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """unit^(f / step), one row per f in freqs, an arithmetic progression of
+    step `step` through 0, from one multiply per row (module docstring)."""
+    table = np.empty((len(freqs), len(unit)), dtype=complex)
     step = int(freqs[1] - freqs[0]) if len(freqs) > 1 else 1
     zero = -int(freqs[0]) // step
     rows = table
     if 2 * zero >= len(freqs):  # more negative frequencies than positive: fill from the end
-        rows, zero, step = table[::-1], len(freqs) - 1 - zero, -step
+        rows, zero, unit = table[::-1], len(freqs) - 1 - zero, np.conj(unit)
     rows[zero] = 1.0
     if zero + 1 < len(rows):
-        rows[zero + 1] = np.exp(sign * 2j * np.pi * step * x)
+        rows[zero + 1] = unit
     for r in range(zero + 2, len(rows)):
         np.multiply(rows[r - 1], rows[zero + 1], out=rows[r])
     np.conjugate(rows[2 * zero : zero : -1], out=rows[:zero])
     return table
 
 
-def _khatri_rao(block: np.ndarray, tables, sign: float) -> np.ndarray:
-    """Khatri-Rao product, along the frequency axis, of the _exp_table of each
-    (coordinate j, frequencies f) in tables, earlier tables slower:
-    (prod len(f), rows)."""
-    factors = (_exp_table(block[:, j], freqs, sign) for j, freqs in tables)
-    return functools.reduce(lambda a, b: (a[:, None] * b).reshape(-1, len(block)), factors)
+def _khatri_rao(tables) -> np.ndarray:
+    """Khatri-Rao product of tables along the frequency axis, earlier slower."""
+    return functools.reduce(lambda a, b: (a[:, None] * b).reshape(-1, a.shape[1]), tables)
 
 
 def _blocks(pts: np.ndarray, left, right, sign: float):
@@ -348,7 +345,12 @@ def _blocks(pts: np.ndarray, left, right, sign: float):
     order: the one loop that cuts points into blocks for both kernels."""
     for start in range(0, len(pts), _CHUNK):
         block = pts[start : start + _CHUNK]
-        yield start, _khatri_rao(block, left, sign), _khatri_rao(block, right, sign)
+        units = [np.exp(sign * 2j * np.pi * block[:, j]) for j in range(block.shape[1])]
+        rf = [_powers(units[j], freqs) for j, freqs in right]
+        if block.shape[1] % 2:  # the split coordinate's w becomes w^B for its q table
+            units[right[0][0]] *= rf[0][-1] * np.conj(rf[0][0])
+        lf = [_powers(units[j], freqs) for j, freqs in left]
+        yield start, _khatri_rao(lf), _khatri_rao(rf)
 
 
 def empirical_coefficients(data, cutoff: int) -> CoefficientGrid:
@@ -359,12 +361,10 @@ def empirical_coefficients(data, cutoff: int) -> CoefficientGrid:
     every entry has modulus <= 1 up to rounding.
     """
     pts = as_points(data)
-    n, d = pts.shape
-    size = _cube_size(cutoff, d)
+    n = len(pts)
+    cutoff, d, size = _cube(cutoff, pts.shape[1])
     left, right, shape, width = _plan(cutoff, d)
-    (j, lead), rest = left[0], left[1:]
-    half = [(j, lead[lead >= 0])] + rest  # every k >= 0 in storage order
-    acc = sum(lf @ rf.T for _, lf, rf in _blocks(pts, half, right, -1.0))
+    acc = sum(lf @ rf.T for _, lf, rf in _blocks(pts, left, right, -1.0))
     full = np.zeros(math.prod(shape), dtype=complex)
     full[-acc.size :] = acc.reshape(-1)
     full.view(float)[:] /= n  # real division: numpy's complex one gives 161 / 161 < 1
@@ -380,7 +380,7 @@ def project(grid: CoefficientGrid, cutoff: int) -> CoefficientGrid:
     embeds the grid in a larger one with zeros outside. Projection onto the
     span of the first (2M'+1)^d basis functions in coefficient space.
     """
-    _cube_size(cutoff, grid.dim)
+    cutoff, _, _ = _cube(cutoff, grid.dim)
     if cutoff == grid.cutoff:
         return grid.copy()
     d, old = grid.dim, grid.cutoff
@@ -410,46 +410,51 @@ def l2_distance_sq(a: CoefficientGrid, b: CoefficientGrid) -> float:
     return float(np.sum(diff.real**2 + diff.imag**2))
 
 
-def evaluate_complex(grid: CoefficientGrid, x) -> np.ndarray | complex:
-    """sum_k theta_k phi_k(x), the full complex value.
+def _folded(grid: CoefficientGrid) -> np.ndarray:
+    """Re f's coefficients: theta_0, theta_k + conj(theta_-k) at k > 0, 0 at k < 0."""
+    h = grid.size // 2
+    values = np.concatenate([np.zeros(h, dtype=complex), grid.values[h:]])
+    values[h + 1 :] += np.conj(grid.values[:h][::-1])
+    return values
 
-    x may be a scalar (d=1), a single point of length d, or an (N, d) batch;
-    a single point returns a complex scalar, a batch returns an array.
-    """
+
+def evaluate(grid: CoefficientGrid, x):
+    """Re f(x), f = sum_k theta_k phi_k: a float at a scalar (d = 1) or one point,
+    an array on an (N, d) batch. A noisy grid's f is complex; its real part is
+    the rendering convention (post-processing, so privacy is unaffected)."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 0 or (arr.ndim == 1 and grid.dim > 1)
     pts = as_points(arr.reshape(1, -1) if single else arr, dim=grid.dim)
     left, right, shape, width = _plan(grid.cutoff, grid.dim)
     tensor = np.zeros(shape, dtype=complex)
-    tensor[:, :width, :] = grid.values.reshape(shape[0], width, shape[2])
-    tensor = tensor.reshape(math.prod(len(f) for _, f in left), -1)
-    out = np.empty(pts.shape[0], dtype=complex)
+    tensor[:, :width, :] = _folded(grid).reshape(shape[0], width, shape[2])
+    tensor = tensor.reshape(-1)[-math.prod(len(f) for _, f in left + right) :]
+    out = np.empty(pts.shape[0])
     for start, lf, rf in _blocks(pts, left, right, 1.0):
-        # the left factor's axes contract in the matrix product, the right's in a column-wise dot
-        out[start : start + lf.shape[1]] = np.einsum("ij,ij->j", tensor.T @ lf, rf)
-    return complex(out[0]) if single else out
+        # Re of the column-wise dot with R: the float views interleave Re and Im
+        dots = np.einsum("ij,ij->j", (tensor.reshape(len(lf), -1).T @ lf).view(float),
+                         rf.view(float))
+        out[start : start + lf.shape[1]] = dots[0::2] - dots[1::2]
+    return float(out[0]) if single else out
+
+
+def evaluate_complex(grid: CoefficientGrid, x) -> np.ndarray | complex:
+    """sum_k theta_k phi_k(x), the full complex value: evaluate of the grid
+    plus i times evaluate of -i theta, whose real part is Im f."""
+    turned = CoefficientGrid(grid.dim, grid.cutoff, -1j * grid.values)
+    return evaluate(grid, x) + 1j * evaluate(turned, x)
 
 
 def evaluate_lattice(grid: CoefficientGrid, per_axis: int | None = None) -> np.ndarray:
-    """evaluate_complex on midpoint_lattice(d, per_axis), in its order. d = 1 runs the
-    point kernel, whose two tables of ~sqrt(2M+1) rows cost less than one of 2M+1."""
+    """evaluate on midpoint_lattice(d, per_axis), in its order: in d = 1 the point
+    kernel, cheaper than a table of 2M+1 rows; in d >= 2 one axis at a time."""
     axis = _lattice_axis(grid.dim, per_axis)
     if grid.dim == 1:
-        return evaluate_complex(grid, axis[:, None])
-    table = _exp_table(axis, np.arange(-grid.cutoff, grid.cutoff + 1), 1.0)
-    tensor = grid.values.reshape((2 * grid.cutoff + 1,) * grid.dim)
-    for _ in range(grid.dim):
-        tensor = np.tensordot(tensor, table, axes=([0], [0]))
-    return tensor.reshape(-1)
-
-
-def evaluate(grid: CoefficientGrid, x):
-    """Real part of the trig polynomial at x.
-
-    For a Hermitian-symmetric grid this is the exact (real) function value.
-    Noisy grids are genuinely complex valued; taking the real part is the
-    rendering convention here (post-processing, so privacy is unaffected),
-    and the imaginary part of `evaluate_complex` is what it discards.
-    """
-    out = evaluate_complex(grid, x)
-    return np.real(out) if isinstance(out, np.ndarray) else out.real
+        return evaluate(grid, axis[:, None])
+    m, d = grid.cutoff, grid.dim
+    table = _powers(np.exp(2j * np.pi * axis), np.arange(-m, m + 1))
+    tensor = _folded(grid).reshape((2 * m + 1,) * d)[m:]
+    for _ in range(d - 1):  # k_1 >= 0 meets the last m + 1 rows of the table
+        tensor = np.tensordot(tensor, table[-len(tensor) :], axes=([0], [0]))
+    tensor = tensor.reshape(len(tensor), -1)  # the last axis gives Re alone, two real products
+    return (tensor.real.T @ table.real - tensor.imag.T @ table.imag).reshape(-1)

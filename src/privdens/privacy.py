@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .fourier import CoefficientGrid, _cube_size, _integer, _real
+from .fourier import CoefficientGrid, _cube, _integer, _real
 
 __all__ = [
     "BudgetLedger",
@@ -64,9 +64,9 @@ def coefficient_sensitivity(n: int, cutoff: int, dim: int) -> float:
     coefficient by at most 2/n, across (2M+1)^d coefficients with two real
     coordinates each.
     """
-    _integer("n", n, 1)
-    _cube_size(cutoff, dim)  # refuses a cube no grid holds, which overflows a float
-    return (2.0 / n) * math.sqrt(2.0 * (2 * cutoff + 1) ** dim)
+    n = _integer("n", n, 1)
+    _, _, size = _cube(cutoff, dim)  # refuses a cube no grid holds, which overflows a float
+    return (2.0 / n) * math.sqrt(2.0 * size)
 
 
 def gaussian_sigma(sensitivity, budget) -> float:
@@ -83,10 +83,10 @@ def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> float:
     gaussian_sigma(coefficient_sensitivity(n, cutoff, dim), rho); kept as an
     independent computation so the two can be cross-checked.
     """
-    _integer("n", n, 1)
-    _cube_size(cutoff, dim)
+    n = _integer("n", n, 1)
+    _, _, size = _cube(cutoff, dim)
     rho = as_rho(budget)
-    return 2.0 * math.sqrt((2 * cutoff + 1) ** dim) / (n * math.sqrt(rho))
+    return 2.0 * math.sqrt(size) / (n * math.sqrt(rho))
 
 
 def add_noise(grid: CoefficientGrid, sigma, rng: np.random.Generator) -> CoefficientGrid:

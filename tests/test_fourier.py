@@ -226,7 +226,7 @@ def _reduced_exp(x, freqs, sign):
 
 
 _SPLIT_LEFT, _SPLIT_RIGHT, _, _ = fourier._plan(4096, 1)
-_Q, _R = _SPLIT_LEFT[0][1], _SPLIT_RIGHT[0][1]
+_Q_HALF, _R = _SPLIT_LEFT[0][1], _SPLIT_RIGHT[0][1]  # the kernel keeps q >= 0
 
 # (frequencies, bound). Row f is w^|f/step| for w = exp(sign 2 pi i step x),
 # so its phase error is w's, about 2 pi |step| 2^-53, times |f/step|, plus one
@@ -238,8 +238,8 @@ EXP_TABLE_CASES = (
     pytest.param(np.arange(-9, 4), 1e-13, id="-9..3"),
     # the M = 4096 split: q has 91 rows of step 91 with |f| up to 4095, its
     # k >= 0 half has its zero in row 0, r is -1..89
-    pytest.param(_Q, 8e-12, id="split-q"),
-    pytest.param(_Q[_Q >= 0], 8e-12, id="split-q-half"),
+    pytest.param(np.concatenate([-_Q_HALF[:0:-1], _Q_HALF]), 8e-12, id="split-q"),
+    pytest.param(_Q_HALF, 8e-12, id="split-q-half"),
     pytest.param(_R, 1e-13, id="split-r"),
     pytest.param(np.array([0]), 0.0, id="one-row"),
     # the longest d >= 2 lattice table
@@ -250,14 +250,33 @@ EXP_TABLE_CASES = (
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 @pytest.mark.parametrize("freqs,bound", EXP_TABLE_CASES)
 def test_exp_table_matches_reduced_phase(freqs, bound, sign):
+    # a table is the powers of one exp of step x
     x = np.random.default_rng(len(freqs)).random(1024)
-    table = fourier._exp_table(x, freqs, sign)
+    step = freqs[1] - freqs[0] if len(freqs) > 1 else 1
+    table = fourier._powers(np.exp(sign * 2j * np.pi * step * x), freqs)
     assert np.abs(table - _reduced_exp(x, freqs, sign)).max() <= bound
     row = {f: i for i, f in enumerate(freqs.tolist())}
     assert np.all(table[row[0]] == 1.0)
     for f, i in row.items():  # the mirrored side is the bit-exact conjugate
         if -f in row:
             assert np.array_equal(table[row[-f]], np.conj(table[i]))
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("M,step", ((32, 9), (4096, 91)))
+def test_split_unit_matches_reduced_phase(M, step, sign):
+    # a block takes one exp per point and coordinate: the q table of the split
+    # coordinate holds powers of w^B, made from its r table by two multiplies
+    x = np.random.default_rng(M).random(1024)
+    left, right, _, _ = fourier._plan(M, 1)
+    (_, q), (_, r) = left[0], right[0]
+    assert q[1] - q[0] == len(r) == step
+    _, lf, rf = next(fourier._blocks(x[:, None], left, right, sign))
+    unit = lf[q.tolist().index(step)]
+    # the phase error of w^B is about 2 pi B 2^-53, as for exp(2 pi i B x)
+    assert np.abs(unit - _reduced_exp(x, np.array([step]), sign)[0]).max() <= 2e-15 * step
+    assert np.abs(lf - _reduced_exp(x, q, sign)).max() <= 8e-12
+    assert np.abs(rf - _reduced_exp(x, r, sign)).max() <= 1e-13
 
 
 # (d, M, n): every n = 1 case and n = 1537, which is not a multiple of the
@@ -276,6 +295,23 @@ def test_kernel_coefficients_match_direct_sum(d, M, n):
     grid = empirical_coefficients(x, M)
     assert np.abs(grid.values - _direct_coefficients(x, M)).max() <= 1e-12
     assert grid.values[grid.size // 2] == 1.0
+
+
+@pytest.mark.parametrize("d,M,n", KERNEL_CASES)
+def test_kernel_real_evaluation_matches_direct_sum(d, M, n):
+    # evaluate sums the folded coefficients of Re f over the half set: on a
+    # noisy-release grid (not Hermitian) and on its Hermitian part, each with
+    # sum |theta_k| = 1, it agrees with Re of the direct sum, and
+    # evaluate_complex with the whole direct sum
+    rng = np.random.default_rng(4000 * d + M)
+    size = (2 * M + 1) ** d
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    x = rng.random((n, d))
+    for v in (values, values + np.conj(values[::-1])):
+        grid = CoefficientGrid(d, M, v / np.abs(v).sum())
+        direct = _direct_values(grid.values, M, x)
+        assert np.abs(evaluate(grid, x) - direct.real).max() <= 1e-12
+        assert np.abs(evaluate_complex(grid, x) - direct).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d,M,n", KERNEL_CASES)
@@ -311,21 +347,25 @@ def test_kernel_evaluation_matches_direct_sum(d, M):
     grid = CoefficientGrid(d, M, values / np.abs(values).sum())
     lattice = densities.midpoint_lattice(d, 2 ** (10 // d))
     for x in (rng.random((1, d)), rng.random((1537, d)), lattice):
-        assert np.abs(evaluate_complex(grid, x) - _direct_values(grid.values, M, x)).max() <= 1e-12
+        direct = _direct_values(grid.values, M, x)
+        assert np.abs(evaluate_complex(grid, x) - direct).max() <= 1e-12
+        assert np.abs(evaluate(grid, x) - direct.real).max() <= 1e-12
 
 
 # (2, 64) adds a 129-row lattice table, longer than any that KERNEL_CASES reach
 @pytest.mark.parametrize("d,M", sorted({(d, M) for d, M, _ in KERNEL_CASES if d >= 2} | {(2, 64)}))
 def test_lattice_evaluation_matches_direct_sum(d, M):
     # axis by axis on a midpoint lattice of about 1000 points, for a grid
-    # with sum |theta_k| = 1
+    # with sum |theta_k| = 1 that is not Hermitian and for its Hermitian part:
+    # Re of the direct sum
     rng = np.random.default_rng(3000 * d + M)
     size = (2 * M + 1) ** d
     values = rng.normal(size=size) + 1j * rng.normal(size=size)
-    grid = CoefficientGrid(d, M, values / np.abs(values).sum())
     per_axis = round(1000 ** (1 / d))
-    direct = _direct_values(grid.values, M, densities.midpoint_lattice(d, per_axis))
-    assert np.abs(evaluate_lattice(grid, per_axis) - direct).max() <= 1e-12
+    for v in (values, values + np.conj(values[::-1])):
+        grid = CoefficientGrid(d, M, v / np.abs(v).sum())
+        direct = _direct_values(grid.values, M, densities.midpoint_lattice(d, per_axis))
+        assert np.abs(evaluate_lattice(grid, per_axis) - direct.real).max() <= 1e-12
 
 
 def test_lattice_evaluation_is_in_midpoint_lattice_order():
@@ -336,13 +376,14 @@ def test_lattice_evaluation_is_in_midpoint_lattice_order():
     values = rng.normal(size=5**3) + 1j * rng.normal(size=5**3)
     grid = CoefficientGrid(3, 2, values / np.abs(values).sum())
     got = evaluate_lattice(grid, 5)
-    want = _direct_values(grid.values, 2, densities.midpoint_lattice(3, 5))
+    want = _direct_values(grid.values, 2, densities.midpoint_lattice(3, 5)).real
     assert np.abs(got - want).max() <= 1e-12
     assert np.abs(got.reshape(5, 5, 5).transpose(2, 1, 0).reshape(-1) - want).max() > 0.1
     # d = 1 is the point kernel, bit for bit
     grid = CoefficientGrid(1, 7, values[:15])
-    assert np.array_equal(evaluate_lattice(grid, 9),
-                          evaluate_complex(grid, densities.midpoint_lattice(1, 9)))
+    for n in (9, 1024, 1537):
+        assert np.array_equal(evaluate_lattice(grid, n),
+                              evaluate(grid, densities.midpoint_lattice(1, n)))
 
 
 def test_lattice_evaluation_cap_refuses_before_allocating():
@@ -371,15 +412,16 @@ def test_kernel_bits_do_not_depend_on_blas_threads():
     script = (
         "import hashlib, numpy as np\n"
         "from privdens.fourier import (CoefficientGrid, empirical_coefficients,\n"
-        "                              evaluate_complex, evaluate_lattice)\n"
+        "                              evaluate, evaluate_complex, evaluate_lattice)\n"
         "rng = np.random.default_rng(3)\n"
         "h = hashlib.sha256()\n"
         "for d, M in ((1, 843), (1, 4096), (2, 17), (3, 6)):\n"
         "    grid = empirical_coefficients(rng.random((3000, d)), M)\n"
         "    h.update(grid.values.tobytes())\n"
-        "    h.update(evaluate_complex(grid, rng.random((3000, d))).tobytes())\n"
-        "    if d >= 2:\n"
-        "        h.update(evaluate_lattice(grid).tobytes())\n"
+        "    x = rng.random((3000, d))\n"
+        "    h.update(evaluate_complex(grid, x).tobytes())\n"
+        "    h.update(evaluate(grid, x).tobytes())\n"
+        "    h.update(evaluate_lattice(grid).tobytes())\n"
         "print(h.hexdigest())\n"
     )
     src = str(Path(fourier.__file__).resolve().parent.parent)

@@ -187,7 +187,7 @@ ARGUMENTS = [
 # non-integral float is a valid real
 REFUSED = {"integer": [True, np.bool_(False), 2.5, "3", math.nan, math.inf, -math.inf],
            "real": [True, np.bool_(False), "3", math.nan, math.inf, -math.inf]}
-ACCEPTED = {"integer": [np.int64, np.int32], "real": [np.float64]}
+ACCEPTED = {"integer": [np.int64, np.int32, np.uint16], "real": [np.float64, np.float32]}
 
 
 def _case_id(case):
@@ -207,16 +207,15 @@ def test_argument_rule_refuses_bools_fractions_strings_and_non_finite(case):
 
 @pytest.mark.parametrize("case", ARGUMENTS, ids=_case_id)
 def test_argument_rule_takes_numpy_scalars(case):
-    # a signed NumPy integer or a float64 gives the Python value's result; a
-    # float32 passes too, though arithmetic on it may round in float32
+    # a NumPy integer, signed or not, or a float64 or float32 gives the
+    # Python value's result: every call computes with the int or float that
+    # the rule returns, so nothing wraps or rounds in the NumPy type
     _, _, kind, valid, run = case
     expected = run(valid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for numpy_type in ACCEPTED[kind]:
             assert run(numpy_type(valid)) == expected, numpy_type
-        if kind == "real":
-            run(np.float32(valid))
 
 
 def test_argument_rule_takes_float32_and_float16_reals():
@@ -227,6 +226,23 @@ def test_argument_rule_takes_float32_and_float16_reals():
             assert fourier._is_finite(half(0.5)) and not fourier._is_finite(half("inf"))
             assert adaptive.PenaltyConfig(eps=half(0.5)).eps == 0.5
         assert densities.make_trig_density(np.float32(2.0), 2.0, 3, rng=0).beta == 2.0
+
+
+def test_unsigned_sizes_do_not_wrap_in_the_callers():
+    # the table's values are too small to overflow a uint16: (2M+1)^d and n^2
+    # at larger values wrap unless each call computes with the returned int
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u16 = np.uint16
+        assert (privacy.coefficient_sensitivity(u16(100), u16(300), u16(2))
+                == privacy.coefficient_sensitivity(100, 300, 2))
+        assert (privacy.sigma_for_cutoff(u16(100), 1.0, u16(300), u16(2))
+                == privacy.sigma_for_cutoff(100, 1.0, 300, 2))
+        assert adaptive.penalty_lambda2(u16(300), u16(60000), 0.125, u16(2)) == \
+            adaptive.penalty_lambda2(300, 60000, 0.125, 2)
+        assert fourier.multi_indices(u16(300), u16(1)).min() == -300
+        assert (adaptive.dyadic_cutoff_grid(np.uint32(10**6), u16(2))
+                == adaptive.dyadic_cutoff_grid(10**6, 2))
 
 
 def test_rate_formulas_take_a_real_n():
