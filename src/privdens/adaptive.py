@@ -66,7 +66,8 @@ from .fourier import (
     project,
 )
 
-# Most Lepskii candidates released: their pairwise distances are 2^24 floats.
+# Most Lepskii candidates released: their float Gram matrix and pairwise
+# distances are 2^24 float64s (128 MiB) each.
 _MAX_CANDIDATES = 2**12
 
 __all__ = [
@@ -247,11 +248,15 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
 
 
 def _pairwise_sq_distances(a: np.ndarray) -> np.ndarray:
-    # ||x - y||^2 via the Gram matrix; one gemm instead of k^2 passes.
-    gram = a @ a.conj().T
-    sq = np.real(np.diag(gram))
-    dist = sq[:, None] + sq[None, :] - 2.0 * np.real(gram)
-    return np.maximum(dist, 0.0)
+    """||a_i - a_j||^2 over the rows of a, as one float (k, k) matrix.
+    Re <a_i, a_j> is the real Gram of the rows' interleaved float views: no
+    conj copy, a quarter of the complex product's flops. The diagonal is
+    exactly zero, which _lepskii_decision relies on, and the matrix exactly
+    symmetric: numpy computes v @ v.T as one triangle (syrk) and mirrors it."""
+    v = a.view(np.float64)
+    gram = v @ v.T
+    sq = np.diag(gram)
+    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
 
 
 def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
@@ -397,12 +402,16 @@ def penalized_bias_select(
     rho_prime = rho_v / g
 
     def score(cands):
+        """proj_distances[i, j] = ||proj_{M_j}(cands[i]) - cands[j]||^2 and
+        both penalties. Row j is zero-padded outside its own cube, so the
+        distance is taken on that cube's columns alone: about 2 g K_top
+        work, not g^2 K_top, and an exactly zero diagonal."""
         normmax = np.abs(multi_indices(max(grid), d)).max(axis=1)
-        masks = np.array([normmax <= m for m in grid])  # (g, K) restriction masks
         proj_dist = np.empty((g, g))
-        for i in range(g):
-            diff = cands[i][None, :] * masks - cands
-            proj_dist[i] = np.sum(diff.real**2 + diff.imag**2, axis=1)
+        for j, m in enumerate(grid):
+            idx = np.flatnonzero(normmax <= m)
+            diff = cands[:, idx] - cands[j, idx]
+            proj_dist[:, j] = np.sum(diff.real**2 + diff.imag**2, axis=1)
         lam1 = np.array([penalty_lambda1(m, n, rho_prime, d) for m in grid])
         lam2 = np.array([penalty_lambda2(m, n, rho_prime, d) for m in grid])
         return dict(proj_distances=proj_dist, lambda1=lam1, lambda2=lam2)

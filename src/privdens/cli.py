@@ -1,8 +1,10 @@
 """Command-line front door: fit, sample, density generation, experiments.
 
 Every subcommand with a fixed seed is byte-deterministic in the files it
-writes (JSON objects are dumped with sorted keys, CSV floats with 17
-significant digits). Exit codes: 0 success, 2 usage error, 1 runtime error.
+writes: CSV floats carry 17 significant digits, and every JSON file is one
+line of compact JSON with sorted keys (compact, so that json encodes it in
+C). print-config alone indents: it prints a template to edit by hand.
+Exit codes: 0 success, 2 usage error, 1 runtime error.
 
 Input points files are headerless CSV with d columns of decimal floats, one
 point per row, all coordinates in [0,1]; np.loadtxt alone parses them.
@@ -88,9 +90,8 @@ def _write_points(path: str, pts: np.ndarray) -> None:
 
 
 def _write_json(path: str, obj: dict) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _print_ledger(ledger: privacy.BudgetLedger, requested) -> None:

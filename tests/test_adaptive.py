@@ -12,6 +12,7 @@ import pytest
 
 from privdens.adaptive import (
     PenaltyConfig,
+    _pairwise_sq_distances,
     build_beta_grid,
     dyadic_cutoff_grid,
     lepskii_select,
@@ -20,7 +21,7 @@ from privdens.adaptive import (
     penalty_lambda2,
 )
 from privdens.estimator import fit, optimal_cutoff_adaptive_form
-from privdens.fourier import CoefficientGrid
+from privdens.fourier import CoefficientGrid, multi_indices, project
 from privdens.densities import TrigDensity, make_trig_density, rejection_sample
 from theory_checks import risk_series_bound, risk_series_sum
 
@@ -326,6 +327,43 @@ def test_trace_json_holds_only_its_own_evidence(select, evidence_keys):
     assert est.cutoff == doc["cutoffs"][doc["selected_index"]]
 
 
+def _candidate_matrix(trace):
+    """The rows the selector scored: every candidate zero-padded to the top cut-off."""
+    top = max(trace.cutoffs)
+    return np.vstack([project(e.coefficients, top).values for e in trace.candidates])
+
+
+def _complex_rows(k, size):
+    rng = np.random.default_rng(k)
+    return rng.standard_normal((k, size)) + 1j * rng.standard_normal((k, size))
+
+
+def _lepskii_d2_candidates():
+    data = np.random.default_rng(54).random((2000, 2))
+    _est, trace = lepskii_select(data, 1.0, PenaltyConfig(), np.random.default_rng(55))
+    return _candidate_matrix(trace)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _complex_rows(1, 9),
+    lambda: _complex_rows(2, 33),
+    lambda: _complex_rows(188, 1687),  # the n = 2^14 Lepskii release's shape
+    _lepskii_d2_candidates,
+    lambda: np.random.default_rng(56).standard_normal((40, 25)),  # real rows
+], ids=["k1", "k2", "k188", "lepskii-d2", "real"])
+def test_pairwise_sq_distances_exact_symmetry_and_zero_diagonal(make):
+    # _lepskii_decision relies on the zero diagonal: the last candidate is
+    # always accepted
+    a = make()
+    dist = _pairwise_sq_distances(a)
+    assert dist.dtype == np.float64 and dist.shape == (len(a), len(a))
+    assert np.array_equal(dist, dist.T)
+    assert np.all(np.diag(dist) == 0.0)
+    direct = np.array([np.sum(np.abs(a[i] - a) ** 2, axis=1) for i in range(len(a))])
+    scale = np.max(np.sum(np.abs(a) ** 2, axis=1))
+    assert np.max(np.abs(dist - direct)) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # penalized-bias selection
 # ---------------------------------------------------------------------------
@@ -393,6 +431,36 @@ def test_penalized_replay_rederives_its_choice_from_what_was_measured():
     ev["proj_distances"][won] += 1e6
     bias_sq = (ev["proj_distances"] - lam1[None, :]).max(axis=1)
     assert trace.replay() == int(np.argmin(bias_sq + lam2)) != won
+
+
+def _masked_proj_distances(cands, grid, d):
+    """The penalized-bias score's distances as first written, kept as the
+    reference: row i against every candidate at once, through g masked
+    (g, K_top) copies of candidate i restricted to each cube."""
+    normmax = np.abs(multi_indices(max(grid), d)).max(axis=1)
+    masks = np.array([normmax <= m for m in grid])
+    proj_dist = np.empty((len(grid), len(grid)))
+    for i in range(len(grid)):
+        diff = cands[i][None, :] * masks - cands
+        proj_dist[i] = np.sum(diff.real**2 + diff.imag**2, axis=1)
+    return proj_dist
+
+
+@pytest.mark.parametrize("d, n, grid", [
+    (1, 4096, None),
+    (2, 4096, None),
+    (1, 1000, [0, 3, 5, 6, 11]),
+    (2, 1000, [0, 2, 3]),
+], ids=["d1-dyadic", "d2-dyadic", "d1-custom", "d2-custom"])
+def test_penalized_per_cube_distances_match_the_masked_reference(d, n, grid):
+    data = np.random.default_rng(57 + d).random((n, d))
+    _est, trace = penalized_bias_select(data, 1.0, grid, np.random.default_rng(58))
+    ev = trace.evidence
+    ref = _masked_proj_distances(_candidate_matrix(trace), trace.cutoffs, d)
+    assert np.all(np.diag(ev["proj_distances"]) == 0.0)
+    np.testing.assert_allclose(ev["proj_distances"], ref, rtol=1e-12, atol=0.0)
+    ref_criterion = (ref - ev["lambda1"][None, :]).max(axis=1) + ev["lambda2"]
+    assert trace.selected_index == int(np.argmin(ref_criterion))
 
 
 def test_penalized_deterministic():

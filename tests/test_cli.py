@@ -10,10 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from privdens import cli
+from privdens import cli, densities
+from privdens.adaptive import PenaltyConfig, lepskii_select, penalized_bias_select
 from privdens.cli import main
 from privdens.densities import density_from_json_dict
-from privdens.estimator import ProjectionEstimate
+from privdens.estimator import ProjectionEstimate, fit, optimal_cutoff_adaptive_form
+from privdens.experiments import ExperimentConfig, run_adaptivity_experiment, run_rate_experiment
 from privdens.fourier import CoefficientGrid
 
 
@@ -644,11 +646,124 @@ def test_rate_table_grid_size(tmp_path):
 
 def test_print_config_is_valid(capsys):
     assert main(["print-config"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    from privdens.experiments import ExperimentConfig
-
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.mode == "oracle"
+    # a template to edit by hand keeps its indented layout
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON files: one line of compact JSON with sorted keys
+# ---------------------------------------------------------------------------
+
+
+def _bit_same(a, b) -> bool:
+    """a == b, with every float compared bit for bit (-0.0, inf and NaN too)
+    and integer keys as JSON writes them, as strings."""
+    if isinstance(a, float) or isinstance(b, float):
+        return isinstance(a, float) and isinstance(b, float) and float(a).hex() == float(b).hex()
+    if isinstance(a, dict) and isinstance(b, dict):
+        a, b = ({str(k) if isinstance(k, int) else k: v for k, v in x.items()} for x in (a, b))
+        return a.keys() == b.keys() and all(_bit_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(_bit_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def _check_json_file(path, obj, load=None):
+    """path holds obj as one line of compact sorted-key JSON and a newline,
+    it parses back to obj with floats bit for bit, and load(document) gives
+    the document back."""
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    doc = json.loads(text)
+    assert _bit_same(doc, obj)
+    if load is not None:
+        assert _bit_same(load(doc).to_json_dict(), doc)
+    return text
+
+
+_FIT_RUNS = {
+    "fixed": (["--M", "3", "--rho", "1"], lambda x, rng: (fit(x, 3, 1.0, rng), None)),
+    "tuned": (["--beta", "1.5", "--rho", "0.5"], lambda x, rng: (
+        fit(x, optimal_cutoff_adaptive_form(len(x), 0.5, 1.5, 1), 0.5, rng), None)),
+    "lepskii": (["--adaptive", "lepskii", "--rho", "2"],
+                lambda x, rng: lepskii_select(x, 2.0, PenaltyConfig(), rng)),
+    # (log 300)^544 overflows: every threshold is written as Infinity
+    "lepskii-huge-a": (["--adaptive", "lepskii", "--rho", "1", "--a", "544"],
+                       lambda x, rng: lepskii_select(x, 1.0, PenaltyConfig(a=544.0), rng)),
+    "penalized-bias": (["--adaptive", "penalized-bias", "--rho", "1"],
+                       lambda x, rng: penalized_bias_select(x, 1.0, None, rng)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIT_RUNS))
+def test_fit_writes_compact_json(tmp_path, name):
+    flags, run = _FIT_RUNS[name]
+    rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(8).random(300))
+    data = _write(tmp_path / "pts.csv", rows + "\n")
+    est, trace = run(cli._read_points(data), np.random.default_rng(12))
+    written = []
+    for rerun in "ab":
+        out, trace_out = tmp_path / f"est_{rerun}.json", tmp_path / f"trace_{rerun}.json"
+        with_trace = ["--trace", str(trace_out)] if trace is not None else []
+        assert main(["fit", data, *flags, "--seed", "12", "--out", str(out), *with_trace]) == 0
+        texts = [_check_json_file(out, est.to_json_dict(), ProjectionEstimate.from_json_dict)]
+        if trace is not None:
+            texts.append(_check_json_file(trace_out, trace.to_json_dict()))
+        written.append(texts)
+    assert written[0] == written[1]  # a rerun writes the same bytes
+    if name == "lepskii-huge-a":
+        assert set(json.loads(written[0][1])["thresholds"]) == {math.inf}
+        assert '"thresholds":[Infinity,' in written[0][1]
+
+
+_DENSITIES = {
+    "uniform-d2": (["--kind", "uniform", "--d", "2"], lambda: densities.TrigDensity.uniform(2)),
+    "trig-d1": (["--kind", "trig", "--beta", "1.5", "--M-truth", "6", "--seed", "3"],
+                lambda: densities.make_trig_density(1.5, 2.0, 6, d=1, rng=3)),
+    "trig-d2": (["--kind", "trig", "--d", "2", "--beta", "2", "--M-truth", "3", "--seed", "4"],
+                lambda: densities.make_trig_density(2.0, 2.0, 3, d=2, rng=4)),
+    "packing-d2": (["--kind", "packing", "--d", "2", "--m", "2", "--beta", "1",
+                    "--theta", "0110", "--floor-half"],
+                   lambda: densities.make_packing_density([0, 1, 1, 0], 2, 1.0, d=2,
+                                                          floor_half=True)),
+}
+
+
+@pytest.mark.parametrize("name", list(_DENSITIES))
+def test_generate_density_writes_compact_json(tmp_path, name):
+    flags, make = _DENSITIES[name]
+    texts = []
+    for rerun in "ab":
+        out = tmp_path / f"{rerun}.json"
+        assert main(["generate-density", *flags, "--out", str(out)]) == 0
+        texts.append(_check_json_file(out, make().to_json_dict(), density_from_json_dict))
+    assert texts[0] == texts[1]
+
+
+def test_experiment_writes_compact_summary(tmp_path):
+    truth = densities.make_trig_density(1.0, 2.0, 3, rng=5).to_json_dict()
+    sweeps = {
+        "oracle": {"density": truth, "n": [128, 256], "rho": 1.0, "mode": "oracle",
+                   "beta": 1.0, "replicates": 2, "seed": 0, "d": 1},
+        "lepskii": {"density": truth, "n": 256, "rho": 1.0, "mode": "lepskii",
+                    "beta": 1.0, "replicates": 1, "seed": 1, "d": 1},
+    }
+    expected = {}
+    for name, sweep in sweeps.items():
+        cfg = ExperimentConfig.from_dict(sweep)
+        run = run_rate_experiment if cfg.mode == "oracle" else run_adaptivity_experiment
+        expected[name] = {**run(cfg).summary, "csv": f"{name}.csv"}
+    cfg_path = _write(tmp_path / "cfg.json", json.dumps({"sweeps": sweeps}))
+    texts = []
+    for rerun in "ab":
+        out_dir = tmp_path / rerun
+        assert main(["experiment", cfg_path, "--out-dir", str(out_dir)]) == 0
+        texts.append(_check_json_file(out_dir / "summary.json", expected))
+    assert texts[0] == texts[1]
 
 
 # ---------------------------------------------------------------------------
