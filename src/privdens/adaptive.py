@@ -26,15 +26,15 @@ Penalized estimated bias
     each comparison discounted by a variance penalty Lambda^(1); selection
     minimizes estimated bias plus Lambda^(2). Ties break to the smallest M.
 
-Both rules run one driver, _select: it computes the master coefficients,
-releases every candidate (so every call is private and needs a seeded
-generator), hands the candidates to the rule's score function and picks the
-winner with the rule's decision on what that measured, the same code
-SelectionTrace.replay() runs. Both return the chosen estimate together with
-a SelectionTrace holding the release and the rule's evidence, so the choice
-can be replayed and audited offline. A release of more than _MAX_CANDIDATES
-Lepskii candidates, or of more than fourier._MAX_COEFFICIENTS coefficients
-over all candidates, is refused before any noise is drawn.
+Both rules run one driver, _select. It cuts each candidate's cube from the
+master coefficients by one column map, releases every candidate (so every
+call is private and needs a seeded generator) into one candidate matrix and
+picks the winner with the rule's decision on what the rule's score measured
+on it, the same code SelectionTrace.replay() runs. Both return the chosen
+estimate and a SelectionTrace of the release and the rule's evidence, so the
+choice can be replayed and audited offline. More than _MAX_CANDIDATES Lepskii
+candidates, or more than fourier._MAX_COEFFICIENTS coefficients over all
+candidates, are refused before any noise is drawn.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .estimator import (
     theoretical_rate,
 )
 from .fourier import (
+    CoefficientGrid,
     _MAX_COEFFICIENTS,
     _capped,
     _cube,
@@ -63,7 +64,6 @@ from .fourier import (
     as_points,
     empirical_coefficients,
     multi_indices,
-    project,
 )
 
 # Most Lepskii candidates released: their float Gram matrix and pairwise
@@ -212,13 +212,13 @@ class SelectionTrace:
 def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, score):
     """The release and decision of both rules.
 
-    Candidate m is the release (estimator._release) of project(master,
-    cutoffs[m]) at rho_prime, draws consumed in candidate order, charged to
-    one fresh ledger as label.format(m=m, cutoff=M). score(candidate_matrix)
-    receives the candidates as rows, each zero-padded to the largest
-    cut-off, and returns what the rule measures; the method's decision picks
-    the winner from it and derives the rest of the evidence. The winner is
-    returned with rho_spent = spent and the ledger alongside the trace.
+    cols[M] lists the columns of cube M in the master's cube. Candidate m,
+    the master at cols[cutoffs[m]], is released (estimator._release) at
+    rho_prime in candidate order, charged to one fresh ledger as
+    label.format(m=m, cutoff=M), and written at those columns into row m of
+    one zero (k, K_top) matrix. score(cands, cols) returns what the rule
+    measures on it; the method's decision picks the winner and derives the
+    rest of the evidence. The winner is returned with rho_spent = spent.
     """
     if rng is None:
         raise ValueError("a seeded rng is required for a private selection")
@@ -228,14 +228,16 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
     _capped(size, _MAX_COEFFICIENTS, lambda: (
         f"{len(cutoffs)} candidates up to M = {top} in d = {d} hold {size} coefficients"))
     master = empirical_coefficients(pts, top)
+    normmax = np.abs(multi_indices(top, d)).max(axis=1)
+    cols = {M: np.flatnonzero(normmax <= M) for M in set(cutoffs)}
     ledger = privacy.BudgetLedger()
-    estimates = [
-        _release(project(master, cutoff), n, rho_prime, rng, ledger,
-                 label.format(m=m, cutoff=cutoff))
-        for m, cutoff in enumerate(cutoffs)
-    ]
+    estimates = [_release(CoefficientGrid(d, M, master.values[cols[M]]), n, rho_prime, rng,
+                          ledger, label.format(m=m, cutoff=M)) for m, M in enumerate(cutoffs)]
     sigmas = [e.sigma for e in estimates]
-    measured = score(np.vstack([project(e.coefficients, top).values for e in estimates]))
+    cands = np.zeros((len(cutoffs), master.size), dtype=complex)
+    for row, e in zip(cands, estimates):
+        row[cols[e.cutoff]] = e.coefficients.values
+    measured = score(cands, cols)
     selected, derived = _DECISIONS[method](measured, sigmas, cutoffs, d)
     trace = SelectionTrace(
         method=method, n=n, d=d, rho=rho, rho_per_candidate=rho_prime, rho_spent=spent,
@@ -328,7 +330,7 @@ def lepskii_select(
         scale = math.inf
     thresholds = np.array([scale * theoretical_rate(n, rho_prime, beta, d) for beta in betas])
 
-    def score(cands):
+    def score(cands, _cols):
         return dict(betas=list(betas), distances=_pairwise_sq_distances(cands),
                     thresholds=thresholds)
 
@@ -401,16 +403,14 @@ def penalized_bias_select(
     g = len(grid)
     rho_prime = rho_v / g
 
-    def score(cands):
+    def score(cands, cols):
         """proj_distances[i, j] = ||proj_{M_j}(cands[i]) - cands[j]||^2 and
-        both penalties. Row j is zero-padded outside its own cube, so the
-        distance is taken on that cube's columns alone: about 2 g K_top
+        both penalties. Row j is zero outside its own cube, so the distance
+        is taken on that cube's columns cols[M_j] alone: about 2 g K_top
         work, not g^2 K_top, and an exactly zero diagonal."""
-        normmax = np.abs(multi_indices(max(grid), d)).max(axis=1)
         proj_dist = np.empty((g, g))
         for j, m in enumerate(grid):
-            idx = np.flatnonzero(normmax <= m)
-            diff = cands[:, idx] - cands[j, idx]
+            diff = cands[:, cols[m]] - cands[j, cols[m]]
             proj_dist[:, j] = np.sum(diff.real**2 + diff.imag**2, axis=1)
         lam1 = np.array([penalty_lambda1(m, n, rho_prime, d) for m in grid])
         lam2 = np.array([penalty_lambda2(m, n, rho_prime, d) for m in grid])

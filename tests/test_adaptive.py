@@ -6,6 +6,7 @@ the recorded decision data actually produces the recorded decision.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from privdens.adaptive import (
     penalty_lambda2,
 )
 from privdens.estimator import fit, optimal_cutoff_adaptive_form
-from privdens.fourier import CoefficientGrid, multi_indices, project
+from privdens.fourier import CoefficientGrid, empirical_coefficients, multi_indices, project
 from privdens.densities import TrigDensity, make_trig_density, rejection_sample
+from privdens.privacy import sigma_for_cutoff
 from theory_checks import risk_series_bound, risk_series_sum
 
 
@@ -362,6 +364,57 @@ def test_pairwise_sq_distances_exact_symmetry_and_zero_diagonal(make):
     direct = np.array([np.sum(np.abs(a[i] - a) ** 2, axis=1) for i in range(len(a))])
     scale = np.max(np.sum(np.abs(a) ** 2, axis=1))
     assert np.max(np.abs(dist - direct)) <= 1e-12 * scale
+
+
+_SELECTORS = {
+    "lepskii": (lambda data, rng: lepskii_select(data, 1.0, PenaltyConfig(), rng),
+                "lepskii candidate {m} (M={cutoff})"),
+    "penalized-bias": (lambda data, rng: penalized_bias_select(data, 1.0, None, rng),
+                       "penalized-bias candidate M={cutoff}"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_SELECTORS))
+@pytest.mark.parametrize("d, n", [(1, 2000), (2, 2000), (3, 1500)])
+def test_candidates_are_the_master_cube_plus_the_replayed_noise_bit_for_bit(method, d, n):
+    # Candidate m is the master restricted to cube M_m plus sigma_m times its
+    # own K_m complex draws, taken from the generator in candidate order, and
+    # charged rho' to the ledger in that order; Lepskii's distances are those
+    # of the candidates zero-padded to the top cut-off
+    select, label = _SELECTORS[method]
+    data = np.random.default_rng(80 + d).random((n, d))
+    _est, trace = select(data, np.random.default_rng(81))
+    master = empirical_coefficients(data, max(trace.cutoffs))
+    rng, rho_p = np.random.default_rng(81), trace.rho_per_candidate
+    assert len(trace.candidates) == len(trace.cutoffs) == len(trace.sigmas)
+    for m, (cutoff, est) in enumerate(zip(trace.cutoffs, trace.candidates)):
+        z = rng.standard_normal(((2 * cutoff + 1) ** d, 2))
+        sigma = sigma_for_cutoff(n, rho_p, cutoff, d)
+        assert trace.sigmas[m] == est.sigma == sigma
+        assert est.coefficients.dim == d and est.cutoff == cutoff
+        expected = project(master, cutoff).values + sigma * (z[:, 0] + 1j * z[:, 1])
+        assert np.array_equal(est.coefficients.values, expected)
+    assert trace.ledger.entries == [
+        (label.format(m=m, cutoff=cutoff), rho_p) for m, cutoff in enumerate(trace.cutoffs)]
+    if method == "lepskii":
+        assert np.array_equal(trace.evidence["distances"],
+                              _pairwise_sq_distances(_candidate_matrix(trace)))
+
+
+def test_lepskii_release_peak_memory_is_about_one_candidate_matrix():
+    # n = 2^14 at rho = 1: 188 candidates up to M = 843, whose (k, K_top)
+    # complex matrix is 4.8 MiB. Padded copies of every candidate stacked
+    # into it would take the peak to twice that.
+    data = np.random.default_rng(0).random((2**14, 1))
+    tracemalloc.start()
+    try:
+        _est, trace = lepskii_select(data, 1.0, rng=np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = len(trace.cutoffs) * (2 * max(trace.cutoffs) + 1) * 16
+    assert (len(trace.cutoffs), max(trace.cutoffs)) == (188, 843)
+    assert peak <= 1.5 * matrix_bytes
 
 
 # ---------------------------------------------------------------------------
