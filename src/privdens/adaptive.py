@@ -27,14 +27,14 @@ Penalized estimated bias
     minimizes estimated bias plus Lambda^(2). Ties break to the smallest M.
 
 Both rules run one driver, _select. It cuts each candidate's cube from the
-master coefficients by one column map, releases every candidate (so every
-call is private and needs a seeded generator) into one candidate matrix and
-picks the winner with the rule's decision on what the rule's score measured
-on it, the same code SelectionTrace.replay() runs. Both return the chosen
-estimate and a SelectionTrace of the release and the rule's evidence, so the
-choice can be replayed and audited offline. More than _MAX_CANDIDATES Lepskii
-candidates, or more than fourier._MAX_COEFFICIENTS coefficients over all
-candidates, are refused before any noise is drawn.
+master coefficients by one column map, fourier._within, releases every
+candidate (so every call is private and needs a seeded generator) into one
+candidate matrix and picks the winner with the rule's decision on what the
+rule's score measured on it, the same code SelectionTrace.replay() runs.
+Both return the chosen estimate and a SelectionTrace of the release and the
+rule's evidence, so the choice can be replayed and audited offline. More than
+_MAX_CANDIDATES Lepskii candidates, or more than fourier._MAX_COEFFICIENTS
+coefficients over all candidates, are refused before any noise is drawn.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ from .fourier import (
     _is_int,
     _real,
     _require,
+    _within,
     as_points,
     empirical_coefficients,
-    multi_indices,
 )
 
 # Most Lepskii candidates released: their float Gram matrix and pairwise
@@ -212,13 +212,13 @@ class SelectionTrace:
 def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, score):
     """The release and decision of both rules.
 
-    cols[M] lists the columns of cube M in the master's cube. Candidate m,
-    the master at cols[cutoffs[m]], is released (estimator._release) at
-    rho_prime in candidate order, charged to one fresh ledger as
-    label.format(m=m, cutoff=M), and written at those columns into row m of
-    one zero (k, K_top) matrix. score(cands, cols) returns what the rule
-    measures on it; the method's decision picks the winner and derives the
-    rest of the evidence. The winner is returned with rho_spent = spent.
+    cols[M] = fourier._within(M, top, d) lists the columns of cube M in the
+    master's cube. Candidate m, the master at cols[cutoffs[m]], is released
+    (estimator._release) at rho_prime in candidate order, charged to one fresh
+    ledger as label.format(m=m, cutoff=M), and written at those columns into
+    row m of one zero (k, K_top) matrix. score(cands, cols) returns what the
+    rule measures on it; the method's decision picks the winner and derives
+    the rest of the evidence. The winner is returned with rho_spent = spent.
     """
     if rng is None:
         raise ValueError("a seeded rng is required for a private selection")
@@ -228,8 +228,7 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
     _capped(size, _MAX_COEFFICIENTS, lambda: (
         f"{len(cutoffs)} candidates up to M = {top} in d = {d} hold {size} coefficients"))
     master = empirical_coefficients(pts, top)
-    normmax = np.abs(multi_indices(top, d)).max(axis=1)
-    cols = {M: np.flatnonzero(normmax <= M) for M in set(cutoffs)}
+    cols = {M: _within(M, top, d) for M in set(cutoffs)}
     ledger = privacy.BudgetLedger()
     estimates = [_release(CoefficientGrid(d, M, master.values[cols[M]]), n, rho_prime, rng,
                           ledger, label.format(m=m, cutoff=M)) for m, M in enumerate(cutoffs)]

@@ -42,6 +42,7 @@ from .fourier import (
     _is_int,
     _real,
     _require,
+    _within,
     as_points,
     multi_indices,
 )
@@ -302,10 +303,9 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
 def exact_bias(truth: TrigDensity, cutoff: int) -> float:
     """Energy of truth outside {-M..M}^d, i.e. the exact squared bias of the
     cut-off-M projection (Parseval). Zero once M >= M_truth."""
-    cutoff = _integer("cutoff", cutoff, 0)
     grid = truth.coefficients
-    outside = np.abs(grid.indices()).max(axis=1) > cutoff
-    return float(np.sum(np.abs(grid.values[outside]) ** 2))
+    inner = _within(min(_integer("cutoff", cutoff, 0), grid.cutoff), grid.cutoff, grid.dim)
+    return float(np.sum(np.abs(np.delete(grid.values, inner)) ** 2))
 
 
 # ---------------------------------------------------------------------------

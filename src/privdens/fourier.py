@@ -7,7 +7,8 @@ The basis is the complex exponential family
 restricted to the cube of frequencies {-M..M}^d for a spectral cut-off M.
 Coefficient vectors are stored densely in lexicographic multi-index order
 (k_1 varies slowest), which keeps every downstream consumer, in particular
-the noise generator, byte-reproducible under a fixed seed.
+the noise generator, byte-reproducible under a fixed seed. Cube M sits in
+any larger cube M' at _within(M, M', d), the one map of nested cubes.
 
 Empirical coefficients and evaluation at points share one separable kernel.
 The basis factors over the coordinates, phi_k(x) = prod_j w_j^k_j with
@@ -248,9 +249,6 @@ class CoefficientGrid:
     def indices(self) -> np.ndarray:
         return multi_indices(self.cutoff, self.dim)
 
-    def copy(self) -> "CoefficientGrid":
-        return CoefficientGrid(self.dim, self.cutoff, self.values.copy())
-
     # -- serialization ----------------------------------------------------
     # JSON floats round-trip bit-exactly for finite doubles (repr shortest
     # form), which is what the on-disk contract requires.
@@ -373,40 +371,40 @@ def empirical_coefficients(data, cutoff: int) -> CoefficientGrid:
     return CoefficientGrid(d, cutoff, values)
 
 
+def _within(cutoff: int, outer: int, dim: int) -> np.ndarray:
+    """Positions of cube M = cutoff <= outer in cube outer's storage order, in
+    cube M's own order: one arange per axis, combined with stride 2 outer + 1."""
+    positions = axis = np.arange(outer - cutoff, outer + cutoff + 1)
+    for _ in range(dim - 1):
+        positions = (positions[:, None] * (2 * outer + 1) + axis).reshape(-1)
+    return positions
+
+
 def project(grid: CoefficientGrid, cutoff: int) -> CoefficientGrid:
-    """Restrict or zero-pad a grid to a new cut-off.
+    """Restrict or zero-pad a grid to a new cut-off, in new memory.
 
     cutoff <= grid.cutoff restricts to the central block; cutoff > grid.cutoff
     embeds the grid in a larger one with zeros outside. Projection onto the
     span of the first (2M'+1)^d basis functions in coefficient space.
     """
-    cutoff, _, _ = _cube(cutoff, grid.dim)
-    if cutoff == grid.cutoff:
-        return grid.copy()
-    d, old = grid.dim, grid.cutoff
-    tensor = grid.values.reshape((2 * old + 1,) * d)
-    if cutoff < old:
-        sl = slice(old - cutoff, old + cutoff + 1)
-        block = tensor[(sl,) * d]
-    else:
-        block = np.zeros((2 * cutoff + 1,) * d, dtype=complex)
-        sl = slice(cutoff - old, cutoff + old + 1)
-        block[(sl,) * d] = tensor
-    return CoefficientGrid(d, cutoff, block.reshape(-1).copy())
+    cutoff, d, size = _cube(cutoff, grid.dim)
+    if cutoff <= grid.cutoff:
+        return CoefficientGrid(d, cutoff, grid.values[_within(cutoff, grid.cutoff, d)])
+    values = np.zeros(size, dtype=complex)
+    values[_within(grid.cutoff, cutoff, d)] = grid.values
+    return CoefficientGrid(d, cutoff, values)
 
 
 def l2_distance_sq(a: CoefficientGrid, b: CoefficientGrid) -> float:
     """Squared L2([0,1]^d) distance of the associated trig polynomials.
 
-    Parseval: sum_k |a_k - b_k|^2 over the union of supports, with the
-    smaller grid treated as zero outside its cut-off.
+    Parseval: sum_k |a_k - b_k|^2 over the larger cube, the smaller grid
+    zero-padded and subtracted from the larger (the same bits in either order).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.cutoff != b.cutoff:
-        m = max(a.cutoff, b.cutoff)
-        a, b = project(a, m), project(b, m)
-    diff = a.values - b.values
+    big, small = (a, b) if a.cutoff >= b.cutoff else (b, a)
+    diff = big.values - project(small, big.cutoff).values
     return float(np.sum(diff.real**2 + diff.imag**2))
 
 

@@ -234,7 +234,7 @@ def test_penalty_config_from_constants():
 
 def test_mise_zero_when_estimate_equals_truth():
     truth = make_trig_density(1.0, 2.0, M_truth=3, d=1, rng=np.random.default_rng(13))
-    est = ProjectionEstimate(truth.coefficients.copy(), n=100)
+    est = ProjectionEstimate(truth.coefficients, n=100)
     assert mise(est, truth) == 0.0
 
 

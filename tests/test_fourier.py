@@ -489,6 +489,57 @@ def test_project_is_l2_contraction():
             assert np.sum(np.abs(proj.values) ** 2) <= np.sum(np.abs(vals) ** 2) + 1e-12
 
 
+def _tensor_project(grid, cutoff):
+    """project as first written, kept as the reference: the values as a
+    d-dimensional tensor, sliced to restrict or written into zeros to pad."""
+    d, old = grid.dim, grid.cutoff
+    tensor = grid.values.reshape((2 * old + 1,) * d)
+    if cutoff <= old:
+        sl = slice(old - cutoff, old + cutoff + 1)
+        block = tensor[(sl,) * d]
+    else:
+        block = np.zeros((2 * cutoff + 1,) * d, dtype=complex)
+        sl = slice(cutoff - old, cutoff + old + 1)
+        block[(sl,) * d] = tensor
+    return block.reshape(-1).copy()
+
+
+def _random_grid(rng, M, d):
+    size = (2 * M + 1) ** d
+    return _grid_from_values(rng.normal(size=size) + 1j * rng.normal(size=size), M=M, d=d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_within_is_the_cube_of_the_multi_indices(d):
+    # cube M inside cube M': the rows of multi_indices(M', d) with |k|_inf <= M
+    for outer in range(4):
+        normmax = np.abs(multi_indices(outer, d)).max(axis=1)
+        for M in range(outer + 1):
+            assert np.array_equal(fourier._within(M, outer, d), np.flatnonzero(normmax <= M))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_project_matches_the_tensor_slice_bit_for_bit(d):
+    rng = np.random.default_rng(60 + d)
+    for old in range(4):
+        grid = _random_grid(rng, old, d)
+        for M in range(6):
+            proj = project(grid, M)
+            assert (proj.dim, proj.cutoff) == (d, M)
+            assert np.array_equal(proj.values, _tensor_project(grid, M))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_project_returns_new_memory(d):
+    # CoefficientGrid's contract: operations return new grids
+    grid = _random_grid(np.random.default_rng(64), 2, d)
+    for M in (0, 1, 2, 3):
+        proj = project(grid, M)
+        assert not np.shares_memory(proj.values, grid.values)
+    same = project(grid, 2)
+    assert np.array_equal(same.values, grid.values)
+
+
 # ---------------------------------------------------------------------------
 # Parseval distance vs a quadrature oracle
 # ---------------------------------------------------------------------------
@@ -511,6 +562,23 @@ def test_l2_distance_different_cutoffs():
     a = _grid_from_values([1.0, 2.0, 1.0], M=1, d=1)
     b = project(a, 3)
     assert l2_distance_sq(a, b) == pytest.approx(0.0, abs=1e-15)
+
+
+def _both_padded_l2(a, b):
+    """The distance with both grids padded to the larger cut-off."""
+    m = max(a.cutoff, b.cutoff)
+    diff = _tensor_project(a, m) - _tensor_project(b, m)
+    return float(np.sum(diff.real**2 + diff.imag**2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_l2_distance_mixed_cutoffs_is_symmetric_and_the_padded_sum(d):
+    rng = np.random.default_rng(70 + d)
+    grids = [_random_grid(rng, M, d) for M in (0, 1, 2, 3)]
+    for a in grids:
+        for b in grids:
+            dist = l2_distance_sq(a, b)
+            assert dist == l2_distance_sq(b, a) == _both_padded_l2(a, b)
 
 
 def test_l2_distance_matches_quadrature_d1():
