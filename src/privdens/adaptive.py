@@ -158,12 +158,12 @@ class SelectionTrace:
     and noise scales, the ledger and the choice. `evidence` holds what the
     rule scored the candidates by, under its JSON keys:
 
-    * lepskii: betas, distances (raw pairwise squared L2 distances),
-      thresholds, accepted;
+    * lepskii: betas, distances (raw pairwise squared L2 distances, rows
+      0..selected_index: the rows the decision read), thresholds, accepted;
     * penalized-bias: proj_distances, lambda1, lambda2, bias_sq, criterion.
 
-    accepted, bias_sq and criterion are derived: the rule's decision
-    computes them from the others, once, and the selector stores them.
+    accepted, bias_sq, criterion and the cut of distances to those rows are
+    derived: the decision computes them once and the selector stores them.
     `replay()` runs that decision on the stored evidence, the code the
     selector itself decided by, so it reproduces `selected_index` exactly
     and follows any edit of what was measured.
@@ -261,16 +261,18 @@ def _pairwise_sq_distances(a: np.ndarray) -> np.ndarray:
 
 
 def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
-    """The first accepted index, and accepted: accepted[m] when, for every
-    l >= m, distances[m, l] minus the two candidates' expected noise energy
-    2 sigma^2 (2M+1)^d is at most thresholds[l]."""
+    """The first accepted row m, scanning m = 0, 1, ...: for every l >= m,
+    distances[m, l] minus the two candidates' expected noise energy
+    2 sigma^2 (2M+1)^d is at most thresholds[l]. Derived: the verdicts of
+    rows 0..m (accepted) and distances cut to those rows, all k columns."""
     noise = np.array([2.0 * s * s * (2 * c + 1) ** d for s, c in zip(sigmas, cutoffs)])
-    excess = np.asarray(evidence["distances"]) - noise[:, None] - noise[None, :]
-    thresholds = evidence["thresholds"]
-    accepted = [bool(np.all(excess[m, m:] <= thresholds[m:])) for m in range(len(cutoffs))]
-    # The last candidate is always accepted (distance to itself is 0, the
-    # offset is nonnegative), so the search cannot fall off the end.
-    return accepted.index(True), {"accepted": accepted}
+    dist, thresholds = np.asarray(evidence["distances"]), evidence["thresholds"]
+    excess = dist - noise[: len(dist), None] - noise[None, :]
+    # only an edited trace runs out of rows: a full matrix's zero diagonal accepts the last
+    for m in range(len(excess)):
+        if np.all(excess[m, m:] <= thresholds[m:]):
+            return m, {"accepted": [False] * m + [True], "distances": dist[: m + 1].copy()}
+    raise ValueError("no stored Lepskii row is accepted")
 
 
 def _penalized_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
@@ -297,9 +299,9 @@ def lepskii_select(
     candidate order m = 0, 1, ...), then picks the smallest index m whose
     estimator lies within the penalized risk threshold of every candidate
     l >= m, once the expected noise energy of both candidates is subtracted
-    from their squared distance. The trace stores the raw distances;
-    replay() derives the offsets from the stored sigmas and cut-offs. rng is
-    required.
+    from their squared distance. The trace stores the raw distances of rows
+    0..m, the rows the scan read; replay() derives the offsets from the
+    stored sigmas and cut-offs. rng is required.
     """
     cfg = cfg or PenaltyConfig()
     pts = as_points(data)

@@ -264,16 +264,13 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
     rng = np.random.default_rng(rng)
 
     ks = multi_indices(M_truth, d)
-    size = len(ks)
-    center = (size - 1) // 2
-    values = np.zeros(size, dtype=complex)
-    values[center] = 1.0
+    center = (len(ks) - 1) // 2
     decay_exp = beta + d / 2.0 + 0.51
-    for idx in range(center + 1, size):
-        mag = rng.uniform(0.5, 1.0) * (1.0 + np.abs(ks[idx]).max()) ** (-decay_exp)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        values[idx] = mag * np.exp(1j * phase)
-        values[size - 1 - idx] = np.conj(values[idx])
+    # scalar powers on purpose: numpy's vectorised power can differ in the last bit
+    decay = np.array([(1.0 + np.int64(j)) ** (-decay_exp) for j in range(M_truth + 1)])
+    draws = rng.uniform([0.5, 0.0], [1.0, 2.0 * np.pi], size=(center, 2))
+    half = draws[:, 0] * decay[np.abs(ks[center + 1:]).max(axis=1)] * np.exp(1j * draws[:, 1])
+    values = np.concatenate([np.conj(half[::-1]), [1.0], half])
 
     b = int(math.floor(beta))
     w = _sobolev_weights(ks, beta)

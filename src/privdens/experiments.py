@@ -164,8 +164,9 @@ class _FrozenDict(dict):  # a dict of a config: copied by value, changed never
 
 def _recast(value, seq=list, mapping=dict):
     """value with every list in it made a seq, and every dict a mapping."""
-    if isinstance(value, list):
-        return seq(_recast(v, seq, mapping) for v in value)
+    if isinstance(value, list):  # one call copies a list with no list or dict in it
+        flat = not any(issubclass(t, (list, dict)) for t in set(map(type, value)))
+        return seq(value if flat else (_recast(v, seq, mapping) for v in value))
     if isinstance(value, dict):
         return mapping((k, _recast(v, seq, mapping)) for k, v in value.items())
     return value

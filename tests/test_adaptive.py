@@ -379,8 +379,8 @@ _SELECTORS = {
 def test_candidates_are_the_master_cube_plus_the_replayed_noise_bit_for_bit(method, d, n):
     # Candidate m is the master restricted to cube M_m plus sigma_m times its
     # own K_m complex draws, taken from the generator in candidate order, and
-    # charged rho' to the ledger in that order; Lepskii's distances are those
-    # of the candidates zero-padded to the top cut-off
+    # charged rho' to the ledger in that order; Lepskii's distances are rows
+    # 0..selected of those of the candidates zero-padded to the top cut-off
     select, label = _SELECTORS[method]
     data = np.random.default_rng(80 + d).random((n, d))
     _est, trace = select(data, np.random.default_rng(81))
@@ -398,7 +398,63 @@ def test_candidates_are_the_master_cube_plus_the_replayed_noise_bit_for_bit(meth
         (label.format(m=m, cutoff=cutoff), rho_p) for m, cutoff in enumerate(trace.cutoffs)]
     if method == "lepskii":
         assert np.array_equal(trace.evidence["distances"],
-                              _pairwise_sq_distances(_candidate_matrix(trace)))
+                              _pairwise_sq_distances(_candidate_matrix(trace))
+                              [: trace.selected_index + 1])
+
+
+def _full_matrix_lepskii_index(dist, sigmas, cutoffs, thresholds, d):
+    """The first m whose noise-corrected distance to every l >= m is within
+    thresholds[l], scanned on the full k x k matrix entry by entry."""
+    noise = [2.0 * s * s * (2 * c + 1) ** d for s, c in zip(sigmas, cutoffs)]
+    k = len(cutoffs)
+    for m in range(k):
+        if all(dist[m, l] - noise[m] - noise[l] <= thresholds[l] for l in range(m, k)):
+            return m
+    return None
+
+
+@pytest.fixture(scope="module", params=[(1, 2**14), (2, 4096)], ids=["d1-n16384", "d2-n4096"])
+def lepskii_fixture_trace(request):
+    """A practical-mode Lepskii trace on the beta = 2 fixture: index 0 in
+    d = 1 at n = 2^14, a late index in d = 2 at n = 4096."""
+    d, n = request.param
+    truth = make_trig_density(2.0, 2.0, 20 if d == 1 else 6, d=d, rng=np.random.default_rng(7))
+    data = rejection_sample(truth, n, np.random.default_rng(8))
+    return lepskii_select(data, 1.0, PenaltyConfig(), np.random.default_rng(9))[1]
+
+
+def test_lepskii_agrees_with_a_full_matrix_reference(lepskii_fixture_trace):
+    trace = lepskii_fixture_trace
+    full = _pairwise_sq_distances(_candidate_matrix(trace))
+    ref = _full_matrix_lepskii_index(full, trace.sigmas, trace.cutoffs,
+                                     trace.evidence["thresholds"], trace.d)
+    assert trace.selected_index == ref
+    assert (ref == 0) if trace.d == 1 else (ref > len(trace.cutoffs) // 2)
+    assert np.array_equal(trace.evidence["distances"], full[: ref + 1])
+
+
+def test_lepskii_accepted_holds_the_rows_read_and_only_the_last_is_true(lepskii_fixture_trace):
+    trace = lepskii_fixture_trace
+    accepted, selected = trace.evidence["accepted"], trace.selected_index
+    assert len(accepted) == selected + 1
+    assert accepted == [False] * selected + [True]
+
+
+def test_lepskii_trace_json_round_trip_keeps_the_rows_read(lepskii_fixture_trace):
+    trace = lepskii_fixture_trace
+    doc = json.loads(json.dumps(trace.to_json_dict()))
+    dist = np.array(doc["distances"])
+    assert dist.shape == (trace.selected_index + 1, len(trace.cutoffs))
+    assert np.array_equal(dist, trace.evidence["distances"])
+    assert doc["accepted"] == trace.evidence["accepted"]
+
+
+def test_lepskii_replay_refuses_a_trace_with_no_accepted_row():
+    data = np.random.default_rng(90).random((500, 1))
+    _est, trace = lepskii_select(data, 1.0, PenaltyConfig(), np.random.default_rng(91))
+    trace.evidence["distances"] = trace.evidence["distances"] + 1e6
+    with pytest.raises(ValueError, match="no stored Lepskii row"):
+        trace.replay()
 
 
 def test_lepskii_release_peak_memory_is_about_one_candidate_matrix():

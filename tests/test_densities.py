@@ -148,6 +148,50 @@ def test_trig_fixture_invariants(beta, M_truth, seed):
     assert quadrature_mass(truth) == pytest.approx(1.0, abs=1e-10)
 
 
+def _loop_trig_density(beta, L, M_truth, d, seed):
+    """make_trig_density as first written, one scalar draw per coefficient
+    in a Python loop: the reference that pins the fixture's bits."""
+    ks = multi_indices(M_truth, d)
+    rng, size = np.random.default_rng(seed), len(ks)
+    center = (size - 1) // 2
+    values = np.zeros(size, dtype=complex)
+    values[center] = 1.0
+    decay_exp = beta + d / 2.0 + 0.51
+    for idx in range(center + 1, size):
+        mag = rng.uniform(0.5, 1.0) * (1.0 + np.abs(ks[idx]).max()) ** (-decay_exp)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        values[idx] = mag * np.exp(1j * phase)
+        values[size - 1 - idx] = np.conj(values[idx])
+    w = dens._sobolev_weights(ks, beta)
+    tail = np.sum(w * np.abs(values) ** 2) - (w[center] * 1.0)
+    target = 0.8 * (L * L - 1.0) if int(math.floor(beta)) == 0 else 0.8 * L * L
+    if tail > 0:
+        values *= math.sqrt(target / tail)
+        values[center] = 1.0
+    slack_step = float(fourier._lattice_axis(d)[0])
+    for _ in range(100):
+        grid = CoefficientGrid(d, M_truth, values.copy())
+        certified = float(np.min(fourier.evaluate_lattice(grid, len(fourier._lattice_axis(d)))))
+        certified -= dens._lipschitz_bound(grid) * slack_step
+        if certified >= 0.01:
+            return TrigDensity(grid, beta=beta, L=L, min_value=certified)
+        values *= 0.8
+        values[center] = 1.0
+    raise AssertionError("the reference could not certify positivity")
+
+
+@pytest.mark.parametrize("d, cutoffs", [(1, (1, 8, 20, 32)), (2, (1, 4, 8)), (3, (1, 3)),
+                                        (4, (1, 2))], ids=["d1", "d2", "d3", "d4"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
+def test_make_trig_matches_the_scalar_loop_bit_for_bit(beta, d, cutoffs):
+    for M_truth, seed in itertools.product(cutoffs, (7, 11, 21)):
+        got = make_trig_density(beta, 2.0, M_truth, d=d, rng=np.random.default_rng(seed))
+        ref = _loop_trig_density(beta, 2.0, M_truth, d, seed)
+        assert np.array_equal(got.coefficients.values.view(np.uint64),
+                              ref.coefficients.values.view(np.uint64)), (M_truth, seed)
+        assert got.min_value == ref.min_value
+
+
 def test_trig_fixture_d2():
     truth = make_trig_density(1.0, 2.0, M_truth=3, d=2, rng=np.random.default_rng(9))
     assert truth.dim == 2

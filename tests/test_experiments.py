@@ -27,6 +27,9 @@ from privdens.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     ExperimentRecord,
+    _FrozenDict,
+    _FrozenList,
+    _recast,
     fit_slope,
     mise,
     run_adaptivity_experiment,
@@ -152,6 +155,30 @@ def test_config_is_frozen_and_replace_checks_again():
         dataclasses.replace(cfg, mode="bogus")
     wider = dataclasses.replace(cfg, density={"kind": "uniform", "d": 2}, d=2)
     assert wider._truth.dim == 2 and cfg._truth.dim == 1
+
+
+def _containers(value):
+    """Every list and dict in value, value included, outermost first."""
+    if isinstance(value, dict):
+        return [value] + [c for v in value.values() for c in _containers(v)]
+    if isinstance(value, list):
+        return [value] + [c for v in value for c in _containers(v)]
+    return []
+
+
+def test_recast_reaches_every_depth_and_copies():
+    # flat lists are copied whole, the others level by level; either way no
+    # container of the input is shared and every one changes type
+    doc = {"flat": [1.0, 2, "x", None, True], "nested": [[1, 2], {"a": [3]}, 4, []],
+           "d": {"e": {}}, "n": 5}
+    frozen = _recast(doc, _FrozenList, _FrozenDict)
+    plain = _recast(frozen)
+    assert frozen == plain == doc
+    for out, seq, mapping in ((frozen, _FrozenList, _FrozenDict), (plain, list, dict)):
+        got = _containers(out)
+        assert [type(c) for c in got] == [seq if isinstance(c, list) else mapping for c in got]
+    ids = lambda value: {id(c) for c in _containers(value)}  # noqa: E731
+    assert not ids(frozen) & ids(doc) and not ids(plain) & (ids(doc) | ids(frozen))
 
 
 def test_config_values_cannot_change():

@@ -33,10 +33,12 @@ A change of floating-point arithmetic, such as a new Fourier kernel, cannot
 keep the bytes. `--compare OLD NEW` lists the byte-identical files and
 passes each other file only if its text outside numbers is identical and
 every pair of numbers satisfies |x - y| <= 1e-9 max(|x|, |y|) + 1e-12;
-integers, such as a selected cut-off, must therefore match exactly. A
-file under `failures/` that exists in NEW only is a FAILURES case the newer
-checkout added: it is listed as "added" and does not fail. It exits 1 if a
-file fails, exists in OLD only, or exists in NEW only outside `failures/`.
+integers, such as a selected cut-off, must therefore match exactly. The
+line of a failing JSON file also names the top-level keys whose parsed
+values differ. A file under `failures/` that exists in NEW only is a
+FAILURES case the newer checkout added: it is listed as "added" and does
+not fail. It exits 1 if a file fails, exists in OLD only, or exists in NEW
+only outside `failures/`.
 """
 
 from __future__ import annotations
@@ -255,6 +257,20 @@ def compare_text(old: str, new: str) -> tuple[str | None, int, float, float]:
     return None, changed, max_abs, max_rel
 
 
+def differing_keys(old: bytes, new: bytes) -> list[str]:
+    """The top-level keys of two JSON objects whose parsed values differ,
+    sorted; empty unless both parse to objects. NaN and the infinities parse
+    to their names, so that a NaN equals a NaN."""
+    try:
+        a, b = (json.loads(text, parse_constant=str) for text in (old, new))
+    except ValueError:
+        return []
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return []
+    return sorted(key for key in a.keys() | b.keys()
+                  if key not in a or key not in b or a[key] != b[key])
+
+
 def compare(old: Path, new: Path) -> int:
     files = {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
     identical, failed = [], 0
@@ -279,7 +295,9 @@ def compare(old: Path, new: Path) -> int:
         except UnicodeDecodeError:
             problem, changed, max_abs, max_rel = "not text", 0, 0.0, 0.0
         if problem:
-            print(f"FAIL {rel}: {problem}")
+            keys = differing_keys(a, b) if rel.suffix == ".json" else []
+            named = f"; keys that differ: {', '.join(keys)}" if keys else ""
+            print(f"FAIL {rel}: {problem}{named}")
             failed += 1
         else:
             print(f"close {rel}: {changed} numbers differ, at most {max_abs:.3g} absolute, "
