@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -119,14 +119,17 @@ class PenaltyConfig:
 
     mode="theory" uses C = max(8 L^2, 2^(2d+9)) unless C is supplied, and
     insists on a >= 1; those are the hypotheses under which the selection
-    rule carries a guarantee. The theory constants make the threshold
-    vacuous at desk scale (every candidate is accepted, the rule returns
-    index 0), so mode="practical" (default C = 1) exists for experiments;
-    every trace records which mode produced it. Both modes compare the
-    same noise-corrected distances; only C and the checks on a differ.
+    rule carries a guarantee, and resolved_C(d) checks them. The theory
+    constants make the threshold vacuous at desk scale (every candidate is
+    accepted, the rule returns index 0), so mode="practical" (default
+    C = 1) exists for experiments; every trace records which mode produced
+    it. Both modes compare the same noise-corrected distances; only C and
+    the checks on a differ.
     C (when given), a, eps and L must be finite real numbers; a bool, a
     string, NaN or an infinity is rejected with a ValueError naming it.
     """
+
+    MODES = ("practical", "theory")  # unannotated: a class constant, not a field
 
     mode: str = "practical"
     C: float | None = None
@@ -135,7 +138,7 @@ class PenaltyConfig:
     L: float = 2.0
 
     def __post_init__(self):
-        _require(self.mode in ("practical", "theory"), "mode", "'practical' or 'theory'", self.mode)
+        _require(self.mode in self.MODES, "mode", " or ".join(map(repr, self.MODES)), self.mode)
         if self.C is not None:
             _real("C", self.C, 1)
         for name in ("a", "eps", "L"):
@@ -145,9 +148,19 @@ class PenaltyConfig:
         return max(8.0 * self.L * self.L, float(2 ** (2 * d + 9)))
 
     def resolved_C(self, d: int) -> float:
-        if self.C is not None:
-            return float(self.C)
-        return self.theory_floor(d) if self.mode == "theory" else 1.0
+        """C or the mode's default; theory mode refuses a < 1 and C below
+        theory_floor(d), and warns lepskii_select's caller of eps > 1/2."""
+        if self.mode != "theory":
+            return 1.0 if self.C is None else float(self.C)
+        floor = self.theory_floor(d)
+        c_val = floor if self.C is None else float(self.C)
+        if self.a < 1:
+            raise ValueError("theory mode requires a >= 1")
+        if c_val < floor:
+            raise ValueError(f"theory mode requires C >= max(8 L^2, 2^(2d+9)) = {floor}")
+        if self.eps > 0.5:
+            warnings.warn("eps > 1/2: the grid-risk series bound is unproven there", stacklevel=3)
+        return c_val
 
 
 @dataclass
@@ -260,13 +273,23 @@ def _pairwise_sq_distances(a: np.ndarray) -> np.ndarray:
     return np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
 
 
+def _shaped(evidence, key: str, shape: tuple) -> np.ndarray:
+    """evidence[key] as an array, not copied; a ValueError naming key unless of that shape."""
+    value = np.asarray(evidence[key])
+    _require(value.shape == shape, key, f"an array of shape {shape}", value.shape)
+    return value
+
+
 def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
     """The first accepted row m, scanning m = 0, 1, ...: for every l >= m,
     distances[m, l] minus the two candidates' expected noise energy
     2 sigma^2 (2M+1)^d is at most thresholds[l]. Derived: the verdicts of
     rows 0..m (accepted) and distances cut to those rows, all k columns."""
+    k = len(cutoffs)
+    dist, thresholds = np.asarray(evidence["distances"]), _shaped(evidence, "thresholds", (k,))
+    _require(dist.ndim == 2 and 1 <= len(dist) <= k and dist.shape[1] == k, "distances",
+             f"an array of 1 to {k} rows and {k} columns", dist.shape)
     noise = np.array([2.0 * s * s * (2 * c + 1) ** d for s, c in zip(sigmas, cutoffs)])
-    dist, thresholds = np.asarray(evidence["distances"]), evidence["thresholds"]
     excess = dist - noise[: len(dist), None] - noise[None, :]
     # only an edited trace runs out of rows: a full matrix's zero diagonal accepts the last
     for m in range(len(excess)):
@@ -278,8 +301,10 @@ def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
 def _penalized_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
     """The index minimizing criterion = bias_sq + lambda2, the first (smallest
     M) on ties, and both: bias_sq[i] = max_j (proj_distances[i, j] - lambda1[j])."""
-    bias_sq = (evidence["proj_distances"] - evidence["lambda1"][None, :]).max(axis=1)
-    criterion = bias_sq + evidence["lambda2"]
+    g = len(cutoffs)
+    proj_dist = _shaped(evidence, "proj_distances", (g, g))
+    bias_sq = (proj_dist - _shaped(evidence, "lambda1", (g,))[None, :]).max(axis=1)
+    criterion = bias_sq + _shaped(evidence, "lambda2", (g,))
     return int(np.argmin(criterion)), {"bias_sq": bias_sq, "criterion": criterion}
 
 
@@ -308,23 +333,10 @@ def lepskii_select(
     n, d = pts.shape
     _require(n >= 3, "n", ">= 3", n)
     rho_v = privacy.as_rho(rho)
-    if cfg.mode == "theory":
-        if cfg.a < 1:
-            raise ValueError("theory mode requires a >= 1")
-        if cfg.resolved_C(d) < cfg.theory_floor(d):
-            raise ValueError(
-                f"theory mode requires C >= max(8 L^2, 2^(2d+9)) = {cfg.theory_floor(d)}"
-            )
-        if cfg.eps > 0.5:
-            warnings.warn(
-                "eps > 1/2: the grid-risk series bound is unproven there",
-                stacklevel=2,
-            )
-
+    c_val = cfg.resolved_C(d)
     ln = math.log(n)
     betas, rho_prime = _lepskii_budget(n, rho_v, cfg.eps)
     cutoffs = [optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in betas]
-    c_val = cfg.resolved_C(d)
     try:
         scale = c_val * ln**cfg.a
     except OverflowError:  # a large a: the threshold is infinite and accepts every candidate
@@ -338,7 +350,7 @@ def lepskii_select(
     # Report the exact composition k_n * rho' rather than the float sum of the
     # ledger entries; the two agree to rounding and the former is the figure
     # the budget accounting promises.
-    constants = {"mode": cfg.mode, "C": c_val, "a": cfg.a, "eps": cfg.eps, "L": cfg.L}
+    constants = {**asdict(cfg), "C": c_val}
     return _select(
         "lepskii", pts, cutoffs, rho_v, rho_prime, len(betas) * rho_prime, constants, rng,
         "lepskii candidate {m} (M={cutoff})", score,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -112,30 +113,29 @@ def _print_ledger(ledger: privacy.BudgetLedger, requested) -> None:
 def _cmd_fit(args) -> int:
     if args.trace is not None and args.adaptive is None:
         raise UsageError("--trace requires --adaptive")
+    if args.adaptive is not None and args.rho is None:
+        raise UsageError("--adaptive requires --rho")
+    if args.M is None and args.beta is None and args.adaptive is None:
+        raise UsageError("choose a cut-off: --M, --beta, or --adaptive")
+    given = {f.name: getattr(args, f.name) for f in fields(PenaltyConfig) if f.name in args}
+    if given and args.adaptive != "lepskii":
+        raise UsageError("--constants-mode, --C, --a, --eps and --L require --adaptive lepskii")
     data = _read_points(args.data)
     n, d = data.shape
     rng = np.random.default_rng(args.seed)
 
     if args.adaptive is not None:
-        if args.rho is None:
-            raise UsageError("--adaptive requires --rho")
         if args.adaptive == "lepskii":
-            cfg = PenaltyConfig(
-                mode=args.constants_mode, C=args.C, a=args.a, eps=args.eps, L=args.L
-            )
-            est, trace = adaptive.lepskii_select(data, args.rho, cfg, rng)
+            est, trace = adaptive.lepskii_select(data, args.rho, PenaltyConfig(**given), rng)
         else:
             est, trace = adaptive.penalized_bias_select(data, args.rho, None, rng)
         if args.trace:
             _write_json(args.trace, trace.to_json_dict())
         line = f"selected M={trace.selected_cutoff} by {trace.method}"
     else:
-        if args.M is not None:
-            cutoff = args.M
-        elif args.beta is not None:
+        cutoff = args.M
+        if cutoff is None:
             cutoff = estimator.optimal_cutoff_adaptive_form(n, args.rho, args.beta, d)
-        else:
-            raise UsageError("choose a cut-off: --M, --beta, or --adaptive")
         est = fit(data, cutoff, args.rho, rng)
         line = f"fit M={cutoff} on n={n} points (d={d}), sigma={est.sigma:.17g}"
     _write_json(args.out, est.to_json_dict())
@@ -275,13 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--trace", default=None, help="selection trace JSON path (--adaptive)")
-    p_fit.add_argument(
-        "--constants-mode", choices=["practical", "theory"], default="practical"
-    )
-    p_fit.add_argument("--C", type=float, default=None, help="Lepskii threshold constant")
-    p_fit.add_argument("--a", type=float, default=1.0, help="Lepskii log exponent")
-    p_fit.add_argument("--eps", type=float, default=0.5, help="beta-grid step scale")
-    p_fit.add_argument("--L", type=float, default=2.0, help="Sobolev radius for theory constants")
+    # PenaltyConfig's defaults hold for every flag of the group not given
+    lep = p_fit.add_argument_group("Lepskii constants", "with --adaptive lepskii only",
+                                   argument_default=argparse.SUPPRESS)
+    lep.add_argument("--constants-mode", dest="mode", choices=PenaltyConfig.MODES)
+    lep.add_argument("--C", type=float, help="Lepskii threshold constant")
+    lep.add_argument("--a", type=float, help="Lepskii log exponent")
+    lep.add_argument("--eps", type=float, help="beta-grid step scale")
+    lep.add_argument("--L", type=float, help="Sobolev radius for theory constants")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_sample = sub.add_parser("sample", help="rejection-sample points from a density or estimate")

@@ -4,6 +4,7 @@ cut-off grid. Selection traces are replayed as an independent check that
 the recorded decision data actually produces the recorded decision.
 """
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -134,6 +135,35 @@ def test_theory_mode_large_eps_warns():
     with pytest.warns(UserWarning):
         lepskii_select(data, 1.0, PenaltyConfig(mode="theory", eps=0.75),
                        np.random.default_rng(1))
+
+
+def test_penalty_config_modes_are_a_class_constant_not_a_field():
+    assert PenaltyConfig.MODES == ("practical", "theory")
+    assert "MODES" not in {f.name for f in dataclasses.fields(PenaltyConfig)}
+    assert set(dataclasses.asdict(PenaltyConfig())) == {"mode", "C", "a", "eps", "L"}
+
+
+def test_resolved_c_checks_theory_mode_and_warns_the_caller_of_lepskii_select():
+    # the checks live in resolved_C, one frame below lepskii_select; the
+    # warning still names the line that called lepskii_select
+    with pytest.raises(ValueError, match="theory mode requires a >= 1"):
+        PenaltyConfig(mode="theory", a=0.5).resolved_C(1)
+    with pytest.raises(ValueError, match=r"requires C >= max\(8 L\^2, 2\^\(2d\+9\)\) = 8192"):
+        PenaltyConfig(mode="theory", C=4096.0).resolved_C(2)
+    assert PenaltyConfig(a=0.5, C=3.0).resolved_C(1) == 3.0  # practical mode checks nothing
+    data = np.random.default_rng(0).random((100, 1))
+    with pytest.warns(UserWarning, match="eps > 1/2") as record:
+        lepskii_select(data, 1.0, PenaltyConfig(mode="theory", eps=0.75),
+                       np.random.default_rng(1))
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_lepskii_trace_constants_round_trip_through_penalty_config():
+    data = np.random.default_rng(0).random((200, 2))
+    for cfg in (PenaltyConfig(), PenaltyConfig(mode="theory", L=20.0)):
+        _est, trace = lepskii_select(data, 1.0, cfg, np.random.default_rng(1))
+        assert PenaltyConfig(**trace.constants).resolved_C(2) == trace.constants["C"]
+    assert trace.constants == {"mode": "theory", "C": 8192.0, "a": 1.0, "eps": 0.5, "L": 20.0}
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +484,32 @@ def test_lepskii_replay_refuses_a_trace_with_no_accepted_row():
     _est, trace = lepskii_select(data, 1.0, PenaltyConfig(), np.random.default_rng(91))
     trace.evidence["distances"] = trace.evidence["distances"] + 1e6
     with pytest.raises(ValueError, match="no stored Lepskii row"):
+        trace.replay()
+
+
+@pytest.fixture(scope="module")
+def small_traces():
+    data = np.random.default_rng(92).random((300, 1))
+    return {"lepskii": lepskii_select(data, 1.0, PenaltyConfig(), np.random.default_rng(93))[1],
+            "penalized-bias": penalized_bias_select(data, 1.0, None,
+                                                    np.random.default_rng(94))[1]}
+
+
+@pytest.mark.parametrize("method, key, shape", [
+    ("lepskii", "distances", lambda k: (k + 1, k)),
+    ("lepskii", "distances", lambda k: (1, k - 1)),
+    ("lepskii", "distances", lambda k: (k,)),
+    ("lepskii", "distances", lambda k: (0, k)),
+    ("lepskii", "thresholds", lambda k: (k + 1,)),
+    ("penalized-bias", "proj_distances", lambda g: (g, g + 1)),
+    ("penalized-bias", "lambda1", lambda g: (g - 1,)),
+    ("penalized-bias", "lambda2", lambda g: (g, 1)),
+], ids=["distances-extra-row", "distances-short-row", "distances-1d", "distances-no-row",
+        "thresholds-extra", "proj-distances-extra-column", "lambda1-short", "lambda2-2d"])
+def test_replay_names_a_malformed_evidence_key(small_traces, method, key, shape):
+    trace = dataclasses.replace(small_traces[method])
+    trace.evidence = {**trace.evidence, key: np.zeros(shape(len(trace.cutoffs)))}
+    with pytest.raises(ValueError, match=f"^{key} must be an array of "):
         trace.replay()
 
 

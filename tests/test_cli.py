@@ -273,6 +273,63 @@ def test_fit_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "e.json").exists()
 
 
+def test_fit_usage_errors_come_before_the_points_file_is_read(tmp_path, capsys):
+    data = _write(tmp_path / "pts.csv", "0.5\nnot-a-number\n")
+    out = tmp_path / "e.json"
+    for flags, message in (([], "choose a cut-off"),
+                           (["--adaptive", "lepskii"], "--adaptive requires --rho"),
+                           (["--M", "2", "--eps", "0.1"], "require --adaptive lepskii")):
+        assert main(["fit", data, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err and "not-a-number" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
+
+
+_LEPSKII_FLAGS = "--constants-mode, --C, --a, --eps and --L require --adaptive lepskii"
+
+
+@pytest.mark.parametrize("flags", [["--M", "3", "--C", "5"],
+                                   ["--beta", "1.5", "--constants-mode", "practical"],
+                                   ["--adaptive", "penalized-bias", "--eps", "0.1"]],
+                         ids=["M", "beta", "penalized-bias"])
+def test_fit_refuses_lepskii_constants_it_would_ignore(tmp_path, capsys, flags):
+    data = _write(tmp_path / "pts.csv", "0.5\n0.25\n0.75\n")
+    out = tmp_path / "e.json"
+    assert main(["fit", data, "--rho", "1", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {_LEPSKII_FLAGS}\n"
+    assert not out.exists()
+
+
+def test_fit_parser_holds_no_lepskii_constant_unless_given():
+    parser = cli.build_parser()
+    args = parser.parse_args(["fit", "p.csv", "--adaptive", "lepskii", "--out", "e.json"])
+    assert not {"mode", "C", "a", "eps", "L"} & set(vars(args))
+    args = parser.parse_args(["fit", "p.csv", "--adaptive", "lepskii", "--out", "e.json",
+                              "--constants-mode", "theory", "--a", "2"])
+    assert {k: v for k, v in vars(args).items() if k in ("mode", "C", "a", "eps", "L")} == {
+        "mode": "theory", "a": 2.0}
+
+
+def test_fit_lepskii_without_constant_flags_records_the_defaults(tmp_path):
+    rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(5).random(100))
+    data = _write(tmp_path / "pts.csv", rows + "\n")
+    trace = tmp_path / "trace.json"
+    assert main(["fit", data, "--rho", "1", "--adaptive", "lepskii", "--out",
+                 str(tmp_path / "est.json"), "--trace", str(trace)]) == 0
+    assert json.loads(trace.read_text())["constants"] == {
+        "mode": "practical", "C": 1.0, "a": 1.0, "eps": 0.5, "L": 2.0}
+
+
+def test_fit_lepskii_theory_mode_refuses_a_below_one(tmp_path, capsys):
+    rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(5).random(100))
+    data = _write(tmp_path / "pts.csv", rows + "\n")
+    out = tmp_path / "est.json"
+    assert main(["fit", data, "--rho", "1", "--adaptive", "lepskii", "--constants-mode",
+                 "theory", "--a", "0.5", "--out", str(out)]) == 1
+    assert "error: theory mode requires a >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------

@@ -175,6 +175,8 @@ FAILURES = [
     ("fit_lepskii_a_huge", {"pts.csv": _POINTS}, [*_LEPSKII, "--a", "544"]),
     ("fit_lepskii_theory_L_inf", {"pts.csv": _POINTS},
      [*_LEPSKII, "--constants-mode", "theory", "--L", "inf"]),
+    ("fit_lepskii_constant_without_lepskii", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--rho", "1", "--M", "3", "--C", "5", "--out", "est.json"]),
     ("fit_no_cutoff", {"pts.csv": _POINTS}, ["fit", "pts.csv", "--out", "est.json"]),
     ("fit_adaptive_without_rho", {"pts.csv": _POINTS},
      ["fit", "pts.csv", "--adaptive", "penalized-bias", "--out", "est.json"]),
