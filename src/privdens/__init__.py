@@ -42,7 +42,6 @@ from .estimator import (
     ProjectionEstimate,
     fit,
     optimal_cutoff_adaptive_form,
-    optimal_cutoff_thm,
     rate_regime,
     theoretical_rate,
 )
@@ -91,7 +90,6 @@ __all__ = [
     # estimator
     "ProjectionEstimate",
     "fit",
-    "optimal_cutoff_thm",
     "optimal_cutoff_adaptive_form",
     "theoretical_rate",
     "rate_regime",

@@ -145,7 +145,9 @@ class PenaltyConfig:
             _real(name, getattr(self, name), 0, strict=True)
 
     def theory_floor(self, d: int) -> float:
-        return max(8.0 * self.L * self.L, float(2 ** (2 * d + 9)))
+        """max(8 L^2, 2^(2d+9)); refused once 2^(2d+9) exceeds the largest float."""
+        _require(2 * d + 9 <= 1023, "d", "at most 507 in theory mode (2^(2d+9) a float)", d)
+        return max(8.0 * self.L * self.L, math.ldexp(1.0, 2 * d + 9))
 
     def resolved_C(self, d: int) -> float:
         """C or the mode's default; theory mode refuses a < 1 and C below
@@ -357,12 +359,17 @@ def lepskii_select(
     )
 
 
+# The factors of the penalized-bias penalties, the constants its traces record.
+_PENALTY_FACTORS = {"lambda1_factor": 96.0, "lambda2_factor": 16.0}
+
+
 def penalty_lambda1(cutoff: int, n: int, rho_prime, d: int) -> float:
     """Variance penalty: 96 (2M+1)^d / n + 96 (2M+1)^(2d) / (n^2 rho')."""
     rho_p = privacy.as_rho(rho_prime)
     n = _integer("n", n, 1)
     size = float((2 * _integer("cutoff", cutoff, 0) + 1) ** _integer("d", d, 1))
-    return 96.0 * size / n + 96.0 * size * size / (n * n * rho_p)
+    factor = _PENALTY_FACTORS["lambda1_factor"]
+    return factor * size / n + factor * size * size / (n * n * rho_p)
 
 
 def penalty_lambda2(cutoff: int, n: int, rho_prime, d: int) -> float:
@@ -370,7 +377,7 @@ def penalty_lambda2(cutoff: int, n: int, rho_prime, d: int) -> float:
     lambda1 = penalty_lambda1(cutoff, n, rho_prime, d)  # checks the arguments
     rho_p, n = privacy.as_rho(rho_prime), int(n)  # the int that _integer returned
     size = float((2 * int(cutoff) + 1) ** int(d))
-    return lambda1 + 16.0 * size * size / (n * n * rho_p)
+    return lambda1 + _PENALTY_FACTORS["lambda2_factor"] * size * size / (n * n * rho_p)
 
 
 def dyadic_cutoff_grid(n: int, d: int) -> list[int]:
@@ -432,6 +439,6 @@ def penalized_bias_select(
     # g equal shares of rho/g add up to exactly rho; report that figure
     # (the ledger keeps the per-candidate entries for audit).
     return _select(
-        "penalized-bias", pts, grid, rho_v, rho_prime, rho_v, {}, rng,
+        "penalized-bias", pts, grid, rho_v, rho_prime, rho_v, dict(_PENALTY_FACTORS), rng,
         "penalized-bias candidate M={cutoff}", score,
     )

@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +43,26 @@ class UsageError(ValueError):
     """Bad flag combination detected after argparse; exits with code 2."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a ValueError names the first key it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in obj if keys.count(k) > 1)!r}")
+    return obj
+
+
+_parse_json = partial(json.loads, object_pairs_hook=_unique_keys)
+
+
 def _read_file(path: str, parse=str):
     """parse(text) of an input file read as UTF-8 with universal newlines (a
     line ends at LF, CR LF or a lone CR only); an error decoding the file, or
-    parsing it as JSON, too deep a nesting included, names the file."""
+    parsing it as JSON (_parse_json), too deep a nesting or a repeated key
+    included, names the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -145,7 +159,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    doc = _read_file(args.input, json.loads)
+    doc = _read_file(args.input, _parse_json)
     if isinstance(doc, dict) and "kind" in doc:
         target = density_from_json_dict(doc)
     else:
@@ -186,7 +200,7 @@ def _cmd_generate_density(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    doc = _read_file(args.config, json.loads)
+    doc = _read_file(args.config, _parse_json)
     sweep_docs = doc["sweeps"] if isinstance(doc, dict) and "sweeps" in doc else {"sweep": doc}
     if not isinstance(sweep_docs, dict):
         raise ValueError("'sweeps' must be an object that maps sweep names to configs")

@@ -11,9 +11,10 @@ as
 
 Two tuned-cut-off conventions coexist in the literature behind this method
 and they do not agree: one carries a 2^d factor inside the floors and
-subtracts one, the other does not. Both are implemented, named, and left
-unreconciled; callers state which they use. The adaptive machinery is built
-on the second form.
+subtracts one, the other does not. The package tunes with the second,
+optimal_cutoff_adaptive_form, in fixed fits, oracle sweeps and the adaptive
+rules alike; the first lives in tests/theory_checks.py, where the tests pin
+where the two disagree.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .fourier import (
 
 __all__ = [
     "ProjectionEstimate",
-    "optimal_cutoff_thm",
     "optimal_cutoff_adaptive_form",
     "fit",
     "theoretical_rate",
@@ -61,21 +61,6 @@ def _floor_pow(base: float, exponent: float) -> int:
 def _cutoff_args(n, beta, d) -> tuple[float, float, int]:
     # n is a real: the rate formulas are arithmetic in n
     return _real("n", n, 1), _real("beta", beta, 0, strict=True), _integer("d", d, 1)
-
-
-def optimal_cutoff_thm(n: int, rho, beta: float, d: int) -> int:
-    """Tuned cut-off, 2^d-factor convention.
-
-    M + 1 = min{ floor((n/2^d)^(1/(2 beta+d))),
-                 floor((n sqrt(rho)/2^d)^(1/(beta+d))) },
-    returned as M, clamped to 0 when the floor drops below 1.
-    """
-    n, beta, d = _cutoff_args(n, beta, d)
-    rho_v = privacy.as_rho(rho)
-    scale = float(2**d)
-    samp = _floor_pow(n / scale, 1.0 / (2.0 * beta + d))
-    priv = _floor_pow(n * math.sqrt(rho_v) / scale, 1.0 / (beta + d))
-    return max(0, min(samp, priv) - 1)
 
 
 def optimal_cutoff_adaptive_form(n: int, rho, beta: float, d: int) -> int:

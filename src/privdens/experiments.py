@@ -33,12 +33,7 @@ from . import adaptive, densities, fourier, privacy
 from .adaptive import PenaltyConfig
 from .densities import PackingDensity, TrigDensity, rejection_sample
 from .fourier import _is_finite, _is_int, _is_number
-from .estimator import (
-    ProjectionEstimate,
-    fit,
-    optimal_cutoff_adaptive_form,
-    optimal_cutoff_thm,
-)
+from .estimator import ProjectionEstimate, fit, optimal_cutoff_adaptive_form
 
 __all__ = [
     "ExperimentConfig",
@@ -54,7 +49,6 @@ __all__ = [
 ]
 
 _MODES = ("oracle", "lepskii", "penalized-bias")
-_CUTOFF_FORMS = ("adaptive", "thm")
 
 
 def _check_fields(v: dict, problems: list[str]):
@@ -109,8 +103,6 @@ def _check_fields(v: dict, problems: list[str]):
         problems.append(f"beta must be a finite number, got {beta!r}")
     elif beta is not None and not beta > 0:
         problems.append("beta must be > 0")
-    if "cutoff_form" in v and v["cutoff_form"] not in _CUTOFF_FORMS:
-        problems.append(f"cutoff_form must be one of {_CUTOFF_FORMS}")
     constants = v.get("constants")
     if "constants" in v and not isinstance(constants, dict):
         problems.append("'constants' must be an object")
@@ -140,6 +132,11 @@ def _check_fields(v: dict, problems: list[str]):
         problems.append("time_limit_s must be > 0 when given")
     elif time_limit is not None and not _is_finite(time_limit):
         problems.append(f"time_limit_s must be a finite number, got {time_limit!r}")
+    # a mode refuses a setting it does not read; the defaults {} and null set nothing
+    for key, owner, given in (("constants", "lepskii", bool(v.get("constants"))),
+                              ("grid", "penalized-bias", v.get("grid") is not None)):
+        if given and mode in _MODES and mode != owner:
+            problems.append(f"{key!r} is read only in {owner} mode")
     if problems:
         raise ValueError(
             "invalid experiment config:\n" + "\n".join(f"  - {p}" for p in problems)
@@ -178,8 +175,9 @@ class ExperimentConfig:
 
     The JSON document has one key per field, named after it, except that
     the lists ns and rhos are written n and rho (the "key" metadata); the
-    fields without a default are the required keys, and `constants` takes
-    the fields of PenaltyConfig.
+    fields without a default are the required keys. Only lepskii mode reads
+    `constants` (the fields of PenaltyConfig), only penalized-bias mode
+    `grid`; other modes refuse them unless they keep the defaults {} and None.
 
     Keyword and JSON construction are checked alike, every bad field in one
     ValueError; nothing is coerced, but rhos, beta and time_limit_s must be
@@ -197,7 +195,6 @@ class ExperimentConfig:
     seed: int
     d: int
     beta: float | None = None
-    cutoff_form: str = "adaptive"
     constants: dict = field(default_factory=dict)
     grid: list[int] | None = None
     time_limit_s: float | None = None
@@ -315,16 +312,12 @@ def fit_slope(log_x, log_y, x_name: str = "log n") -> SlopeFit | None:
     return SlopeFit(slope=float(slope), stderr=stderr, x_name=x_name, n_cells=len(x))
 
 
-def _oracle_cutoff(cfg: ExperimentConfig, n: int, rho: float) -> int:
-    form = optimal_cutoff_adaptive_form if cfg.cutoff_form == "adaptive" else optimal_cutoff_thm
-    return form(n, rho, cfg.beta, cfg.d)
-
-
 def _run_one(cfg, mode, data, rho, rng):
     """Fit one replicate's data per mode; returns (estimate, trace), with
     trace None for an oracle fit."""
     if mode == "oracle":
-        return fit(data, _oracle_cutoff(cfg, len(data), rho), rho, rng), None
+        cutoff = optimal_cutoff_adaptive_form(len(data), rho, cfg.beta, cfg.d)
+        return fit(data, cutoff, rho, rng), None
     if mode == "lepskii":
         return adaptive.lepskii_select(data, rho, cfg.penalty_config(), rng)
     return adaptive.penalized_bias_select(data, rho, cfg.grid, rng)
@@ -441,7 +434,7 @@ def run_adaptivity_experiment(cfg: ExperimentConfig) -> SweepResult:
             "oracle_median_mise": oracle_med,
             "ratio": adaptive_med / oracle_med if oracle_med > 0 else math.inf,
             "selected_cutoffs": selected,
-            "oracle_cutoff": _oracle_cutoff(cfg, n, rho),
+            "oracle_cutoff": optimal_cutoff_adaptive_form(n, rho, cfg.beta, cfg.d),
             "candidate_median_mise": med,
             "best_fixed_M": best,
             "best_fixed_median_mise": med[best],

@@ -166,6 +166,29 @@ def test_lepskii_trace_constants_round_trip_through_penalty_config():
     assert trace.constants == {"mode": "theory", "C": 8192.0, "a": 1.0, "eps": 0.5, "L": 20.0}
 
 
+def test_theory_floor_is_refused_once_its_power_of_two_is_no_float():
+    cfg = PenaltyConfig(mode="theory")
+    assert [cfg.theory_floor(d) for d in (1, 507)] == [2048.0, float(2**1023)]
+    with pytest.raises(ValueError, match=r"^d must be at most 507 .*, got 508$"):
+        cfg.theory_floor(508)
+    with pytest.raises(ValueError, match="got 600"):
+        cfg.resolved_C(600)
+
+
+def test_penalized_trace_constants_rebuild_both_penalties_bit_for_bit():
+    # the JSON trace alone gives Lambda^(1) and Lambda^(2): its constants hold
+    # the two factors, and n, d, rho' and the cut-offs the rest
+    data = np.random.default_rng(3).random((4096, 2))
+    _est, trace = penalized_bias_select(data, 1.0, None, np.random.default_rng(4))
+    doc = json.loads(json.dumps(trace.to_json_dict()))
+    c, n, rho_p = doc["constants"], doc["n"], doc["rho_per_candidate"]
+    assert c == {"lambda1_factor": 96.0, "lambda2_factor": 16.0}
+    size = np.array([float((2 * m + 1) ** doc["d"]) for m in doc["cutoffs"]])
+    lam1 = c["lambda1_factor"] * size / n + c["lambda1_factor"] * size * size / (n * n * rho_p)
+    lam2 = lam1 + c["lambda2_factor"] * size * size / (n * n * rho_p)
+    assert np.array_equal(lam1, doc["lambda1"]) and np.array_equal(lam2, doc["lambda2"])
+
+
 # ---------------------------------------------------------------------------
 # penalties
 # ---------------------------------------------------------------------------

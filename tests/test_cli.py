@@ -172,7 +172,20 @@ def test_fit_refuses_what_float_alone_would_read(tmp_path, capsys, text):
      "Expecting value: line 1 column 10 (char 9)"),
     ("deep.json", b"[" * 10**5 + b"]" * 10**5, ["sample", "{}", "--n", "3", "--out", "s.csv"],
      "maximum recursion depth exceeded"),
-], ids=["fit-not-utf8", "sample-not-json", "experiment-not-json", "sample-json-too-deep"])
+    # a repeated key, at any depth, is refused and named
+    ("u.json", b'{"kind": "uniform", "d": 1, "d": 2}',
+     ["sample", "{}", "--n", "3", "--out", "s.csv"], "repeated key 'd'\n"),
+    ("e.json", b'{"d": 1, "M": 0, "re": [1], "im": [0], "n": 5, "sigma": 0, "rho_spent": null, '
+               b'"n": 6}', ["sample", "{}", "--n", "3", "--out", "s.csv"], "repeated key 'n'\n"),
+    ("cfg.json", b'{"sweeps": {"a": {"density": {"kind": "uniform", "d": 1}, "n": 64, "rho": 1, '
+                 b'"mode": "oracle", "beta": 1, "replicates": 1, "seed": 0, "d": 1, "seed": 1}}}',
+     ["experiment", "{}", "--out-dir", "runs"], "repeated key 'seed'\n"),
+    ("p.json", b'{"kind": "packing", "d": 1, "m": 2, "beta": 1, "L": 2, '
+               b'"theta": [{"x": 1, "x": 2}, 0]}',
+     ["sample", "{}", "--n", "3", "--out", "s.csv"], "repeated key 'x'\n"),
+], ids=["fit-not-utf8", "sample-not-json", "experiment-not-json", "sample-json-too-deep",
+        "density-repeated-key", "estimate-repeated-key", "config-repeated-key",
+        "repeated-key-in-a-list"])
 def test_unreadable_input_file_is_named(tmp_path, capsys, name, content, argv, reason):
     path = tmp_path / name
     path.write_bytes(content)
@@ -709,6 +722,15 @@ def test_print_config_is_valid(capsys):
     assert cfg.mode == "oracle"
     # a template to edit by hand keeps its indented layout
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["oracle", "lepskii", "penalized-bias"])
+def test_print_config_loads_in_every_mode(capsys, mode):
+    # the template writes the defaults {} and null, which every mode accepts
+    assert main(["print-config"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["constants"] == {} and doc["grid"] is None
+    assert ExperimentConfig.from_dict({**doc, "mode": mode}).mode == mode
 
 
 # ---------------------------------------------------------------------------

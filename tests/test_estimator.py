@@ -15,12 +15,12 @@ from privdens.estimator import (
     ProjectionEstimate,
     fit,
     optimal_cutoff_adaptive_form,
-    optimal_cutoff_thm,
     rate_regime,
     theoretical_rate,
 )
 from privdens.fourier import empirical_coefficients, l2_distance_sq
 from privdens.privacy import add_noise, sigma_for_cutoff
+from theory_checks import optimal_cutoff_thm
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def _keyword_cfg(**overrides):
     ({"mode": "bogus"}, "mode must be one of"),
     ({"d": 2}, "density dimension 1 does not match d = 2"),
     ({"replicates": 0}, "replicates must be >= 1"),
-    ({"cutoff_form": "thm-typo"}, "cutoff_form must be one of"),
+    ({"grid": [1, 2]}, "'grid' is read only in penalized-bias mode"),
     ({"ns": 512}, "'n' must be a list"),
     ({"rhos": [1.0, True]}, "every rho must be a number"),
     ({"beta": math.inf}, "beta must be a finite number, got inf"),
@@ -134,6 +134,32 @@ def test_keyword_config_checked_like_json(override, fragment):
     with pytest.raises(ValueError, match="invalid experiment config") as err:
         _keyword_cfg(**override)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("mode, override, refusal", [
+    ("oracle", {"constants": {"C": 5.0, "mode": "theory"}},
+     "'constants' is read only in lepskii mode"),
+    ("penalized-bias", {"constants": {"eps": 0.25}}, "'constants' is read only in lepskii mode"),
+    ("oracle", {"grid": [1, 2]}, "'grid' is read only in penalized-bias mode"),
+    ("lepskii", {"grid": [1, 2]}, "'grid' is read only in penalized-bias mode"),
+])
+def test_config_refuses_a_setting_its_mode_does_not_read(mode, override, refusal):
+    with pytest.raises(ValueError) as err:
+        _keyword_cfg(mode=mode, **override)
+    assert str(err.value) == f"invalid experiment config:\n  - {refusal}"
+    # listed after the bad values, in the same error
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_dict(_trig_cfg(mode=mode, replicates=0, **override))
+    assert str(err.value).endswith(f"  - replicates must be >= 1\n  - {refusal}")
+
+
+def test_config_has_no_cutoff_form():
+    # the oracle cut-off has one form, optimal_cutoff_adaptive_form
+    with pytest.raises(TypeError, match="cutoff_form"):
+        _keyword_cfg(cutoff_form="adaptive")
+    with pytest.raises(ValueError, match="unknown key 'cutoff_form'"):
+        ExperimentConfig.from_dict(_trig_cfg(cutoff_form="adaptive"))
+    assert len(dataclasses.fields(ExperimentConfig)) == 11
 
 
 def test_keyword_config_stores_floats_and_its_truth():

@@ -17,6 +17,8 @@ parser kept here as a reference. Runs are derandomized with small example
 counts, so the suite stays deterministic and fast.
 """
 
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -134,7 +136,6 @@ KEYWORDS = {
     "seed": st.one_of(st.just(0), JSON),
     "d": st.one_of(st.just(1), JSON),
     "beta": st.one_of(st.just(1.0), JSON),
-    "cutoff_form": st.one_of(st.just("thm"), JSON),
     "constants": st.one_of(
         st.fixed_dictionaries({}, optional={"C": JSON, "a": JSON, "eps": JSON, "mode": JSON}),
         JSON,
@@ -345,6 +346,38 @@ def test_fit_of_generated_points_files_exits_cleanly(tmp_path_factory, data):
     assert code in (0, 1, 2)
     if code == 0:
         assert ProjectionEstimate.from_json_dict(json.loads((tmp / "e.json").read_text())).n >= 1
+
+
+# Every kind of fit. On a wide points file each meets a size cap, and theory
+# mode also its floor C >= 2^(2d+9), which is no float past d = 507.
+FIT_MODES = {
+    "fixed": ["--M", "1"],
+    "fixed-private": ["--M", "1", "--rho", "1"],
+    "tuned": ["--beta", "1"],
+    "tuned-private": ["--beta", "1", "--rho", "1"],
+    "penalized-bias": ["--adaptive", "penalized-bias", "--rho", "1"],
+    "lepskii": ["--adaptive", "lepskii", "--rho", "1"],
+    "lepskii-theory": ["--adaptive", "lepskii", "--rho", "1", "--constants-mode", "theory"],
+}
+
+
+@settings(FUZZ, max_examples=30)
+@given(st.sampled_from(sorted(FIT_MODES)), st.integers(1, 4), st.integers(1, 2000),
+       st.booleans())
+@example(mode="lepskii-theory", n=3, d=600, trace=False)
+def test_fit_of_wide_points_files_exits_cleanly(tmp_path_factory, mode, n, d, trace):
+    # every mode ends in an estimate or a message, and a refusal leaves no file
+    tmp = tmp_path_factory.mktemp("wide")
+    data, out, trace_path = tmp / "pts.csv", tmp / "e.json", tmp / "t.json"
+    data.write_text((",".join(["%.17g"] * d) + "\n") * n
+                    % tuple(np.random.default_rng(d).random(n * d)), encoding="utf-8")
+    argv = ["fit", str(data), "--out", str(out), *FIT_MODES[mode]]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = exit_code(argv + (["--trace", str(trace_path)] if trace else []))
+    assert code in (0, 1, 2) and "Traceback" not in stderr.getvalue()
+    if code != 0:
+        assert not out.exists() and not trace_path.exists()
 
 
 # Cells whose surrounding whitespace float() and np.loadtxt might strip

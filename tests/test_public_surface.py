@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from privdens import adaptive, densities, estimator, fourier, privacy
+from theory_checks import optimal_cutoff_thm
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("fourier", "privacy", "estimator", "adaptive", "densities", "experiments", "cli")
@@ -60,6 +61,14 @@ def test_no_public_name_is_test_only():
         for layer in LAYERS
     }
     assert not any(test_only.values()), f"exported but read only by tests: {test_only}"
+
+
+def test_the_theorem_cutoff_form_is_not_exported():
+    # the package tunes with one form; the theorem's lives in tests/theory_checks.py
+    import privdens
+
+    assert not hasattr(privdens, "optimal_cutoff_thm")
+    assert not hasattr(estimator, "optimal_cutoff_thm")
 
 
 def test_import_loads_no_scipy():
@@ -149,7 +158,7 @@ ARGUMENTS = [
     ("fit", "cutoff", "integer", 2, lambda v: estimator.fit(_PTS, v).to_json_dict()),
     ("fit", "rho", "real", 0.5,
      lambda v: estimator.fit(_PTS, 2, v, np.random.default_rng(0)).to_json_dict()),
-    *_rate_cases("optimal_cutoff_thm", estimator.optimal_cutoff_thm),
+    *_rate_cases("optimal_cutoff_thm", optimal_cutoff_thm),
     *_rate_cases("optimal_cutoff_adaptive_form", estimator.optimal_cutoff_adaptive_form),
     *_rate_cases("theoretical_rate", estimator.theoretical_rate),
     *_rate_cases("rate_regime", estimator.rate_regime),

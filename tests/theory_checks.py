@@ -1,20 +1,25 @@
-"""Numerical checks of two bounds behind the Lepskii rule's analysis.
+"""Numerical checks of two bounds behind the Lepskii rule's analysis, and
+the theorem's form of the tuned cut-off.
 
-Neither is part of the estimator: acceptance criteria 11 and 12 and their
-unit tests import them from here.
+None is part of the estimator: acceptance criteria 11 and 12 and the unit
+tests import them from here.
 
 * risk_series_sum and risk_series_bound: the sum of the rate over the
   Lepskii candidate grid and its proven cap (criterion 11).
 * chi2_tail_check: a Monte-Carlo check of the chi-squared tail bound
   (criterion 12).
+* optimal_cutoff_thm: the 2^d-factor convention of the tuned cut-off, which
+  the package does not tune with; the tests pin where it disagrees with
+  estimator.optimal_cutoff_adaptive_form.
 """
 
 import math
 
 import numpy as np
 
+from privdens import privacy
 from privdens.adaptive import build_beta_grid
-from privdens.estimator import theoretical_rate
+from privdens.estimator import _cutoff_args, _floor_pow, theoretical_rate
 from privdens.privacy import as_rho
 
 
@@ -68,3 +73,18 @@ def chi2_tail_check(D: int, delta: float, R: int, rng=None, sigma: float = 1.0) 
             f"(bound {bound}, D={D}, delta={delta}, R={R})"
         )
     return result
+
+
+def optimal_cutoff_thm(n: int, rho, beta: float, d: int) -> int:
+    """Tuned cut-off, 2^d-factor convention.
+
+    M + 1 = min{ floor((n/2^d)^(1/(2 beta+d))),
+                 floor((n sqrt(rho)/2^d)^(1/(beta+d))) },
+    returned as M, clamped to 0 when the floor drops below 1.
+    """
+    n, beta, d = _cutoff_args(n, beta, d)
+    rho_v = privacy.as_rho(rho)
+    scale = float(2**d)
+    samp = _floor_pow(n / scale, 1.0 / (2.0 * beta + d))
+    priv = _floor_pow(n * math.sqrt(rho_v) / scale, 1.0 / (beta + d))
+    return max(0, min(samp, priv) - 1)

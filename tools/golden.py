@@ -112,6 +112,7 @@ ROUND_TRIP = [
 _OK = {"density": {"kind": "uniform", "d": 1}, "n": [64], "rho": [1.0], "mode": "oracle",
        "replicates": 1, "seed": 0, "d": 1, "beta": 1.0}
 _POINTS = "".join(f"{(i * 0.6180339887498949) % 1:.17g}\n" for i in range(1, 101))
+_WIDE = (",".join(["0.5"] * 600) + "\n") * 3  # 3 points in d = 600
 
 
 def _config(**changes) -> str:
@@ -236,6 +237,14 @@ FAILURES = [
      ["fit", "pts.csv", "--M", "2", "--out", "est.json"]),
     ("sample_density_not_json", {"t.json": '{"kind": '}, _SAMPLE_TRIG),
     ("config_not_json", {"cfg.json": '{"kind": '}, _EXPERIMENT),
+    ("sample_density_repeated_key", {"t.json": '{"kind": "uniform", "d": 1, "d": 2}'},
+     _SAMPLE_TRIG),
+    ("sample_estimate_repeated_key", {"t.json": '{"d": 1, "M": 0, "re": [1], "im": [0], '
+                                                '"n": 5, "n": 6, "sigma": 0, "rho_spent": null}'},
+     _SAMPLE_TRIG),
+    # sweep "b" names its seed twice
+    ("config_repeated_key", {"cfg.json": _two_sweeps()[:-3] + ', "seed": 1}}}'}, _EXPERIMENT),
+    ("fit_lepskii_theory_d600", {"pts.csv": _WIDE}, [*_LEPSKII, "--constants-mode", "theory"]),
 ]
 
 
