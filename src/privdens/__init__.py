@@ -58,7 +58,6 @@ from .fourier import (
     evaluate,
     l2_distance_sq,
     multi_indices,
-    project,
 )
 from .privacy import (
     BudgetLedger,
@@ -77,7 +76,6 @@ __all__ = [
     "CoefficientGrid",
     "multi_indices",
     "empirical_coefficients",
-    "project",
     "evaluate",
     "l2_distance_sq",
     # privacy

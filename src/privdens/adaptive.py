@@ -26,11 +26,12 @@ Penalized estimated bias
     each comparison discounted by a variance penalty Lambda^(1); selection
     minimizes estimated bias plus Lambda^(2). Ties break to the smallest M.
 
-Both rules run one driver, _select. It cuts each candidate's cube from the
-master coefficients by one column map, fourier._within, releases every
-candidate (so every call is private and needs a seeded generator) into one
-candidate matrix and picks the winner with the rule's decision on what the
-rule's score measured on it, the same code SelectionTrace.replay() runs.
+Both rules run one driver, _select. It checks its arguments once; per
+cut-off it cuts the cube from the master coefficients by one column map,
+fourier._within, and computes one sigma; per candidate it makes one add_noise
+draw and one ledger charge (so every call is private and needs a seeded
+generator). The rule's decision on what its score measured, the code
+SelectionTrace.replay() runs, picks the winner.
 Both return the chosen estimate and a SelectionTrace of the release and the
 rule's evidence, so the choice can be replayed and audited offline. More than
 _MAX_CANDIDATES Lepskii candidates, or more than fourier._MAX_COEFFICIENTS
@@ -39,19 +40,15 @@ coefficients over all candidates, are refused before any noise is drawn.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import privacy
-from .estimator import (
-    ProjectionEstimate,
-    _release,
-    optimal_cutoff_adaptive_form,
-    theoretical_rate,
-)
+from .estimator import ProjectionEstimate, _cutoff, _rate_branches
 from .fourier import (
     CoefficientGrid,
     _MAX_COEFFICIENTS,
@@ -106,11 +103,11 @@ def build_beta_grid(n, eps: float) -> tuple[float, ...]:
 
 def _lepskii_budget(n, rho: float, eps: float) -> tuple[tuple[float, ...], float]:
     """The Lepskii beta grid and the budget rho'_n = min(rho eps / (log n)^2,
-    rho / k_n) each of its k_n candidates is released at."""
+    rho / k_n) each of its k_n candidates is released at, checked > 0."""
     betas = build_beta_grid(n, eps)
     ln = math.log(n)
     # k_n is clamped up to 1 when eps > (log n)^2; rho / k_n caps the total at rho
-    return betas, min(rho * eps / (ln * ln), rho / len(betas))
+    return betas, privacy.as_rho(min(rho * eps / (ln * ln), rho / len(betas)))
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,8 @@ class SelectionTrace:
     `replay()` runs that decision on the stored evidence, the code the
     selector itself decided by, so it reproduces `selected_index` exactly
     and follows any edit of what was measured.
-    Candidate estimates are attached for in-process consumers but excluded
-    from JSON.
+    The candidates, for in-process consumers and not in JSON, are `blocks`,
+    one (M, values) per run of equal cut-offs, read as `candidates`.
     """
 
     method: str
@@ -199,7 +196,14 @@ class SelectionTrace:
     selected_index: int
     selected_cutoff: int
     ledger: privacy.BudgetLedger
-    candidates: list[ProjectionEstimate] | None = field(default=None, repr=False)
+    blocks: list[tuple[int, np.ndarray]] = field(repr=False)
+
+    @property
+    def candidates(self) -> list[ProjectionEstimate]:
+        """Each candidate as released at rho_per_candidate, charged to ledger."""
+        rows = [CoefficientGrid(self.d, M, row) for M, block in self.blocks for row in block]
+        return [ProjectionEstimate(grid, self.n, sigma, self.rho_per_candidate, self.ledger)
+                for grid, sigma in zip(rows, self.sigmas)]
 
     def replay(self) -> int:
         if self.method not in _DECISIONS:
@@ -225,15 +229,16 @@ class SelectionTrace:
 
 
 def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, score):
-    """The release and decision of both rules.
+    """The release and decision of both rules, at a checked rho_prime.
 
     cols[M] = fourier._within(M, top, d) lists the columns of cube M in the
-    master's cube. Candidate m, the master at cols[cutoffs[m]], is released
-    (estimator._release) at rho_prime in candidate order, charged to one fresh
-    ledger as label.format(m=m, cutoff=M), and written at those columns into
-    row m of one zero (k, K_top) matrix. score(cands, cols) returns what the
-    rule measures on it; the method's decision picks the winner and derives
-    the rest of the evidence. The winner is returned with rho_spent = spent.
+    master's cube. A run of equal cut-offs M has one sigma (sigma_for_cutoff's
+    formula); per candidate m in order, the master at cols[M] plus one
+    privacy.add_noise draw goes into row m of one zero (k, K_top) matrix at
+    those columns, charged to one fresh ledger as label.format(m=m, cutoff=M).
+    The trace keeps the run's (r, (2M+1)^d) block, not the matrix, which
+    score(cands, cols) measures; the method's decision picks the winner and
+    derives the rest of the evidence. The winner has rho_spent = spent.
     """
     if rng is None:
         raise ValueError("a seeded rng is required for a private selection")
@@ -244,23 +249,27 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
         f"{len(cutoffs)} candidates up to M = {top} in d = {d} hold {size} coefficients"))
     master = empirical_coefficients(pts, top)
     cols = {M: _within(M, top, d) for M in set(cutoffs)}
-    ledger = privacy.BudgetLedger()
-    estimates = [_release(CoefficientGrid(d, M, master.values[cols[M]]), n, rho_prime, rng,
-                          ledger, label.format(m=m, cutoff=M)) for m, M in enumerate(cutoffs)]
-    sigmas = [e.sigma for e in estimates]
+    ledger, blocks, sigmas = privacy.BudgetLedger(), [], []
     cands = np.zeros((len(cutoffs), master.size), dtype=complex)
-    for row, e in zip(cands, estimates):
-        row[cols[e.cutoff]] = e.coefficients.values
+    for M, run in itertools.groupby(range(len(cutoffs)), cutoffs.__getitem__):
+        ms, grid = list(run), CoefficientGrid(d, M, master.values[cols[M]])
+        sigma = privacy._sigma(n, grid.size, rho_prime)
+        for m in ms:
+            cands[m, cols[M]] = privacy.add_noise(grid, sigma, rng).values
+            ledger.charge(label.format(m=m, cutoff=M), rho_prime)
+        blocks.append((M, cands[ms[0] : ms[-1] + 1].take(cols[M], axis=1)))
+        sigmas += [sigma] * len(ms)
     measured = score(cands, cols)
     selected, derived = _DECISIONS[method](measured, sigmas, cutoffs, d)
+    winner = CoefficientGrid(d, cutoffs[selected], cands[selected, cols[cutoffs[selected]]])
     trace = SelectionTrace(
         method=method, n=n, d=d, rho=rho, rho_per_candidate=rho_prime, rho_spent=spent,
         constants=constants, cutoffs=list(cutoffs), sigmas=sigmas,
         evidence={**measured, **derived},
         selected_index=selected, selected_cutoff=cutoffs[selected], ledger=ledger,
-        candidates=estimates,
+        blocks=blocks,
     )
-    return replace(estimates[selected], rho_spent=spent), trace
+    return ProjectionEstimate(winner, n, sigmas[selected], spent, ledger), trace
 
 
 def _pairwise_sq_distances(a: np.ndarray) -> np.ndarray:
@@ -338,12 +347,12 @@ def lepskii_select(
     c_val = cfg.resolved_C(d)
     ln = math.log(n)
     betas, rho_prime = _lepskii_budget(n, rho_v, cfg.eps)
-    cutoffs = [optimal_cutoff_adaptive_form(n, rho_prime, beta, d) for beta in betas]
+    cutoffs = [_cutoff(float(n), rho_prime, beta, d) for beta in betas]
     try:
         scale = c_val * ln**cfg.a
     except OverflowError:  # a large a: the threshold is infinite and accepts every candidate
         scale = math.inf
-    thresholds = np.array([scale * theoretical_rate(n, rho_prime, beta, d) for beta in betas])
+    thresholds = np.array([scale * max(_rate_branches(float(n), rho_prime, b, d)) for b in betas])
 
     def score(cands, _cols):
         return dict(betas=list(betas), distances=_pairwise_sq_distances(cands),
@@ -421,7 +430,7 @@ def penalized_bias_select(
         raise ValueError(f"the cut-off grid must be a nonempty list of integers >= 0, got {grid!r}")
     grid = sorted(set(int(m) for m in grid))
     g = len(grid)
-    rho_prime = rho_v / g
+    rho_prime = privacy.as_rho(rho_v / g)
 
     def score(cands, cols):
         """proj_distances[i, j] = ||proj_{M_j}(cands[i]) - cands[j]||^2 and

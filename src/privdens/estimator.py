@@ -71,10 +71,15 @@ def optimal_cutoff_adaptive_form(n: int, rho, beta: float, d: int) -> int:
     rho=None (not private) it is the sampling branch floor(n^(1/(2 beta+d))).
     """
     n, beta, d = _cutoff_args(n, beta, d)
+    return _cutoff(n, None if rho is None else privacy.as_rho(rho), beta, d)
+
+
+def _cutoff(n: float, rho: float | None, beta: float, d: int) -> int:
+    """optimal_cutoff_adaptive_form on checked arguments, n a float."""
     samp = _floor_pow(n, 1.0 / (2.0 * beta + d))
     if rho is None:
         return samp
-    priv = _floor_pow(n * math.sqrt(privacy.as_rho(rho)), 1.0 / (beta + d))
+    priv = _floor_pow(n * math.sqrt(rho), 1.0 / (beta + d))
     return max(0, min(samp, priv))
 
 
@@ -138,15 +143,13 @@ class ProjectionEstimate:
         return cls(grid, n, float(sigma), None if rho is None else float(rho))
 
 
-def _rate_branches(n: int, rho, beta: float, d: int) -> tuple[float, float]:
+def _rate_branches(n: float, rho: float, beta: float, d: int) -> tuple[float, float]:
     """The sampling rate n^(-2b/(2b+d)) and the privacy rate
-    (n sqrt(rho))^(-2b/(b+d)) that make up r_{n,rho}(beta)."""
-    n, beta, d = _cutoff_args(n, beta, d)
-    rho_v = privacy.as_rho(rho)
+    (n sqrt(rho))^(-2b/(b+d)) that make up r_{n,rho}(beta), on checked arguments."""
     # -2b/(2b+d) and -2b/(b+d) to the bit, arranged so that no intermediate
     # overflows when b is near the float maximum
     sampling = n ** (-beta / (beta + d / 2.0))
-    private = (n * math.sqrt(rho_v)) ** (-2.0 * (beta / (beta + d)))
+    private = (n * math.sqrt(rho)) ** (-2.0 * (beta / (beta + d)))
     return sampling, private
 
 
@@ -156,23 +159,16 @@ def theoretical_rate(n: int, rho, beta: float, d: int) -> float:
     The first branch is the classical sampling rate, the second the privacy
     rate; whichever is larger limits the achievable squared error.
     """
-    return max(_rate_branches(n, rho, beta, d))
+    n, beta, d = _cutoff_args(n, beta, d)
+    return max(_rate_branches(n, privacy.as_rho(rho), beta, d))
 
 
 def rate_regime(n: int, rho, beta: float, d: int) -> str:
     """Which branch of the rate is active: "sampling" or "privacy".
     Ties (within float equality) report "sampling"."""
-    sampling, private = _rate_branches(n, rho, beta, d)
+    n, beta, d = _cutoff_args(n, beta, d)
+    sampling, private = _rate_branches(n, privacy.as_rho(rho), beta, d)
     return "privacy" if private > sampling else "sampling"
-
-
-def _release(grid, n, rho, rng, ledger, label) -> ProjectionEstimate:
-    """The Gaussian release of grid: noise at sigma_for_cutoff(n, rho, M, d),
-    drawn through privacy.add_noise and charged rho to ledger as label."""
-    sigma = privacy.sigma_for_cutoff(n, rho, grid.cutoff, grid.dim)
-    noisy = privacy.add_noise(grid, sigma, rng)
-    ledger.charge(label, rho)
-    return ProjectionEstimate(noisy, n, sigma=sigma, rho_spent=rho, ledger=ledger)
 
 
 def fit(
@@ -195,4 +191,7 @@ def fit(
     rho = privacy.as_rho(budget)
     if rng is None:
         raise ValueError("a seeded rng is required for a private fit")
-    return _release(grid, n, rho, rng, ledger, f"fit (M={cutoff}, d={d})")
+    sigma = privacy.sigma_for_cutoff(n, rho, grid.cutoff, d)
+    noisy = privacy.add_noise(grid, sigma, rng)
+    ledger.charge(f"fit (M={cutoff}, d={d})", rho)
+    return ProjectionEstimate(noisy, n, sigma=sigma, rho_spent=rho, ledger=ledger)

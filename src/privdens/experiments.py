@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -112,7 +113,11 @@ def _check_fields(v: dict, problems: list[str]):
         problems += unknown
         if not unknown:
             try:
-                PenaltyConfig(**constants)
+                penalty = PenaltyConfig(**constants)
+                if mode == "lepskii" and d is not None:
+                    with warnings.catch_warnings():  # eps > 1/2 warns once, when the sweep runs
+                        warnings.simplefilter("ignore")
+                        penalty.resolved_C(d)
             except ValueError as exc:
                 problems.append(f"bad constants: {exc}")
     grid = typed("grid", lambda g: isinstance(g, list) and g and all(map(_is_int, g)),
@@ -361,9 +366,13 @@ def _sweep(cfg: ExperimentConfig, truth, compare: bool = False):
                 )
                 records.append(rec)
                 cell_records.append(rec)
-                if compare and trace is not None:
-                    for m_val, cand in zip(trace.cutoffs, trace.candidates):
-                        candidate_mises.setdefault(m_val, []).append(mise(cand, truth))
+                if compare and trace is not None and isinstance(truth, TrigDensity):
+                    for m_val, block in trace.blocks:  # one Parseval sum per block, mise's bits
+                        candidate_mises.setdefault(m_val, []).extend(
+                            fourier._sq_distances(block, m_val, truth.coefficients).tolist())
+                elif compare and trace is not None:
+                    for cand in trace.candidates:
+                        candidate_mises.setdefault(cand.cutoff, []).append(mise(cand, truth))
         if cell_records:
             cells.append((n, rho, cell_records, candidate_mises))
     return records, cells

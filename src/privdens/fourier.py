@@ -60,7 +60,6 @@ __all__ = [
     "as_points",
     "multi_indices",
     "empirical_coefficients",
-    "project",
     "l2_distance_sq",
     "evaluate",
     "evaluate_complex",
@@ -380,32 +379,22 @@ def _within(cutoff: int, outer: int, dim: int) -> np.ndarray:
     return positions
 
 
-def project(grid: CoefficientGrid, cutoff: int) -> CoefficientGrid:
-    """Restrict or zero-pad a grid to a new cut-off, in new memory.
-
-    cutoff <= grid.cutoff restricts to the central block; cutoff > grid.cutoff
-    embeds the grid in a larger one with zeros outside. Projection onto the
-    span of the first (2M'+1)^d basis functions in coefficient space.
-    """
-    cutoff, d, size = _cube(cutoff, grid.dim)
-    if cutoff <= grid.cutoff:
-        return CoefficientGrid(d, cutoff, grid.values[_within(cutoff, grid.cutoff, d)])
-    values = np.zeros(size, dtype=complex)
-    values[_within(grid.cutoff, cutoff, d)] = grid.values
-    return CoefficientGrid(d, cutoff, values)
-
-
 def l2_distance_sq(a: CoefficientGrid, b: CoefficientGrid) -> float:
-    """Squared L2([0,1]^d) distance of the associated trig polynomials.
-
-    Parseval: sum_k |a_k - b_k|^2 over the larger cube, the smaller grid
-    zero-padded and subtracted from the larger (the same bits in either order).
-    """
+    """Squared L2([0,1]^d) distance of the associated trig polynomials: by
+    Parseval, sum_k |a_k - b_k|^2 over the larger cube, the same bits in either order."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    big, small = (a, b) if a.cutoff >= b.cutoff else (b, a)
-    diff = big.values - project(small, big.cutoff).values
-    return float(np.sum(diff.real**2 + diff.imag**2))
+    return float(_sq_distances(a.values[None], a.cutoff, b)[0])
+
+
+def _sq_distances(rows: np.ndarray, cutoff: int, other: CoefficientGrid) -> np.ndarray:
+    """l2_distance_sq from other to each row of rows, an (r, (2M+1)^d) block of
+    grids at cut-off M = cutoff: one Parseval sum per row over the larger cube."""
+    top = max(cutoff, other.cutoff)
+    diff = np.zeros((len(rows), _cube(top, other.dim)[2]), dtype=complex)
+    diff[:, _within(cutoff, top, other.dim)] = rows
+    diff[:, _within(other.cutoff, top, other.dim)] -= other.values
+    return np.sum(diff.real**2 + diff.imag**2, axis=1)
 
 
 def _folded(grid: CoefficientGrid) -> np.ndarray:

@@ -85,7 +85,11 @@ def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> float:
     """
     n = _integer("n", n, 1)
     _, _, size = _cube(cutoff, dim)
-    rho = as_rho(budget)
+    return _sigma(n, size, as_rho(budget))
+
+
+def _sigma(n: int, size: int, rho: float) -> float:
+    """sigma_for_cutoff's formula on checked arguments, size = (2M+1)^d."""
     return 2.0 * math.sqrt(size) / (n * math.sqrt(rho))
 
 

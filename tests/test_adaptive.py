@@ -12,8 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from privdens import adaptive, privacy
 from privdens.adaptive import (
     PenaltyConfig,
+    SelectionTrace,
     _pairwise_sq_distances,
     build_beta_grid,
     dyadic_cutoff_grid,
@@ -22,11 +24,21 @@ from privdens.adaptive import (
     penalty_lambda1,
     penalty_lambda2,
 )
-from privdens.estimator import fit, optimal_cutoff_adaptive_form
-from privdens.fourier import CoefficientGrid, empirical_coefficients, multi_indices, project
+from privdens.estimator import (
+    ProjectionEstimate,
+    fit,
+    optimal_cutoff_adaptive_form,
+    theoretical_rate,
+)
+from privdens.fourier import (
+    CoefficientGrid,
+    _within,
+    empirical_coefficients,
+    multi_indices,
+)
 from privdens.densities import TrigDensity, make_trig_density, rejection_sample
 from privdens.privacy import sigma_for_cutoff
-from theory_checks import risk_series_bound, risk_series_sum
+from theory_checks import project, risk_series_bound, risk_series_sum
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +562,107 @@ def test_lepskii_release_peak_memory_is_about_one_candidate_matrix():
     matrix_bytes = len(trace.cutoffs) * (2 * max(trace.cutoffs) + 1) * 16
     assert (len(trace.cutoffs), max(trace.cutoffs)) == (188, 843)
     assert peak <= 1.5 * matrix_bytes
+
+
+def _select_per_candidate(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label,
+                          score):
+    """adaptive._select as it was before the candidates were released in
+    blocks, kept as the reference: per candidate one checked
+    sigma_for_cutoff, add_noise, ledger charge and ProjectionEstimate, each
+    written at its columns into one zero (k, K_top) matrix."""
+    n, d = pts.shape
+    top = max(cutoffs)
+    master = empirical_coefficients(pts, top)
+    cols = {M: _within(M, top, d) for M in set(cutoffs)}
+    ledger = privacy.BudgetLedger()
+    estimates = []
+    for m, M in enumerate(cutoffs):
+        sigma = sigma_for_cutoff(n, rho_prime, M, d)
+        noisy = privacy.add_noise(CoefficientGrid(d, M, master.values[cols[M]]), sigma, rng)
+        ledger.charge(label.format(m=m, cutoff=M), rho_prime)
+        estimates.append(ProjectionEstimate(noisy, n, sigma, rho_prime, ledger))
+    cands = np.zeros((len(cutoffs), master.size), dtype=complex)
+    for row, e in zip(cands, estimates):
+        row[cols[e.cutoff]] = e.coefficients.values
+    measured = score(cands, cols)
+    sigmas = [e.sigma for e in estimates]
+    selected, derived = adaptive._DECISIONS[method](measured, sigmas, cutoffs, d)
+    trace = SelectionTrace(
+        method=method, n=n, d=d, rho=rho, rho_per_candidate=rho_prime, rho_spent=spent,
+        constants=constants, cutoffs=list(cutoffs), sigmas=sigmas,
+        evidence={**measured, **derived},
+        selected_index=selected, selected_cutoff=cutoffs[selected], ledger=ledger,
+        blocks=[(e.cutoff, e.coefficients.values[None]) for e in estimates],
+    )
+    return dataclasses.replace(estimates[selected], rho_spent=spent), trace
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("method", sorted(_SELECTORS))
+@pytest.mark.parametrize("d, n", [(1, 2000), (2, 2000), (3, 1500)])
+def test_blocked_release_matches_the_per_candidate_reference_bit_for_bit(method, d, n,
+                                                                         monkeypatch):
+    select, _label = _SELECTORS[method]
+    truth = make_trig_density(2.0, 2.0, 3, d=d, rng=np.random.default_rng(100 + d))
+    data = rejection_sample(truth, n, np.random.default_rng(101))
+    est, trace = select(data, np.random.default_rng(102))
+    monkeypatch.setattr(adaptive, "_select", _select_per_candidate)
+    ref_est, ref = select(data, np.random.default_rng(102))
+    assert (est.cutoff, est.n, est.sigma, est.rho_spent) == (
+        ref_est.cutoff, ref_est.n, ref_est.sigma, ref_est.rho_spent)
+    assert np.array_equal(_bits(est.coefficients.values), _bits(ref_est.coefficients.values))
+    assert est.ledger is trace.ledger
+    assert _bits(trace.sigmas).tolist() == _bits(ref.sigmas).tolist()
+    assert trace.ledger.entries == ref.ledger.entries
+    assert json.dumps(trace.to_json_dict()) == json.dumps(ref.to_json_dict())
+    assert len(trace.candidates) == len(ref.candidates) == len(trace.cutoffs)
+    for cand, ref_cand in zip(trace.candidates, ref.candidates):
+        assert (cand.cutoff, cand.dim, cand.n, cand.sigma, cand.rho_spent) == (
+            ref_cand.cutoff, ref_cand.dim, ref_cand.n, ref_cand.sigma, ref_cand.rho_spent)
+        assert np.array_equal(_bits(cand.coefficients.values),
+                              _bits(ref_cand.coefficients.values))
+        assert cand.ledger is trace.ledger
+    # one C-ordered block per run of equal cut-offs
+    runs = [M for i, M in enumerate(trace.cutoffs) if i == 0 or M != trace.cutoffs[i - 1]]
+    assert [M for M, _block in trace.blocks] == runs
+    assert all(block.flags.c_contiguous for _M, block in trace.blocks)
+
+
+@pytest.mark.parametrize("d, n", [(1, 2**14), (2, 4096), (3, 4096)])
+def test_lepskii_grid_cores_match_the_checked_formulas_bit_for_bit(d, n):
+    # the unchecked cores of the grid give the public functions' bits
+    data = np.random.default_rng(103).random((n, d))
+    _est, trace = lepskii_select(data, 1.0, PenaltyConfig(a=1.5), np.random.default_rng(104))
+    betas, rho_p, c = trace.evidence["betas"], trace.rho_per_candidate, trace.constants
+    assert trace.cutoffs == [optimal_cutoff_adaptive_form(n, rho_p, b, d) for b in betas]
+    thresholds = [c["C"] * math.log(n) ** c["a"] * theoretical_rate(n, rho_p, b, d)
+                  for b in betas]
+    assert np.array_equal(_bits(trace.evidence["thresholds"]), _bits(thresholds))
+
+
+def test_lepskii_trace_retains_its_blocks_not_the_padded_matrix():
+    # d = 3, n = 4096: 138 candidates with cut-offs 1..6 hold sum K_m complex
+    # values, 0.58 MB; the zero-padded (k, K_top) matrix is 4.9 MB. The trace
+    # keeps the blocks, the distance rows the scan read (here all 138, 0.15 MB)
+    # and small lists.
+    truth = make_trig_density(2.0, 2.0, M_truth=4, d=3, rng=np.random.default_rng(31))
+    data = rejection_sample(truth, 4096, np.random.default_rng(8))
+    tracemalloc.start()
+    try:
+        est, trace = lepskii_select(data, 1.0, rng=np.random.default_rng(9))
+        del est
+        cutoffs, read_bytes = trace.cutoffs, trace.evidence["distances"].nbytes
+        held = tracemalloc.get_traced_memory()[0]
+        del trace
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 16 * sum((2 * c + 1) ** 3 for c in cutoffs)
+    assert len(cutoffs) == 138 and max(cutoffs) == 6
+    assert block_bytes <= retained <= 1.25 * block_bytes + read_bytes
 
 
 # ---------------------------------------------------------------------------

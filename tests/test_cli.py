@@ -668,6 +668,10 @@ def test_experiment_sweeps_list_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("second, fragment", [
     ({"mode": "lepskii"}, "sweep 'b': adaptivity experiments need 'beta'"),
     ({"mode": "oracle", "beta": 1.0, "constants": {"eps": -1}}, "eps must be > 0"),
+    ({"mode": "lepskii", "beta": 1.0, "constants": {"mode": "theory", "a": 0.5}},
+     "sweep 'b': invalid experiment config:\n  - bad constants: theory mode requires a >= 1"),
+    ({"mode": "lepskii", "beta": 1.0, "constants": {"mode": "theory", "C": 5.0}},
+     "bad constants: theory mode requires C >= max(8 L^2, 2^(2d+9)) = 2048.0"),
 ])
 def test_experiment_checks_every_sweep_before_running_any(tmp_path, capsys, second, fragment):
     common = {"density": {"kind": "uniform", "d": 1}, "n": 64, "rho": 1.0, "replicates": 1,

@@ -36,8 +36,8 @@ from privdens.fourier import (
     empirical_coefficients,
     l2_distance_sq,
     multi_indices,
-    project,
 )
+from theory_checks import project
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from privdens import densities, fourier
+from privdens import adaptive, densities, fourier
 from privdens.densities import (
     TrigDensity,
     make_packing_density,
@@ -30,6 +30,7 @@ from privdens.experiments import (
     _FrozenDict,
     _FrozenList,
     _recast,
+    _sweep,
     fit_slope,
     mise,
     run_adaptivity_experiment,
@@ -151,6 +152,17 @@ def test_config_refuses_a_setting_its_mode_does_not_read(mode, override, refusal
     with pytest.raises(ValueError) as err:
         ExperimentConfig.from_dict(_trig_cfg(mode=mode, replicates=0, **override))
     assert str(err.value).endswith(f"  - replicates must be >= 1\n  - {refusal}")
+
+
+def test_lepskii_config_runs_the_theory_checks_and_warns_only_when_it_runs():
+    # resolved_C(d) refuses theory-mode constants when the config is built;
+    # its eps > 1/2 warning comes from the sweep alone (warnings are errors here)
+    with pytest.raises(ValueError, match="bad constants: theory mode requires a >= 1"):
+        _keyword_cfg(mode="lepskii", constants={"mode": "theory", "a": 0.5})
+    cfg = _keyword_cfg(mode="lepskii", replicates=1, constants={"mode": "theory", "eps": 0.6})
+    with pytest.warns(UserWarning, match="eps > 1/2") as caught:
+        run_adaptivity_experiment(cfg)
+    assert len(caught) == 1
 
 
 def test_config_has_no_cutoff_form():
@@ -326,6 +338,36 @@ def test_mise_packing_truth_quadrature_route():
     diff = fourier.evaluate(est.coefficients, lattice) - truth.evaluate(lattice)
     assert err == pytest.approx(float(np.mean(diff * diff)), rel=1e-12)
     assert err >= 0.0
+
+
+@pytest.mark.parametrize("mode", ["lepskii", "penalized-bias"])
+@pytest.mark.parametrize("d, n, m_truth", [(1, 2000, 4), (2, 2000, 4), (3, 4096, 2)])
+def test_compare_mode_candidate_mises_are_mise_bit_for_bit(monkeypatch, mode, d, n, m_truth):
+    # compare mode scores a trig truth one block at a time; every candidate's
+    # MISE keeps the bits of mise(), with cut-offs below, at and above M_truth
+    truth = make_trig_density(2.0, 2.0, M_truth=m_truth, d=d, rng=np.random.default_rng(d))
+    traces, name = [], mode.replace("-", "_") + "_select"
+    select = getattr(adaptive, name)
+
+    def tapped(*args):
+        est, trace = select(*args)
+        traces.append(trace)
+        return est, trace
+
+    monkeypatch.setattr(adaptive, name, tapped)
+    cfg = ExperimentConfig(density=truth.to_json_dict(), ns=[n], rhos=[1.0], mode=mode,
+                           replicates=1, seed=d, d=d, beta=2.0)
+    _records, [(_n, _rho, _recs, scored)] = _sweep(cfg, truth, compare=True)
+    (trace,) = traces
+    assert min(trace.cutoffs) < m_truth < max(trace.cutoffs) and m_truth in trace.cutoffs
+    direct = {}
+    for cand in trace.candidates:
+        direct.setdefault(cand.cutoff, []).append(mise(cand, truth))
+    assert list(scored) == list(direct)
+    for m_val, errs in scored.items():
+        assert all(type(err) is float for err in errs)
+        assert (np.array(errs).view(np.uint64).tolist()
+                == np.array(direct[m_val]).view(np.uint64).tolist())
 
 
 def test_mise_rejects_unknown_truth():

@@ -29,8 +29,8 @@ from privdens.fourier import (
     evaluate_lattice,
     l2_distance_sq,
     multi_indices,
-    project,
 )
+from theory_checks import project
 
 
 # ---------------------------------------------------------------------------

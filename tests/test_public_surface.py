@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from privdens import adaptive, densities, estimator, fourier, privacy
-from theory_checks import optimal_cutoff_thm
+from theory_checks import optimal_cutoff_thm, project
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("fourier", "privacy", "estimator", "adaptive", "densities", "experiments", "cli")
@@ -130,7 +130,7 @@ ARGUMENTS = [
     ("CoefficientGrid.from_json_dict", "'M'", "integer", 1, lambda v: _coefficients(1, v)),
     ("empirical_coefficients", "cutoff", "integer", 2,
      lambda v: fourier.empirical_coefficients(_PTS, v).to_json_dict()),
-    ("project", "cutoff", "integer", 1, lambda v: fourier.project(_GRID, v).to_json_dict()),
+    ("project", "cutoff", "integer", 1, lambda v: project(_GRID, v).to_json_dict()),
     ("evaluate_lattice", "per_axis", "integer", 4,
      lambda v: fourier.evaluate_lattice(_GRID, v).tolist()),
     ("midpoint_lattice", "d", "integer", 2, lambda v: densities.midpoint_lattice(v, 4).tolist()),

@@ -1,5 +1,6 @@
-"""Numerical checks of two bounds behind the Lepskii rule's analysis, and
-the theorem's form of the tuned cut-off.
+"""Numerical checks of two bounds behind the Lepskii rule's analysis, the
+theorem's form of the tuned cut-off, and the projection of a grid to
+another cut-off.
 
 None is part of the estimator: acceptance criteria 11 and 12 and the unit
 tests import them from here.
@@ -11,6 +12,8 @@ tests import them from here.
 * optimal_cutoff_thm: the 2^d-factor convention of the tuned cut-off, which
   the package does not tune with; the tests pin where it disagrees with
   estimator.optimal_cutoff_adaptive_form.
+* project: a grid restricted or zero-padded to another cut-off, which the
+  tests build references with; the package places cubes by fourier._within.
 """
 
 import math
@@ -20,6 +23,7 @@ import numpy as np
 from privdens import privacy
 from privdens.adaptive import build_beta_grid
 from privdens.estimator import _cutoff_args, _floor_pow, theoretical_rate
+from privdens.fourier import CoefficientGrid, _cube, _within
 from privdens.privacy import as_rho
 
 
@@ -88,3 +92,18 @@ def optimal_cutoff_thm(n: int, rho, beta: float, d: int) -> int:
     samp = _floor_pow(n / scale, 1.0 / (2.0 * beta + d))
     priv = _floor_pow(n * math.sqrt(rho_v) / scale, 1.0 / (beta + d))
     return max(0, min(samp, priv) - 1)
+
+
+def project(grid: CoefficientGrid, cutoff: int) -> CoefficientGrid:
+    """Restrict or zero-pad a grid to a new cut-off, in new memory.
+
+    cutoff <= grid.cutoff restricts to the central block; cutoff > grid.cutoff
+    embeds the grid in a larger one with zeros outside. Projection onto the
+    span of the first (2M'+1)^d basis functions in coefficient space.
+    """
+    cutoff, d, size = _cube(cutoff, grid.dim)
+    if cutoff <= grid.cutoff:
+        return CoefficientGrid(d, cutoff, grid.values[_within(cutoff, grid.cutoff, d)])
+    values = np.zeros(size, dtype=complex)
+    values[_within(grid.cutoff, cutoff, d)] = grid.values
+    return CoefficientGrid(d, cutoff, values)

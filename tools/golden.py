@@ -8,10 +8,12 @@ Everything goes through the command line of the checkout this file sits in
 on an older commit. Into OUTDIR it writes:
 
 * `experiments/`: the CSVs and `summary.json` of the criterion 6, 7, 8 and
-  9a sweeps, of a d = 2 adaptivity sweep in both modes, of an oracle sweep
-  on a d = 2 packing (its MISE is the lattice quadrature route) and of a
-  Lepskii sweep with eps > (log n)^2 (one candidate, at the capped budget
-  rho / k_n), 2 replicates each (`privdens experiment`);
+  9a sweeps, of d = 2 and d = 3 adaptivity sweeps in both modes (in d = 3
+  the candidates' cut-offs lie below, at and above the truth's), of an
+  oracle and a Lepskii sweep on a d = 2 packing (their MISEs are the
+  lattice quadrature route) and of a Lepskii sweep with eps > (log n)^2
+  (one candidate, at the capped budget rho / k_n), 2 replicates each
+  (`privdens experiment`);
 * a CLI round trip: four trig (one in d = 2, one in d = 3) and one packing
   `generate-density` fixtures, `sample`, `fit --M`, `fit --adaptive
   penalized-bias` and `fit --adaptive lepskii` with `--trace`, and `sample`
@@ -86,6 +88,14 @@ SWEEPS = [
     ("lepskii_eps12", "beta1.json",
      {"n": [20], "rho": [0.06], "mode": "lepskii", "seed": 12, "beta": 0.5,
       "constants": {"eps": 12.0}}),
+    # candidates below, at and above the truth's M_truth = 4 (grids 1..8 and 1..10)
+    ("d3_penalized", "trig_d3.json",
+     {"n": [16384], "rho": [1.0], "mode": "penalized-bias", "seed": 31, "beta": 2.0}),
+    ("d3_lepskii", "trig_d3.json",
+     {"n": [16384], "rho": [1.0], "mode": "lepskii", "seed": 32, "beta": 2.0}),
+    # candidates scored by lattice quadrature, one at a time
+    ("packing_d2_lepskii", "packing_d2.json",
+     {"n": [4096], "rho": [1.0], "mode": "lepskii", "seed": 43, "beta": 1.0}),
 ]
 ROUND_TRIP = [
     ["sample", "beta2.json", "--n", "16384", "--seed", "0", "--out", "points.csv"],
@@ -168,6 +178,8 @@ FAILURES = [
      _EXPERIMENT),
     ("config_rho_infinite", {"cfg.json": _two_sweeps(rho=[float("inf")])}, _EXPERIMENT),
     ("config_seed_negative", {"cfg.json": _two_sweeps(seed=-1)}, _EXPERIMENT),
+    ("config_theory_a_below_one", {"cfg.json": _two_sweeps(
+        mode="lepskii", constants={"mode": "theory", "a": 0.5})}, _EXPERIMENT),
     ("fit_lepskii_C_nan", {"pts.csv": _POINTS}, [*_LEPSKII, "--C", "nan"]),
     ("fit_lepskii_a_nan", {"pts.csv": _POINTS}, [*_LEPSKII, "--a", "nan"]),
     ("fit_lepskii_eps_nan", {"pts.csv": _POINTS}, [*_LEPSKII, "--eps", "nan"]),
