@@ -18,16 +18,18 @@ Bump packing fixtures
     exactly 1 by construction. These serve as the fractional-smoothness
     fixture; no Hoelder seminorm is computed numerically.
 
-Sampling is plain rejection from uniform proposals with a supplied sup
-bound. A fixed generator gives identical samples; per round the proposals
-are drawn first, then the acceptance uniforms.
+Sampling is rejection from uniform proposals with a supplied sup bound and,
+where the target certifies one, a squeeze: a proposal whose uniform falls
+below a lower bound of the target is accepted without evaluating it. A fixed
+generator gives identical samples; per round the proposals are drawn first,
+then the acceptance uniforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -184,7 +186,9 @@ class TrigDensity:
     """Finite trigonometric density with exactly known coefficients.
 
     coefficients is Hermitian-symmetric with theta_0 = 1; min_value is the
-    certified lattice lower bound (lattice minimum minus Lipschitz slack).
+    certified lattice lower bound (lattice minimum minus Lipschitz slack)
+    that make_trig_density recorded. A document's min_value is not checked,
+    so the sampler's floor, inf_bound, never reads it.
     """
 
     coefficients: CoefficientGrid
@@ -210,6 +214,20 @@ class TrigDensity:
     @property
     def sup_bound(self) -> float:
         return float(np.sum(np.abs(self.coefficients.values)))
+
+    @cached_property
+    def inf_bound(self) -> float:
+        """A lower bound on every value evaluate computes, from the
+        coefficients alone, at first use: the larger of 2 - sup_bound
+        (theta_0 = 1) and, in d <= 3, make_trig_density's certificate
+        (_certified_min), less _evaluation_margin. In d = 4 that lattice
+        costs about 40 ms and from d = 5 the lattice cap refuses it."""
+        grid = self.coefficients
+        with np.errstate(over="ignore", invalid="ignore"):
+            floor = 2.0 - self.sup_bound
+            if grid.dim <= 3:
+                floor = max(floor, _certified_min(grid))  # a NaN certificate is passed over
+            return floor - _evaluation_margin(grid)
 
     def evaluate(self, x):
         return fourier.evaluate(self.coefficients, x)
@@ -242,6 +260,20 @@ def _lipschitz_bound(grid: CoefficientGrid) -> float:
     # |f(x) - f(y)| <= sum_k |theta_k| 2 pi |k|_1 |x - y|_inf
     k1 = np.sum(np.abs(grid.indices()), axis=1)
     return float(np.sum(np.abs(grid.values) * 2.0 * np.pi * k1))
+
+
+def _certified_min(grid: CoefficientGrid) -> float:
+    """min f over midpoint_lattice(d) less the Lipschitz slack of half a
+    lattice step: a lower bound on f, up to the lattice's rounding."""
+    axis = fourier._lattice_axis(grid.dim)
+    certified = float(np.min(fourier.evaluate_lattice(grid, len(axis))))
+    return certified - _lipschitz_bound(grid) * float(axis[0])
+
+
+def _evaluation_margin(grid: CoefficientGrid) -> float:
+    """2 _LATTICE_ROUNDING M d sum |theta|: the rounding of one lattice value
+    that a floor was read from, and of the evaluate value it is compared to."""
+    return 2 * _LATTICE_ROUNDING * grid.cutoff * grid.dim * float(np.sum(np.abs(grid.values)))
 
 
 def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
@@ -281,12 +313,9 @@ def make_trig_density(beta, L, M_truth, d=1, rng=None) -> TrigDensity:
         values *= scale
         values[center] = 1.0
 
-    axis = fourier._lattice_axis(d)
-    slack_step = float(axis[0])  # (0 + 1/2) / N, half the lattice spacing
     for _ in range(100):
         grid = CoefficientGrid(d, M_truth, values.copy())
-        certified = float(np.min(fourier.evaluate_lattice(grid, len(axis))))
-        certified -= _lipschitz_bound(grid) * slack_step
+        certified = _certified_min(grid)
         if certified >= 0.01:
             return TrigDensity(grid, beta=beta, L=L, min_value=certified)
         values *= 0.8
@@ -386,6 +415,11 @@ class PackingDensity:
         # peak of one bump is psi(0) = amplitude / e; bumps do not overlap
         return 1.0 + self.h**self.beta * self.amplitude / math.e
 
+    @property
+    def inf_bound(self) -> float:
+        # exact: evaluate starts from this value and only adds bumps >= 0
+        return 1.0 - self.offset
+
     def bit_distance_sq(self) -> float:
         """Squared L2 distance contributed by flipping one theta bit."""
         return self.h ** (2.0 * self.beta + self.d) * self.delta
@@ -450,6 +484,10 @@ class ClippedDensity:
     _LATTICE_ROUNDING M d times the coefficient sum covers the lattice's
     floating-point error. M = 0, and a lattice past _MAX_LATTICE_POINTS, keep
     the coefficient sum.
+    The sampler's floor, inf_bound, comes from the same lattice at no extra
+    cost: min_lattice Re f - (pi M d / N) sup_bound, or, where the lattice is
+    skipped, the coefficient route Re theta_0 + |Re theta_0| - (coefficient
+    sum), whichever is larger, less _evaluation_margin.
     Construction fails when the clipped function is degenerate: its lattice
     mass is below 1e-3, where rejection would almost never accept, or overflows.
     """
@@ -460,7 +498,7 @@ class ClippedDensity:
             raise TypeError("expected a CoefficientGrid or an object carrying one")
         self.grid = grid
         with np.errstate(over="ignore", invalid="ignore"):
-            self.sup_bound = _real_part_bound(grid)
+            self.sup_bound, self._floor = _real_part_bounds(grid)
             mass = quadrature_mass(self)
         if not 1e-3 <= mass < math.inf:
             raise ValueError(f"clipped estimate is degenerate: lattice mass {mass:.3g} is not "
@@ -470,23 +508,35 @@ class ClippedDensity:
     def dim(self) -> int:
         return self.grid.dim
 
+    @property
+    def inf_bound(self) -> float:
+        return self._floor
+
     def evaluate(self, x):
         return np.maximum(fourier.evaluate(self.grid, x), 0.0)
 
 
-def _real_part_bound(grid: CoefficientGrid) -> float:
-    """min(coefficient sum, Bernstein bound) of sup |Re f| (ClippedDensity)."""
+def _real_part_bounds(grid: CoefficientGrid) -> tuple[float, float]:
+    """(sup_bound, inf_bound) of ClippedDensity: min(coefficient sum, Bernstein
+    bound) of sup |Re f|, and the larger of the coefficient and lattice floors
+    less the evaluation margin."""
     m, d = grid.cutoff, grid.dim
     coef_sum = float(np.sum(np.abs((grid.values + np.conj(grid.values[::-1])) / 2)))  # of Re f
+    re0 = float(grid.values[grid.size // 2].real)
+    floor = re0 + abs(re0) - coef_sum  # Re theta_0 less every other term of Re f
+    margin = _evaluation_margin(grid)
     per_axis = 1
     while per_axis < 8 * math.pi * m * d:  # the smallest power of two with pi M d / N <= 1/8
         per_axis *= 2
     if not m or _int_power(per_axis, d) > fourier._MAX_LATTICE_POINTS:
-        return coef_sum
-    top = float(np.max(np.abs(fourier.evaluate_lattice(grid, per_axis))))
+        return coef_sum, floor - margin
+    lattice = fourier.evaluate_lattice(grid, per_axis)
+    top = float(np.max(np.abs(lattice)))
     slack = _LATTICE_ROUNDING * m * d * coef_sum
     bernstein = (top + slack) / (1 - math.pi * m * d / per_axis)
-    return bernstein if bernstein < coef_sum else coef_sum  # a NaN lattice keeps the sum
+    bound = bernstein if bernstein < coef_sum else coef_sum  # a NaN lattice keeps the sum
+    lattice_floor = float(np.min(lattice)) - math.pi * m * d / per_axis * bound
+    return bound, max(floor, lattice_floor) - margin  # a NaN lattice keeps the coefficient floor
 
 
 def rejection_sample(density, n, rng, *, return_stats=False):
@@ -497,9 +547,20 @@ def rejection_sample(density, n, rng, *, return_stats=False):
     a proposal x with uniform u is kept when u*B < f(x). When B <= 1 the
     round size is exactly the number still needed (for the uniform density
     every proposal is accepted, so the output is the raw proposal block).
+
+    Squeeze: a density may also expose inf_bound, a floor <= every value its
+    evaluate returns. A proposal with u*B < floor is then kept without
+    evaluating f, since u*B < floor <= f(x); only the others are evaluated,
+    in one call per round, and none when there are none. The accept vector,
+    the points and the generator state are those of evaluating every
+    proposal. A floor that is missing, not finite or <= 0 counts as 0, which
+    evaluates every proposal.
+
     A bound that is not finite, and more than _MAX_SAMPLE_VALUES coordinates
     (n d), are refused before any draw; a RuntimeError is raised after
-    _MAX_ROUNDS rounds.
+    _MAX_ROUNDS rounds. The stats of return_stats count the proposals, the
+    accepted, the rounds and the proposals evaluated, with the acceptance
+    rate, the bound and the floor.
     """
     d = int(density.dim)
     bound = float(density.sup_bound)
@@ -507,24 +568,32 @@ def rejection_sample(density, n, rng, *, return_stats=False):
     size = _integer("n", n, 0) * d
     _capped(size, _MAX_SAMPLE_VALUES, lambda: f"{n} points in d = {d} are {size} coordinates",
             "samples")
+    floor = float(getattr(density, "inf_bound", 0.0))
+    if not 0.0 < floor < math.inf:
+        floor = 0.0
     rng = np.random.default_rng(rng)
 
     blocks = []
     got = 0
     proposals_total = 0
     accepted_total = 0
+    evaluated_total = 0
     while got < n and len(blocks) < _MAX_ROUNDS:  # one block per round
         need = n - got
         chunk = need if bound <= 1.0 else int(math.ceil(min(need * bound, 1 << 20)))
         proposals = rng.random((chunk, d))
-        fvals = np.asarray(density.evaluate(proposals), dtype=float)
-        u = rng.random(chunk)
-        accept = u * bound < fvals
-        taken = proposals[accept][:need]
+        scaled = rng.random(chunk) * bound
+        accept = scaled < floor
+        rest = np.flatnonzero(~accept)
+        if len(rest):  # as_points refuses an empty array
+            fvals = np.asarray(density.evaluate(proposals.take(rest, axis=0)), dtype=float)
+            accept[rest] = scaled[rest] < fvals
+        taken = proposals.compress(accept, axis=0)[:need]
         blocks.append(taken)
         got += len(taken)
         proposals_total += chunk
         accepted_total += int(accept.sum())
+        evaluated_total += len(rest)
     if got < n:
         raise RuntimeError(
             f"rejection sampling produced {got}/{n} points in {_MAX_ROUNDS} rounds; "
@@ -539,6 +608,8 @@ def rejection_sample(density, n, rng, *, return_stats=False):
         "rounds": len(blocks),
         "acceptance_rate": accepted_total / proposals_total if proposals_total else 0.0,
         "bound": bound,
+        "evaluated": evaluated_total,
+        "floor": floor,
     }
     return points, stats
 

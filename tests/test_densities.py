@@ -572,6 +572,233 @@ def test_rejection_coefficient_recovery():
     assert err.max() <= 4.0 / math.sqrt(n)
 
 
+def _rejection_sample_reference(density, n, rng, *, return_stats=False, rounds=None):
+    """rejection_sample before the squeeze: every proposal is evaluated.
+    rounds, if a list, receives each round's proposals and u*B."""
+    d = int(density.dim)
+    bound = float(density.sup_bound)
+    fourier._require(0 < bound < math.inf, "sup bound", "> 0 and finite", bound)
+    size = fourier._integer("n", n, 0) * d
+    fourier._capped(size, dens._MAX_SAMPLE_VALUES,
+                    lambda: f"{n} points in d = {d} are {size} coordinates", "samples")
+    rng = np.random.default_rng(rng)
+
+    blocks = []
+    got = 0
+    proposals_total = 0
+    accepted_total = 0
+    while got < n and len(blocks) < dens._MAX_ROUNDS:  # one block per round
+        need = n - got
+        chunk = need if bound <= 1.0 else int(math.ceil(min(need * bound, 1 << 20)))
+        proposals = rng.random((chunk, d))
+        fvals = np.asarray(density.evaluate(proposals), dtype=float)
+        u = rng.random(chunk)
+        if rounds is not None:
+            rounds.append((proposals, u * bound))
+        accept = u * bound < fvals
+        taken = proposals[accept][:need]
+        blocks.append(taken)
+        got += len(taken)
+        proposals_total += chunk
+        accepted_total += int(accept.sum())
+    if got < n:
+        raise RuntimeError(
+            f"rejection sampling produced {got}/{n} points in {dens._MAX_ROUNDS} rounds; "
+            "the target density is nearly degenerate"
+        )
+    points = np.vstack(blocks) if blocks else np.empty((0, d))
+    if not return_stats:
+        return points
+    stats = {
+        "proposals": proposals_total,
+        "accepted": accepted_total,
+        "rounds": len(blocks),
+        "acceptance_rate": accepted_total / proposals_total if proposals_total else 0.0,
+        "bound": bound,
+    }
+    return points, stats
+
+
+def _clipped(d, M, rho):
+    truth = make_trig_density(2.0, 2.0, M_truth=M, d=d, rng=np.random.default_rng(40 + d))
+    data = rejection_sample(truth, 4096, np.random.default_rng(d))
+    return ClippedDensity(fit(data, M, budget=rho, rng=np.random.default_rng(d)))
+
+
+def _packing(d, m, floor_half):
+    bits = np.random.default_rng(m + d).integers(0, 2, size=m**d)
+    return make_packing_density(bits, m, 1.5, d=d, floor_half=floor_half)
+
+
+def _false_min_value():
+    doc = make_trig_density(1.0, 2.0, M_truth=8, d=1, rng=np.random.default_rng(3)).to_json_dict()
+    return density_from_json_dict({**doc, "min_value": 0.999})
+
+
+class _Flat:  # the duck-typed targets of the tests above, as classes
+    dim, sup_bound, evaluate = 1, math.nan, np.ones_like
+
+
+class _Huge:
+    dim, sup_bound = 1, 1e308
+
+    def evaluate(self, x):
+        return np.full(len(x), 1e308)
+
+
+class _Zero:
+    dim, sup_bound = 1, 1.0
+
+    def evaluate(self, x):
+        return np.zeros(len(x))
+
+
+# every density kind with a floor > 0 ("+"), and the targets without one
+SAMPLER_TARGETS = {
+    "trig-d1+": lambda: make_trig_density(1.0, 2.0, M_truth=32, d=1, rng=np.random.default_rng(11)),
+    "trig-d2+": lambda: make_trig_density(2.0, 2.0, M_truth=8, d=2, rng=np.random.default_rng(21)),
+    "trig-d3+": lambda: make_trig_density(2.0, 2.0, M_truth=4, d=3, rng=np.random.default_rng(31)),
+    "trig-d4+": lambda: make_trig_density(2.0, 2.0, M_truth=1, d=4, rng=np.random.default_rng(41)),
+    "trig-false-min-value+": _false_min_value,
+    "clipped-d1+": lambda: _clipped(1, 4, 1.0),
+    "clipped-d1-zero-floor": lambda: _clipped(1, 4, 1e-7),
+    "clipped-d2+": lambda: _clipped(2, 2, 1.0),
+    "clipped-d2-zero-floor": lambda: _clipped(2, 2, 1e-3),
+    "clipped-d3-no-lattice+": lambda: _clipped(3, 1, 1.0),  # 128^3 points: the coefficient floor
+    **{f"packing-d{d}{'-half' if half else ''}+": (lambda d=d, m=m, half=half: _packing(d, m, half))
+       for d, m in ((1, 4), (2, 3), (3, 2)) for half in (False, True)},
+    **{f"uniform-d{d}+": (lambda d=d: TrigDensity.uniform(d)) for d in (1, 2, 3)},
+    "duck-flat": _Flat,
+    "duck-huge": _Huge,
+    "duck-zero": _Zero,
+}
+DENSITY_KINDS = [key for key in SAMPLER_TARGETS if not key.startswith("duck")]
+
+
+def _floor_of(density):
+    floor = getattr(density, "inf_bound", 0.0)
+    return floor if 0 < floor < math.inf else 0.0
+
+
+def _sample_outcome(sampler, density, n, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        out = sampler(density, n, rng, return_stats=True)
+    except (ValueError, RuntimeError) as exc:
+        out = (type(exc), str(exc))
+    return out, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("key", list(SAMPLER_TARGETS))
+def test_squeeze_sampler_matches_the_full_evaluation_reference_bit_for_bit(key):
+    # the same points, stats and generator state as evaluating every proposal,
+    # and evaluate sees exactly the proposals with u*B >= floor, never none
+    density = SAMPLER_TARGETS[key]()
+    rounds = []
+    want, want_state = _sample_outcome(
+        lambda *a, **k: _rejection_sample_reference(*a, rounds=rounds, **k), density, 3000, 9)
+    seen = []
+    evaluate = density.evaluate
+    object.__setattr__(density, "evaluate", lambda x: seen.append(np.copy(x)) or evaluate(x))
+    got, got_state = _sample_outcome(rejection_sample, density, 3000, 9)
+    assert got_state == want_state
+    floor = _floor_of(density)
+    assert (floor > 0) == key.endswith("+")
+    expected = [p[s >= floor] for p, s in rounds if np.any(s >= floor)]
+    assert len(seen) == len(expected)
+    assert all(len(a) and np.array_equal(a, b) for a, b in zip(seen, expected))
+    if isinstance(want[0], type):  # refused, or out of rounds
+        assert got == want
+        return
+    (pts, stats), (ref_pts, ref_stats) = got, want
+    assert pts.shape == ref_pts.shape
+    assert np.array_equal(pts.view(np.uint64), ref_pts.view(np.uint64))
+    assert {k: stats[k] for k in ref_stats} == ref_stats
+    assert stats["evaluated"] == sum(map(len, seen)) and stats["floor"] == floor
+    if key.startswith("uniform"):
+        assert seen == [] and stats["evaluated"] == 0
+
+
+@pytest.mark.parametrize("key", DENSITY_KINDS)
+def test_inf_bound_is_below_every_evaluated_value(key):
+    # on 2^16 random points and on the lattices the floors are read from
+    density = SAMPLER_TARGETS[key]()
+    d = density.dim
+    lattices = [midpoint_lattice(d, None if d < 4 else 16)]
+    if isinstance(density, ClippedDensity):
+        per_axis = _bernstein_per_axis(density.grid.cutoff, d)
+        if per_axis**d <= fourier._MAX_LATTICE_POINTS:
+            lattices.append(midpoint_lattice(d, per_axis))
+    for x in (np.random.default_rng(d).random((2**16, d)), *lattices):
+        assert density.inf_bound <= np.min(density.evaluate(x))
+
+
+def test_trig_floor_ignores_the_documented_min_value():
+    density = _false_min_value()
+    fixture = make_trig_density(1.0, 2.0, M_truth=8, d=1, rng=np.random.default_rng(3))
+    assert density.inf_bound == fixture.inf_bound < fixture.min_value < 0.999
+
+
+def test_trig_floor_is_computed_at_first_use_not_at_set_up(monkeypatch):
+    # making, loading and dumping a trig density evaluate the lattice only
+    # while make_trig_density damps (here one round each); the floor is
+    # evaluated once, on first use, and only in d <= 3
+    calls = []
+    lattice = fourier.evaluate_lattice
+    monkeypatch.setattr(fourier, "evaluate_lattice",
+                        lambda *a, **k: calls.append(a[0].dim) or lattice(*a, **k))
+    for d, M, seed in ((1, 20, 7), (1, 32, 11), (2, 8, 21), (3, 4, 31), (4, 1, 41)):
+        truth = make_trig_density(2.0, 2.0, M_truth=M, d=d, rng=np.random.default_rng(seed))
+        assert calls == [d]
+        copy = TrigDensity(truth.coefficients, truth.beta, truth.L, truth.min_value)
+        loaded = density_from_json_dict(json.loads(json.dumps(truth.to_json_dict())))
+        assert calls == [d] and copy.sup_bound == loaded.sup_bound
+        assert loaded.inf_bound == loaded.inf_bound == truth.inf_bound
+        assert calls == [d] + [d, d] * (d <= 3)
+        calls.clear()
+
+
+def _write_doc(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _valid_d5_document():
+    # M = 1 in d = 5: the default lattice would be 32^5 points, past the cap
+    size = 3**5
+    values = 0.002 * np.random.default_rng(5).standard_normal((size, 2)) @ [1, 1j]
+    values[size // 2] = 1.0
+    values[size // 2 + 1:] = np.conj(values[: size // 2][::-1])
+    grid = CoefficientGrid(5, 1, values)
+    return {"kind": "trig", "beta": 1.0, "L": 2.0, "min_value": 0.5,
+            "coefficients": grid.to_json_dict()}
+
+
+NEAR_OVERFLOW = {"kind": "trig", "beta": 1.0, "L": 2.0, "min_value": 0.5,
+                 "coefficients": {"d": 1, "M": 2, "re": [1e307, 1e307, 1, 1e307, 1e307],
+                                  "im": [0] * 5}}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc", [_valid_d5_document(), NEAR_OVERFLOW], ids=["d5", "near-overflow"])
+def test_sample_of_documents_without_a_lattice_floor_keeps_its_bytes(tmp_path, capsys, doc):
+    # a d = 5 trig document, whose lattice is over the cap, and one whose
+    # Lipschitz bound overflows: privdens sample writes the points and line
+    # of the full-evaluation loop, with no warning
+    from privdens.cli import _write_points, main
+
+    path = _write_doc(tmp_path / "dens.json", doc)
+    out = tmp_path / "s.csv"
+    assert main(["sample", path, "--n", "200", "--seed", "4", "--out", str(out)]) == 0
+    pts, stats = _rejection_sample_reference(density_from_json_dict(doc), 200,
+                                             np.random.default_rng(4), return_stats=True)
+    _write_points(str(tmp_path / "want.csv"), pts)
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert capsys.readouterr().out == (
+        f"wrote 200 points to {out} "
+        f"(acceptance rate {stats['acceptance_rate']:.3f}, bound {stats['bound']:.6g})\n")
+
+
 # ---------------------------------------------------------------------------
 # clipped estimates as densities
 # ---------------------------------------------------------------------------

@@ -274,8 +274,10 @@ EXTREME = st.one_of(
 @st.composite
 def coefficient_grids(draw):
     """A coefficient grid document with extreme finite values; half of them
-    made a valid trig grid, exactly Hermitian with theta_0 = 1."""
-    d, cutoff = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    made a valid trig grid, exactly Hermitian with theta_0 = 1. d reaches 5,
+    whose default midpoint lattice (32^5 points) is over the lattice cap."""
+    d = draw(st.integers(1, 5))
+    cutoff = draw(st.integers(0, 2 if d <= 2 else 1))
     size = (2 * cutoff + 1) ** d
     re, im = (draw(st.lists(EXTREME, min_size=size, max_size=size)) for _ in range(2))
     if draw(st.booleans()):
@@ -287,6 +289,7 @@ def coefficient_grids(draw):
 
 @settings(FUZZ, max_examples=30)
 @given(coefficient_grids(), st.booleans())
+@example(grid={"d": 1, "M": 2, "re": [1e307, 1e307, 1, 1e307, 1e307], "im": [0] * 5}, trig=True)
 def test_sample_of_extreme_documents_exits_cleanly(tmp_path_factory, grid, trig):
     # `privdens sample` of a trig density or an estimate document either
     # writes its points or refuses the document: it never raises and never
