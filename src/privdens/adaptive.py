@@ -439,7 +439,7 @@ def penalized_bias_select(
         work, not g^2 K_top, and an exactly zero diagonal."""
         proj_dist = np.empty((g, g))
         for j, m in enumerate(grid):
-            diff = cands[:, cols[m]] - cands[j, cols[m]]
+            diff = cands.take(cols[m], axis=1) - cands[j, cols[m]]  # C order: rows sum pairwise
             proj_dist[:, j] = np.sum(diff.real**2 + diff.imag**2, axis=1)
         lam1 = np.array([penalty_lambda1(m, n, rho_prime, d) for m in grid])
         lam2 = np.array([penalty_lambda2(m, n, rho_prime, d) for m in grid])

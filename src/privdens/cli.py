@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +267,7 @@ def _cmd_print_config(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privdens",

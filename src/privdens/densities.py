@@ -19,10 +19,12 @@ Bump packing fixtures
     fixture; no Hoelder seminorm is computed numerically.
 
 Sampling is rejection from uniform proposals with a supplied sup bound and,
-where the target certifies one, a squeeze: a proposal whose uniform falls
-below a lower bound of the target is accepted without evaluating it. A fixed
-generator gives identical samples; per round the proposals are drawn first,
-then the acceptance uniforms.
+where the target certifies them, a two-sided squeeze: a proposal whose
+uniform falls below a lower bound of the target is accepted, and in d <= 3
+one at or above an upper bound of its lattice cell (trig targets) is
+rejected, without evaluating the target. A fixed generator gives identical
+samples; per round the proposals are drawn first, then the acceptance
+uniforms.
 """
 
 from __future__ import annotations
@@ -216,18 +218,44 @@ class TrigDensity:
         return float(np.sum(np.abs(self.coefficients.values)))
 
     @cached_property
+    def _lattice(self) -> np.ndarray | None:
+        """evaluate_lattice on the default midpoint lattice, in d <= 3 only,
+        once, at first use: inf_bound and _cell_bounds both read it. In d = 4
+        it costs about 40 ms and from d = 5 the lattice cap refuses it."""
+        if self.dim > 3:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fourier.evaluate_lattice(self.coefficients)
+
+    @cached_property
     def inf_bound(self) -> float:
         """A lower bound on every value evaluate computes, from the
         coefficients alone, at first use: the larger of 2 - sup_bound
         (theta_0 = 1) and, in d <= 3, make_trig_density's certificate
-        (_certified_min), less _evaluation_margin. In d = 4 that lattice
-        costs about 40 ms and from d = 5 the lattice cap refuses it."""
+        (_certified_min) read from _lattice, less _evaluation_margin. The
+        per-cell bounds of _cell_bounds come from the same lattice."""
         grid = self.coefficients
         with np.errstate(over="ignore", invalid="ignore"):
             floor = 2.0 - self.sup_bound
-            if grid.dim <= 3:
-                floor = max(floor, _certified_min(grid))  # a NaN certificate is passed over
+            if self._lattice is not None:  # a NaN certificate is passed over
+                floor = max(floor, _certified_min(grid, self._lattice))
             return floor - _evaluation_margin(grid)
+
+    @cached_property
+    def _cell_bounds(self) -> tuple[np.ndarray, float] | None:
+        """(lattice, slack): _lattice shaped (N,) * d for the default N per
+        axis, and lattice[c] - slack <= evaluate(x) <= lattice[c] + slack for
+        every x in cell c (_cell_index). Every point of a cell is within half
+        a step of its midpoint on each axis, so slack is _lattice_slack plus
+        _evaluation_margin. None in d >= 4, or when any bound is not finite."""
+        if self._lattice is None:
+            return None
+        grid = self.coefficients
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = _lattice_slack(grid) + _evaluation_margin(grid)
+            if not np.all(np.isfinite(self._lattice - slack) & np.isfinite(self._lattice + slack)):
+                return None
+        return self._lattice.reshape((fourier._LATTICE_RESOLUTION[self.dim],) * self.dim), slack
 
     def evaluate(self, x):
         return fourier.evaluate(self.coefficients, x)
@@ -262,12 +290,18 @@ def _lipschitz_bound(grid: CoefficientGrid) -> float:
     return float(np.sum(np.abs(grid.values) * 2.0 * np.pi * k1))
 
 
-def _certified_min(grid: CoefficientGrid) -> float:
-    """min f over midpoint_lattice(d) less the Lipschitz slack of half a
-    lattice step: a lower bound on f, up to the lattice's rounding."""
-    axis = fourier._lattice_axis(grid.dim)
-    certified = float(np.min(fourier.evaluate_lattice(grid, len(axis))))
-    return certified - _lipschitz_bound(grid) * float(axis[0])
+def _lattice_slack(grid: CoefficientGrid) -> float:
+    """The Lipschitz bound times half a step of the default lattice: how far
+    f moves from a midpoint within its cell, exactly as computed."""
+    return _lipschitz_bound(grid) * float(fourier._lattice_axis(grid.dim)[0])
+
+
+def _certified_min(grid: CoefficientGrid, lattice: np.ndarray | None = None) -> float:
+    """min f over midpoint_lattice(d), evaluated here unless given, less
+    _lattice_slack: a lower bound on f, up to the lattice's rounding."""
+    if lattice is None:
+        lattice = fourier.evaluate_lattice(grid)
+    return float(np.min(lattice)) - _lattice_slack(grid)
 
 
 def _evaluation_margin(grid: CoefficientGrid) -> float:
@@ -539,6 +573,26 @@ def _real_part_bounds(grid: CoefficientGrid) -> tuple[float, float]:
     return bound, max(floor, lattice_floor) - margin  # a NaN lattice keeps the coefficient floor
 
 
+def _cell_index(points: np.ndarray, per_axis: int) -> np.ndarray:
+    """The cell of each point in the midpoint lattice of N = per_axis points
+    per axis, in midpoint_lattice order: min(floor(x N), N - 1) on each axis,
+    the first axis slowest.
+
+    Exact when N is a power of two, as every default N in d <= 3 is (2^10,
+    2^7, 2^5): x N then only raises the exponent of x, so it is computed
+    without rounding, and floor(x N) = i exactly when i/N <= x < (i + 1)/N.
+    The midpoint (i + 1/2)/N of that cell is exact too, since i + 1/2 is,
+    so x lies within 1/(2N) of it in real arithmetic; x = 1 joins the last
+    cell, whose midpoint is also 1/(2N) away.
+    """
+    axes = (points * per_axis).astype(np.intp)
+    np.minimum(axes, per_axis - 1, out=axes)
+    cell = axes[:, 0]
+    for j in range(1, axes.shape[1]):
+        cell = cell * per_axis + axes[:, j]
+    return cell
+
+
 def rejection_sample(density, n, rng, *, return_stats=False):
     """Draw n points from `density` by rejection from uniform proposals.
 
@@ -550,11 +604,15 @@ def rejection_sample(density, n, rng, *, return_stats=False):
 
     Squeeze: a density may also expose inf_bound, a floor <= every value its
     evaluate returns. A proposal with u*B < floor is then kept without
-    evaluating f, since u*B < floor <= f(x); only the others are evaluated,
-    in one call per round, and none when there are none. The accept vector,
-    the points and the generator state are those of evaluating every
-    proposal. A floor that is missing, not finite or <= 0 counts as 0, which
-    evaluates every proposal.
+    evaluating f, since u*B < floor <= f(x). A trig density in d <= 3 also
+    has per-cell bounds lo[c] <= f(x) <= hi[c], lattice[c] -/+ slack
+    (TrigDensity._cell_bounds); a proposal in cell c is kept when
+    u*B < lo[c] and rejected when u*B >= hi[c], also unevaluated. Only the
+    rest are evaluated, in one call per round, and none when there are none.
+    The accept vector, the points and the generator state are those of
+    evaluating every proposal. A floor that is missing, not finite or <= 0
+    counts as 0, and a target without cell bounds evaluates every proposal
+    above its floor.
 
     A bound that is not finite, and more than _MAX_SAMPLE_VALUES coordinates
     (n d), are refused before any draw; a RuntimeError is raised after
@@ -571,6 +629,7 @@ def rejection_sample(density, n, rng, *, return_stats=False):
     floor = float(getattr(density, "inf_bound", 0.0))
     if not 0.0 < floor < math.inf:
         floor = 0.0
+    cells = getattr(density, "_cell_bounds", None)
     rng = np.random.default_rng(rng)
 
     blocks = []
@@ -585,6 +644,14 @@ def rejection_sample(density, n, rng, *, return_stats=False):
         scaled = rng.random(chunk) * bound
         accept = scaled < floor
         rest = np.flatnonzero(~accept)
+        if cells is not None and len(rest):  # the cells of the proposals above the floor
+            lattice, slack = cells
+            mid = lattice.take(_cell_index(proposals.take(rest, axis=0), lattice.shape[0]))
+            above = scaled.take(rest)
+            kept = above < mid - slack
+            accept[rest] = kept
+            # u*B >= mid + slack >= f(x) rejects
+            rest = rest.compress(~kept & (above < mid + slack))
         if len(rest):  # as_points refuses an empty array
             fvals = np.asarray(density.evaluate(proposals.take(rest, axis=0)), dtype=float)
             accept[rest] = scaled[rest] < fvals

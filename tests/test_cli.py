@@ -333,6 +333,26 @@ def test_fit_lepskii_without_constant_flags_records_the_defaults(tmp_path):
         "mode": "practical", "C": 1.0, "a": 1.0, "eps": 0.5, "L": 2.0}
 
 
+def test_cached_parser_carries_no_argument_over_to_the_next_call(tmp_path):
+    # main builds its parser once per process: a fit with --C 5, then one
+    # without --C, which records the default C, as a freshly built parser does
+    rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(5).random(100))
+    data = _write(tmp_path / "pts.csv", rows + "\n")
+
+    def trace_of(name, *flags):
+        trace = tmp_path / f"{name}.json"
+        assert main(["fit", data, "--rho", "1", "--adaptive", "lepskii", *flags, "--out",
+                     str(tmp_path / f"{name}_est.json"), "--trace", str(trace)]) == 0
+        return json.loads(trace.read_text())
+
+    assert trace_of("given", "--C", "5")["constants"]["C"] == 5.0
+    assert cli.build_parser() is cli.build_parser()
+    after = trace_of("after")
+    cli.build_parser.cache_clear()
+    assert after == trace_of("fresh")
+    assert after["constants"]["C"] == 1.0  # practical mode's default
+
+
 def test_fit_lepskii_theory_mode_refuses_a_below_one(tmp_path, capsys):
     rows = "\n".join(f"{x:.8f}" for x in np.random.default_rng(5).random(100))
     data = _write(tmp_path / "pts.csv", rows + "\n")

@@ -12,6 +12,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -680,6 +681,23 @@ def _floor_of(density):
     return floor if 0 < floor < math.inf else 0.0
 
 
+def _cells_of(x, shape):
+    # min(floor(x N), N - 1) per axis, in midpoint_lattice order
+    n = shape[0]
+    return np.ravel_multi_index(tuple(np.minimum(np.floor(x * n), n - 1).astype(int).T), shape)
+
+
+def _undecided(density, proposals, scaled):
+    """The proposals that neither the floor nor the cell bounds decide."""
+    left = scaled >= _floor_of(density)
+    bounds = getattr(density, "_cell_bounds", None)
+    if bounds is not None:
+        lattice, slack = bounds
+        mid = lattice.flat[_cells_of(proposals, lattice.shape)]
+        left &= (scaled >= mid - slack) & (scaled < mid + slack)
+    return proposals[left]
+
+
 def _sample_outcome(sampler, density, n, seed):
     rng = np.random.default_rng(seed)
     try:
@@ -692,7 +710,8 @@ def _sample_outcome(sampler, density, n, seed):
 @pytest.mark.parametrize("key", list(SAMPLER_TARGETS))
 def test_squeeze_sampler_matches_the_full_evaluation_reference_bit_for_bit(key):
     # the same points, stats and generator state as evaluating every proposal,
-    # and evaluate sees exactly the proposals with u*B >= floor, never none
+    # and evaluate sees exactly the proposals that neither u*B < floor nor
+    # the cell bounds of a trig target in d <= 3 decide, never none
     density = SAMPLER_TARGETS[key]()
     rounds = []
     want, want_state = _sample_outcome(
@@ -704,7 +723,11 @@ def test_squeeze_sampler_matches_the_full_evaluation_reference_bit_for_bit(key):
     assert got_state == want_state
     floor = _floor_of(density)
     assert (floor > 0) == key.endswith("+")
-    expected = [p[s >= floor] for p, s in rounds if np.any(s >= floor)]
+    cells = isinstance(density, TrigDensity) and density.dim <= 3  # trig and uniform
+    assert (getattr(density, "_cell_bounds", None) is not None) == cells
+    expected = [left for left in (_undecided(density, p, s) for p, s in rounds) if len(left)]
+    if cells and not key.startswith("uniform"):  # the cells decide some the floor leaves
+        assert sum(map(len, expected)) < sum(np.count_nonzero(s >= floor) for _, s in rounds)
     assert len(seen) == len(expected)
     assert all(len(a) and np.array_equal(a, b) for a, b in zip(seen, expected))
     if isinstance(want[0], type):  # refused, or out of rounds
@@ -756,6 +779,74 @@ def test_trig_floor_is_computed_at_first_use_not_at_set_up(monkeypatch):
         assert loaded.inf_bound == loaded.inf_bound == truth.inf_bound
         assert calls == [d] + [d, d] * (d <= 3)
         calls.clear()
+
+
+# the benchmark's truths (rate-sweep, adaptive-release, multidim d = 2 and 3)
+# and the samplers' trig targets: the trig densities with cell bounds
+CELL_TARGETS = {
+    "rate-sweep": lambda: make_trig_density(1.0, 2.0, M_truth=32, d=1, rng=np.random.default_rng(11)),
+    "adaptive-release": lambda: make_trig_density(2.0, 2.0, M_truth=20, d=1,
+                                                  rng=np.random.default_rng(7)),
+    "multidim-d2": SAMPLER_TARGETS["trig-d2+"],
+    "multidim-d3": SAMPLER_TARGETS["trig-d3+"],
+    "trig-d2-M16": lambda: make_trig_density(1.0, 2.0, M_truth=16, d=2, rng=np.random.default_rng(5)),
+    "false-min-value": _false_min_value,
+}
+
+
+def _boundaries(per_axis):
+    # every cell boundary k/N and one ulp either side, inside [0, 1]
+    k = np.arange(per_axis + 1) / per_axis
+    return np.unique(np.clip(np.concatenate(
+        [k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)]), 0.0, 1.0))
+
+
+def _cell_bounds_hold(density, x):
+    lattice, slack = density._cell_bounds
+    cell = dens._cell_index(x, lattice.shape[0])
+    assert np.array_equal(cell, _cells_of(x, lattice.shape))
+    f, mid = density.evaluate(x), lattice.flat[cell]
+    assert np.all(mid - slack <= f) and np.all(f <= mid + slack)
+
+
+@pytest.mark.parametrize("key", list(CELL_TARGETS))
+def test_cell_bounds_hold_at_random_points(key):
+    density = CELL_TARGETS[key]()
+    _cell_bounds_hold(density, np.random.default_rng(3).random((2**16, density.dim)))
+
+
+@pytest.mark.parametrize("key", list(CELL_TARGETS))
+def test_cell_bounds_hold_on_and_next_to_cell_boundaries(key):
+    # in d >= 2 each coordinate is drawn from the boundaries, 2^16 points
+    density = CELL_TARGETS[key]()
+    d = density.dim
+    edges = _boundaries(density._cell_bounds[0].shape[0])
+    x = edges[:, None] if d == 1 else np.random.default_rng(4).choice(edges, size=(2**16, d))
+    _cell_bounds_hold(density, x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_index_and_midpoints_are_exact(d):
+    # the default N is a power of two, so x N and (i + 1/2)/N are exact:
+    # the float cell of every boundary point is its rational cell, and each
+    # point is within 1/(2N) of its cell's midpoint in exact arithmetic
+    per_axis = fourier._LATTICE_RESOLUTION[d]
+    assert per_axis & (per_axis - 1) == 0
+    axis = fourier._lattice_axis(d)
+    assert [Fraction(v) for v in axis] == [Fraction(2 * i + 1, 2 * per_axis)
+                                          for i in range(per_axis)]
+    edges = _boundaries(per_axis)
+    want = [min(math.floor(Fraction(v) * per_axis), per_axis - 1) for v in edges]
+    assert dens._cell_index(edges[:, None], per_axis).tolist() == want
+    assert all(abs(Fraction(v) - Fraction(axis[i])) <= Fraction(1, 2 * per_axis)
+               for v, i in zip(edges, want))
+
+
+def test_trig_cell_bounds_are_refused_where_they_are_not_finite():
+    # d = 4 has no lattice; a Lipschitz bound that overflows leaves the floor
+    assert SAMPLER_TARGETS["trig-d4+"]()._cell_bounds is None
+    with np.errstate(all="raise"):
+        assert density_from_json_dict(NEAR_OVERFLOW)._cell_bounds is None
 
 
 def _write_doc(path, doc):
