@@ -28,10 +28,10 @@ Penalized estimated bias
 
 Both rules run one driver, _select. It checks its arguments once; per
 cut-off it cuts the cube from the master coefficients by one column map,
-fourier._within, and computes one sigma; per candidate it makes one add_noise
-draw and one ledger charge (so every call is private and needs a seeded
-generator). The rule's decision on what its score measured, the code
-SelectionTrace.replay() runs, picks the winner.
+fourier._within; per candidate it makes one privacy._release (so every call
+is private and needs a seeded generator). The rule's decision on what its
+score measured, the code SelectionTrace.replay() runs, refuses scores that
+overflowed (a tiny rho) and picks the winner.
 Both return the chosen estimate and a SelectionTrace of the release and the
 rule's evidence, so the choice can be replayed and audited offline. More than
 _MAX_CANDIDATES Lepskii candidates, or more than fourier._MAX_COEFFICIENTS
@@ -58,6 +58,7 @@ from .fourier import (
     _is_int,
     _real,
     _require,
+    _sq_distances,
     _within,
     as_points,
     empirical_coefficients,
@@ -232,13 +233,13 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
     """The release and decision of both rules, at a checked rho_prime.
 
     cols[M] = fourier._within(M, top, d) lists the columns of cube M in the
-    master's cube. A run of equal cut-offs M has one sigma (sigma_for_cutoff's
-    formula); per candidate m in order, the master at cols[M] plus one
-    privacy.add_noise draw goes into row m of one zero (k, K_top) matrix at
-    those columns, charged to one fresh ledger as label.format(m=m, cutoff=M).
-    The trace keeps the run's (r, (2M+1)^d) block, not the matrix, which
-    score(cands, cols) measures; the method's decision picks the winner and
-    derives the rest of the evidence. The winner has rho_spent = spent.
+    master's cube. Per candidate m in order, privacy._release of the master
+    at cols[M], charged to one fresh ledger as label.format(m=m, cutoff=M),
+    goes into row m of one zero (k, K_top) matrix at those columns. The
+    trace keeps each run of equal cut-offs' (r, (2M+1)^d) block, not the
+    matrix, which score(cands, cols) measures, overflow unwarned; the
+    method's decision refuses a score that is not finite, picks the winner
+    and derives the rest of the evidence. The winner has rho_spent = spent.
     """
     if rng is None:
         raise ValueError("a seeded rng is required for a private selection")
@@ -253,13 +254,14 @@ def _select(method, pts, cutoffs, rho, rho_prime, spent, constants, rng, label, 
     cands = np.zeros((len(cutoffs), master.size), dtype=complex)
     for M, run in itertools.groupby(range(len(cutoffs)), cutoffs.__getitem__):
         ms, grid = list(run), CoefficientGrid(d, M, master.values[cols[M]])
-        sigma = privacy._sigma(n, grid.size, rho_prime)
         for m in ms:
-            cands[m, cols[M]] = privacy.add_noise(grid, sigma, rng).values
-            ledger.charge(label.format(m=m, cutoff=M), rho_prime)
+            noisy, sigma = privacy._release(grid, n, rho_prime, rng, ledger,
+                                            label.format(m=m, cutoff=M))
+            cands[m, cols[M]] = noisy.values
+            sigmas.append(sigma)
         blocks.append((M, cands[ms[0] : ms[-1] + 1].take(cols[M], axis=1)))
-        sigmas += [sigma] * len(ms)
-    measured = score(cands, cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        measured = score(cands, cols)
     selected, derived = _DECISIONS[method](measured, sigmas, cutoffs, d)
     winner = CoefficientGrid(d, cutoffs[selected], cands[selected, cols[cutoffs[selected]]])
     trace = SelectionTrace(
@@ -291,15 +293,24 @@ def _shaped(evidence, key: str, shape: tuple) -> np.ndarray:
     return value
 
 
+def _finite(key: str, value: np.ndarray) -> np.ndarray:
+    """value; a ValueError naming key and rho unless every entry is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{key} is not finite: rho is too small to score the candidates")
+    return value
+
+
 def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
     """The first accepted row m, scanning m = 0, 1, ...: for every l >= m,
     distances[m, l] minus the two candidates' expected noise energy
     2 sigma^2 (2M+1)^d is at most thresholds[l]. Derived: the verdicts of
-    rows 0..m (accepted) and distances cut to those rows, all k columns."""
+    rows 0..m (accepted) and distances cut to those rows, all k columns.
+    Distances that are not finite are refused; a threshold may be +inf."""
     k = len(cutoffs)
     dist, thresholds = np.asarray(evidence["distances"]), _shaped(evidence, "thresholds", (k,))
     _require(dist.ndim == 2 and 1 <= len(dist) <= k and dist.shape[1] == k, "distances",
              f"an array of 1 to {k} rows and {k} columns", dist.shape)
+    _finite("distances", dist)
     noise = np.array([2.0 * s * s * (2 * c + 1) ** d for s, c in zip(sigmas, cutoffs)])
     excess = dist - noise[: len(dist), None] - noise[None, :]
     # only an edited trace runs out of rows: a full matrix's zero diagonal accepts the last
@@ -311,11 +322,14 @@ def _lepskii_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
 
 def _penalized_decision(evidence, sigmas, cutoffs, d: int) -> tuple[int, dict]:
     """The index minimizing criterion = bias_sq + lambda2, the first (smallest
-    M) on ties, and both: bias_sq[i] = max_j (proj_distances[i, j] - lambda1[j])."""
+    M) on ties, and both: bias_sq[i] = max_j (proj_distances[i, j] - lambda1[j]).
+    Distances or penalties that are not finite are refused."""
     g = len(cutoffs)
-    proj_dist = _shaped(evidence, "proj_distances", (g, g))
-    bias_sq = (proj_dist - _shaped(evidence, "lambda1", (g,))[None, :]).max(axis=1)
-    criterion = bias_sq + _shaped(evidence, "lambda2", (g,))
+    proj_dist, lambda1, lambda2 = (
+        _finite(key, _shaped(evidence, key, shape))
+        for key, shape in (("proj_distances", (g, g)), ("lambda1", (g,)), ("lambda2", (g,))))
+    bias_sq = (proj_dist - lambda1[None, :]).max(axis=1)
+    criterion = bias_sq + lambda2
     return int(np.argmin(criterion)), {"bias_sq": bias_sq, "criterion": criterion}
 
 
@@ -435,12 +449,12 @@ def penalized_bias_select(
     def score(cands, cols):
         """proj_distances[i, j] = ||proj_{M_j}(cands[i]) - cands[j]||^2 and
         both penalties. Row j is zero outside its own cube, so the distance
-        is taken on that cube's columns cols[M_j] alone: about 2 g K_top
-        work, not g^2 K_top, and an exactly zero diagonal."""
+        is one Parseval sum per row on that cube's columns cols[M_j] alone:
+        about 2 g K_top work, not g^2 K_top, and an exactly zero diagonal."""
         proj_dist = np.empty((g, g))
         for j, m in enumerate(grid):
-            diff = cands.take(cols[m], axis=1) - cands[j, cols[m]]  # C order: rows sum pairwise
-            proj_dist[:, j] = np.sum(diff.real**2 + diff.imag**2, axis=1)
+            proj_dist[:, j] = _sq_distances(cands.take(cols[m], axis=1), m,
+                                            CoefficientGrid(d, m, cands[j, cols[m]]))
         lam1 = np.array([penalty_lambda1(m, n, rho_prime, d) for m in grid])
         lam2 = np.array([penalty_lambda2(m, n, rho_prime, d) for m in grid])
         return dict(proj_distances=proj_dist, lambda1=lam1, lambda2=lam2)

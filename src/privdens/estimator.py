@@ -1,9 +1,9 @@
 """Non-adaptive private projection estimation.
 
 fit() computes empirical Fourier coefficients up to a cut-off M and, when a
-privacy budget is supplied, releases them through the Gaussian mechanism
-calibrated by privacy.sigma_for_cutoff. Expected squared error decomposes
-as
+privacy budget is supplied, releases them through privacy._release, the
+Gaussian mechanism at sigma_for_cutoff's scale. Expected squared error
+decomposes as
 
     E ||f - f_hat_M||^2 <= ||f - f_M||^2 + (2M+1)^d / n + 2 (2M+1)^d sigma_M^2
 
@@ -177,10 +177,11 @@ def fit(
     """Fit the projection estimator at cut-off M, optionally privately.
 
     With budget=None the raw empirical coefficients are returned (sigma 0,
-    rho_spent None, an empty ledger). With a budget, the Gaussian mechanism
-    is applied at scale sigma_for_cutoff(n, rho, M, d) and the full budget
-    is charged to the estimate's ledger as "fit (M=..., d=...)". rng is
-    required exactly when a budget is given.
+    rho_spent None, an empty ledger). With a budget, the checked rho goes to
+    one privacy._release: the Gaussian mechanism at scale
+    sigma_for_cutoff(n, rho, M, d), the full budget charged to the
+    estimate's ledger as "fit (M=..., d=...)". rng is required exactly when
+    a budget is given.
     """
     pts = as_points(data)
     n, d = pts.shape
@@ -191,7 +192,5 @@ def fit(
     rho = privacy.as_rho(budget)
     if rng is None:
         raise ValueError("a seeded rng is required for a private fit")
-    sigma = privacy.sigma_for_cutoff(n, rho, grid.cutoff, d)
-    noisy = privacy.add_noise(grid, sigma, rng)
-    ledger.charge(f"fit (M={cutoff}, d={d})", rho)
+    noisy, sigma = privacy._release(grid, n, rho, rng, ledger, f"fit (M={cutoff}, d={d})")
     return ProjectionEstimate(noisy, n, sigma=sigma, rho_spent=rho, ledger=ledger)

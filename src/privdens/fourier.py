@@ -391,9 +391,12 @@ def _sq_distances(rows: np.ndarray, cutoff: int, other: CoefficientGrid) -> np.n
     """l2_distance_sq from other to each row of rows, an (r, (2M+1)^d) block of
     grids at cut-off M = cutoff: one Parseval sum per row over the larger cube."""
     top = max(cutoff, other.cutoff)
-    diff = np.zeros((len(rows), _cube(top, other.dim)[2]), dtype=complex)
-    diff[:, _within(cutoff, top, other.dim)] = rows
-    diff[:, _within(other.cutoff, top, other.dim)] -= other.values
+    if cutoff == other.cutoff:  # equal cubes: no padding, the padded route's bits
+        diff = rows - other.values
+    else:
+        diff = np.zeros((len(rows), _cube(top, other.dim)[2]), dtype=complex)
+        diff[:, _within(cutoff, top, other.dim)] = rows
+        diff[:, _within(other.cutoff, top, other.dim)] -= other.values
     return np.sum(diff.real**2 + diff.imag**2, axis=1)
 
 

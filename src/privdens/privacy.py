@@ -16,7 +16,8 @@ is rho-zCDP, which gives the closed form
 
 Both routes are implemented separately (coefficient_sensitivity passed to
 gaussian_sigma, and sigma_for_cutoff) and the test suite checks they agree to
-a couple of ulp; do not collapse one into the other.
+a couple of ulp; do not collapse one into the other. _release, the one
+function that calibrates, draws and charges, uses the closed form.
 
 Arguments follow fourier._integer and _real: budgets and scales are finite
 Python or NumPy reals, a budget > 0 and a scale >= 0; n, M, d and the seeds of
@@ -91,6 +92,17 @@ def sigma_for_cutoff(n: int, budget, cutoff: int, dim: int) -> float:
 def _sigma(n: int, size: int, rho: float) -> float:
     """sigma_for_cutoff's formula on checked arguments, size = (2M+1)^d."""
     return 2.0 * math.sqrt(size) / (n * math.sqrt(rho))
+
+
+def _release(grid: CoefficientGrid, n: int, rho: float, rng: np.random.Generator,
+             ledger: BudgetLedger, label: str) -> tuple[CoefficientGrid, float]:
+    """Every release, on arguments its caller checked: one add_noise draw at
+    _sigma(n, grid.size, rho), charged once to ledger as (label, rho).
+    Returns the noisy grid and its sigma."""
+    sigma = _sigma(n, grid.size, rho)
+    noisy = add_noise(grid, sigma, rng)  # the global name: a patched add_noise sees the draw
+    ledger.charge(label, rho)
+    return noisy, sigma
 
 
 def add_noise(grid: CoefficientGrid, sigma, rng: np.random.Generator) -> CoefficientGrid:

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -595,6 +596,44 @@ def _select_per_candidate(method, pts, cutoffs, rho, rho_prime, spent, constants
         blocks=[(e.cutoff, e.coefficients.values[None]) for e in estimates],
     )
     return dataclasses.replace(estimates[selected], rho_spent=spent), trace
+
+
+@pytest.mark.parametrize("select", [lepskii_select, penalized_bias_select],
+                         ids=["lepskii", "penalized-bias"])
+def test_a_budget_whose_scores_overflow_is_refused_without_a_warning(select):
+    # rho = 1e-320 is a valid budget, but sigma is about 1e159 and the
+    # candidates' squared distances are no floats: the selection is refused,
+    # naming rho, instead of deciding on NaN scores
+    data = np.random.default_rng(95).random((50, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^(proj_)?distances is not finite: rho is too"):
+            select(data, 1e-320, None, np.random.default_rng(96))
+
+
+@pytest.mark.parametrize("method, key", [
+    ("lepskii", "distances"),
+    ("penalized-bias", "proj_distances"),
+    ("penalized-bias", "lambda1"),
+    ("penalized-bias", "lambda2"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_replay_refuses_evidence_that_is_not_finite(small_traces, method, key, bad):
+    trace = dataclasses.replace(small_traces[method])
+    value = np.array(trace.evidence[key], dtype=float)
+    value.flat[-1] = bad
+    trace.evidence = {**trace.evidence, key: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{key} is not finite"):
+            trace.replay()
+
+
+def test_lepskii_replay_accepts_infinite_thresholds(small_traces):
+    # a huge a makes every threshold +inf, which accepts the first candidate
+    trace = dataclasses.replace(small_traces["lepskii"])
+    trace.evidence = {**trace.evidence, "thresholds": np.full(len(trace.cutoffs), math.inf)}
+    assert trace.replay() == 0
 
 
 def _bits(values) -> np.ndarray:

@@ -11,9 +11,10 @@ loads or is generated has a finite sup bound > 0. `privdens sample` also
 runs on trig and estimate documents with extreme finite coefficients, and
 `privdens fit` on generated points files (blank lines, ragged rows, Python
 float spellings, a BOM, line ends of every kind, bytes that are not UTF-8),
-with every warning made an error; on the same kind of text the points
-reader, np.loadtxt alone, gives the points or the message of a small line
-parser kept here as a reference. Runs are derandomized with small example
+with every warning made an error, and on every private mode with any
+`--rho`; on the same kind of text the points reader, np.loadtxt alone,
+gives the points or the message of a small line parser kept here as a
+reference. Runs are derandomized with small example
 counts, so the suite stays deterministic and fast.
 """
 
@@ -381,6 +382,44 @@ def test_fit_of_wide_points_files_exits_cleanly(tmp_path_factory, mode, n, d, tr
     assert code in (0, 1, 2) and "Traceback" not in stderr.getvalue()
     if code != 0:
         assert not out.exists() and not trace_path.exists()
+
+
+# Every kind of private release, with its selection trace where it has one.
+RELEASE_MODES = {
+    "fixed-private": ["--M", "1"],
+    "tuned-private": ["--beta", "1"],
+    "penalized-bias": ["--adaptive", "penalized-bias", "--trace", "t.json"],
+    "lepskii": ["--adaptive", "lepskii", "--trace", "t.json"],
+}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a written file")
+
+
+@settings(FUZZ, max_examples=40)
+@given(st.sampled_from(sorted(RELEASE_MODES)), FLAG_VALUES)
+@example(mode="penalized-bias", rho="1e-320")  # sigma about 1e159: the scores overflow
+@example(mode="lepskii", rho="1e-320")
+def test_fit_budget_flag_exits_cleanly_on_every_release_mode(tmp_path_factory, mode, rho):
+    # any --rho ends in a release within it or in a message, never in a
+    # warning; a refusal leaves no file, and a written file holds no NaN or
+    # infinity
+    tmp, data = points_file(tmp_path_factory)
+    out, trace = tmp / "e.json", tmp / "t.json"
+    argv = ["fit", str(data), f"--rho={rho}", "--out", str(out),
+            *(str(trace) if arg == trace.name else arg for arg in RELEASE_MODES[mode])]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = exit_code(argv)
+    assert code in (0, 1, 2) and "Traceback" not in stderr.getvalue()
+    if code != 0:
+        assert not out.exists() and not trace.exists()
+        return
+    docs = [json.loads(path.read_text(), parse_constant=_no_constant)
+            for path in (out, trace) if path.exists()]
+    assert docs[0]["rho_spent"] <= float(rho)
 
 
 # Cells whose surrounding whitespace float() and np.loadtxt might strip

@@ -4,8 +4,10 @@ calibration identity (two independent routes to sigma must agree) and the
 distribution of the injected noise.
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,3 +350,39 @@ def test_every_noise_draw_is_charged(monkeypatch, tmp_path, capsys):
     (trace,) = traces
     assert record.rho_spent == trace.rho_spent
     check(record.rho_spent, trace.ledger.spent, len(trace.ledger))
+
+
+def _calls(tree: ast.AST, names: set) -> list[tuple[str | None, str]]:
+    """(innermost enclosing def, callee) for each call of a name in names, by
+    plain name or as an attribute."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in names:
+                    found.append((owner, name))
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_release_calibrates_draws_and_charges():
+    # One function ties the charged rho to the drawn sigma: in the package,
+    # add_noise and BudgetLedger.charge are each called once, in
+    # privacy._release, and no module but privacy computes a noise scale.
+    draws, scales = [], []
+    for path in sorted(Path(privacy.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        draws += [(path.stem, *call) for call in _calls(tree, {"add_noise", "charge"})]
+        scales += [path.stem for _owner, _name in
+                   _calls(tree, {"_sigma", "sigma_for_cutoff", "gaussian_sigma"})]
+    assert sorted(draws) == [("privacy", "_release", "add_noise"),
+                             ("privacy", "_release", "charge")]
+    assert set(scales) == {"privacy"}

@@ -257,6 +257,13 @@ FAILURES = [
     # sweep "b" names its seed twice
     ("config_repeated_key", {"cfg.json": _two_sweeps()[:-3] + ', "seed": 1}}}'}, _EXPERIMENT),
     ("fit_lepskii_theory_d600", {"pts.csv": _WIDE}, [*_LEPSKII, "--constants-mode", "theory"]),
+    # a valid budget so small that the candidates' squared distances overflow
+    ("fit_penalized_rho_tiny", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--rho", "1e-320", "--adaptive", "penalized-bias", "--trace", "tr.json",
+      "--out", "est.json"]),
+    ("fit_lepskii_rho_tiny", {"pts.csv": _POINTS},
+     ["fit", "pts.csv", "--rho", "1e-320", "--adaptive", "lepskii", "--trace", "tr.json",
+      "--out", "est.json"]),
 ]
 
 
